@@ -103,7 +103,6 @@ from .space import (
     StagedOpenSet,
     TailPoint,
     cantor_pair,
-    clopen_algebra,
     clopen_complement,
     clopen_intersection,
     clopen_subset,

@@ -6,8 +6,8 @@ tag, the inputs with their sha256 digest, exact values as num/2^exp strings,
 and named pass/fail assertions.  Nothing time- or machine-dependent goes
 into a report, so identical inputs and seeds give byte-identical output.
 
-Exit codes: 0 ok, 2 expression syntax, 3 validation, 4 broken certificate
-or budget, 5 statistical gate.
+Exit codes: 0 ok, 2 expression syntax or command-line usage, 3 validation,
+4 broken certificate or budget, 5 statistical gate.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .codes import (
     support_depth,
 )
 from .decoration import (
+    DecorationGenerator,
     check_preservation,
     decorate,
     empty_generator,
@@ -76,9 +77,9 @@ def _prepared(args):
     """Parse and apply the shared shaping flags."""
     code = parse_dsl(args.expr)
     shaped = code
-    if getattr(args, "normalize", False) or getattr(args, "alternating", False):
+    if args.normalize or args.alternating:
         shaped = normalize_demorgan(shaped)
-    if getattr(args, "alternating", False):
+    if args.alternating:
         shaped = make_alternating(annotate_min_ranks(shaped))
     return code, shaped
 
@@ -153,7 +154,7 @@ def _cmd_measure(args) -> dict:
     shaped = _require_normalized(shaped)
     exact = measure_of_code(shaped)
     payload = {"measure": str(exact)}
-    if args.mc:
+    if args.mc is not None:
         est = mc_integral(shaped, args.mc, args.seed)
         payload["estimate"] = str(est.value)
         payload["trials"] = est.trials
@@ -206,8 +207,7 @@ def _load_generator(args, root_rank):
     spec = args.generator or "empty"
     if spec == "empty":
         if args.budget:
-            budgets = [OrdinalNotation.parse(b) for b in args.budget.split(",")]
-            return empty_generator_from(budgets)
+            return DecorationGenerator.empty(OrdinalNotation.parse(b) for b in args.budget.split(","))
         return empty_generator(root_rank)
     if spec == "split" or spec.startswith("split:"):
         if not args.budget:
@@ -220,14 +220,6 @@ def _load_generator(args, root_rank):
             targets = [ClopenSet(tuple(gens)) for gens in raw]
         return split_generator(budgets, targets)
     raise ValidationError(f"unknown generator {spec!r}")
-
-
-def empty_generator_from(budgets):
-    from .decoration import DecorationGenerator, empty_set_code
-
-    return DecorationGenerator(
-        tuple((b, empty_set_code(b), empty_set_code(b)) for b in budgets)
-    )
 
 
 def _cmd_decorate(args) -> dict:
@@ -268,7 +260,7 @@ def _cmd_report(args) -> dict:
         for s in range(3):
             budget_report(t, n, s)
     assertions.append({"name": "stage budgets", "pass": True})
-    if args.mc:
+    if args.mc is not None:
         est = mc_integral(shaped, args.mc, args.seed)
         payload["estimate"] = str(est.value)
         payload["seed"] = est.seed
@@ -288,6 +280,44 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+_FLAGS = {
+    "rank": dict(default=None, metavar="CNF",
+                 help="assert the minimal root rank equals this notation"),
+    "point": dict(default=None, metavar="SPEC",
+                  help="'u=<bits>:v=<bits>' or 'seed=<int>'"),
+    "mc": dict(type=_positive_int, default=None, metavar="N",
+               help="Monte Carlo trial count"),
+    "seed": dict(type=int, default=0, metavar="S"),
+    "depth": dict(type=int, default=None, metavar="D"),
+    "generator": dict(default=None, metavar="G",
+                      help="'empty' or 'split' or 'split:<targets.json>'"),
+    "budget": dict(default=None, metavar="CNFS",
+                   help="comma-separated ordinal notations"),
+}
+
+# the flags each verb reads, beyond those every verb takes; any other flag
+# is a usage error rather than an ignored input hashed into the digest
+_VERB_FLAGS = {
+    "parse": ("rank",),
+    "eval": ("point",),
+    "measure": ("mc", "seed"),
+    "decompose": (),
+    "tests-combine": ("depth",),
+    "decorate": ("depth", "generator", "budget"),
+    "report": ("mc", "seed"),
+}
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cantor-measure",
@@ -301,20 +331,10 @@ def _build_argparser() -> argparse.ArgumentParser:
                        help="push complements to the leaves")
         p.add_argument("--alternating", action="store_true",
                        help="normalize, rank, and fuse to alternating form")
-        p.add_argument("--rank", default=None, metavar="CNF",
-                       help="assert the minimal root rank equals this notation")
-        p.add_argument("--point", default=None, metavar="SPEC",
-                       help="'u=<bits>:v=<bits>' or 'seed=<int>'")
-        p.add_argument("--mc", type=int, default=None, metavar="N",
-                       help="Monte Carlo trial count")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        p.add_argument("--depth", type=int, default=None, metavar="D")
         p.add_argument("--json", default=None, metavar="PATH",
                        help="also write the report to this file")
-        p.add_argument("--generator", default=None, metavar="G",
-                       help="'empty' or 'split' or 'split:<targets.json>'")
-        p.add_argument("--budget", default=None, metavar="CNFS",
-                       help="comma-separated ordinal notations")
+        for flag in _VERB_FLAGS[verb]:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
 
 

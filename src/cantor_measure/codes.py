@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence, Union as TUnion
+from typing import Sequence, Union as TUnion
 
-from .dyadic import Dyadic
 from .errors import ValidationError
 from .ordinals import ONE_ORD, OrdinalNotation
 from .space import (
@@ -116,10 +115,6 @@ def subtree(code: BorelCode, addr: Address) -> BorelCode:
         else:
             raise ValidationError(f"no child at slot {slot} under address {addr}")
     return node
-
-
-def node_count(code: BorelCode) -> int:
-    return len(addresses(code))
 
 
 def is_complement_free(code: BorelCode) -> bool:
@@ -250,15 +245,6 @@ def annotate_min_ranks(code: BorelCode) -> BorelCode:
     if rank < OrdinalNotation.finite(2):
         rank = OrdinalNotation.finite(2)
     return type(code)(kids, rank, code.slots)
-
-
-def strip_ranks(code: BorelCode) -> BorelCode:
-    if isinstance(code, Leaf):
-        return Leaf(code.label, None)
-    if isinstance(code, ComplNode):
-        return ComplNode(strip_ranks(code.child), None)
-    kids = tuple(strip_ranks(c) for _, c in child_items(code))
-    return type(code)(kids, None, code.slots)
 
 
 # ---------------------------------------------------------------------------

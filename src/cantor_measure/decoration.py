@@ -12,7 +12,7 @@ inserts' denotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .codes import (
     BorelCode,
@@ -68,6 +68,12 @@ class DecorationGenerator:
             _insert_ok(pos, b, "positive")
             _insert_ok(neg, b, "negative")
 
+    @classmethod
+    def empty(cls, budgets: Iterable[OrdinalNotation]) -> "DecorationGenerator":
+        """Generator whose inserts all denote the empty set, one entry per
+        budget."""
+        return cls(tuple((b, empty_set_code(b), empty_set_code(b)) for b in budgets))
+
     def budgets(self) -> tuple[OrdinalNotation, ...]:
         return tuple(b for b, _, _ in self.entries)
 
@@ -92,38 +98,29 @@ class DecorationGenerator:
         return clopen_union(*parts) if parts else ClopenSet.empty()
 
 
-def empty_set_code(b: OrdinalNotation) -> BorelCode:
-    """Alternating chain of root rank exactly b denoting the empty set:
-    intersection root, kinds alternating down the rank chain, empty leaf."""
+def _rank_chain(b: OrdinalNotation, label: ClopenSet) -> BorelCode:
+    """Alternating chain of root rank exactly b denoting the clopen label:
+    intersection root, kinds alternating down the rank chain, single-child
+    nodes over one leaf."""
     if b.is_zero():
         raise ValidationError("rank chain needs a positive root rank")
-    chain = descending_chain(b)
-    node: BorelCode = Leaf(ClopenSet.empty(), rank=chain[-1])
-    for i in range(len(chain) - 2, -1, -1):
-        cls = InterNode if i % 2 == 0 else UnionNode
-        node = cls(children=(node,), rank=chain[i])
-    return node
-
-
-def empty_generator(bound: OrdinalNotation,
-                    coeff_cap: int = 3) -> DecorationGenerator:
-    """Generator whose inserts all denote the empty set, one entry per
-    nonzero notation the capped enumeration yields up to the bound."""
-    budgets = [b for b in notations_up_to(bound, coeff_cap) if not b.is_zero()]
-    return DecorationGenerator(
-        tuple((b, empty_set_code(b), empty_set_code(b)) for b in budgets)
-    )
-
-
-def _chain_with_leaf(b: OrdinalNotation, label: ClopenSet) -> BorelCode:
-    """Like empty_set_code but bottoming out in the given clopen set, kept
-    denotationally equal to the leaf by the single-child chain."""
     chain = descending_chain(b)
     node: BorelCode = Leaf(label, rank=chain[-1])
     for i in range(len(chain) - 2, -1, -1):
         cls = InterNode if i % 2 == 0 else UnionNode
         node = cls(children=(node,), rank=chain[i])
     return node
+
+
+def empty_set_code(b: OrdinalNotation) -> BorelCode:
+    """Alternating chain of root rank exactly b denoting the empty set."""
+    return _rank_chain(b, ClopenSet.empty())
+
+
+def empty_generator(bound: OrdinalNotation) -> DecorationGenerator:
+    """Generator whose inserts all denote the empty set, one entry per
+    nonzero notation up to the bound with coefficients at most 3."""
+    return DecorationGenerator.empty(notations_up_to(bound))
 
 
 def split_generator(budgets: Sequence[OrdinalNotation],
@@ -149,7 +146,7 @@ def split_generator(budgets: Sequence[OrdinalNotation],
     for k, (b, t) in enumerate(zip(blist, targets)):
         pos = ClopenSet(tuple(g + "0" for g in t.generators))
         neg = ClopenSet(tuple(g + "1" for g in t.generators))
-        entries.append((b, _chain_with_leaf(b, pos), _chain_with_leaf(b, neg)))
+        entries.append((b, _rank_chain(b, pos), _rank_chain(b, neg)))
     return DecorationGenerator(tuple(entries))
 
 

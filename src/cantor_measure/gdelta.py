@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .dyadic import Dyadic
 from .errors import BudgetError, ValidationError
-from .space import ClopenSet, Point, StagedOpenSet, clopen_subset, clopen_union, mu_I, point_in
+from .space import ClopenSet, Point, StagedOpenSet, clopen_union, mu_I
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,16 @@ class RapidGDelta:
         return c
 
 
-def combine(tests: Sequence[RapidGDelta], schedule_bound: int | None = None,
-            label: str = "combined") -> RapidGDelta:
+def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelta:
     """One test whose G-delta contains every input's.
 
     Output level j at stage s unions input n's level n+j+1 at stage s over
-    all n <= min(schedule_bound, s) present in the input list."""
+    all n <= s present in the input list."""
     tests = list(tests)
-    cap = len(tests) - 1 if schedule_bound is None else min(schedule_bound, len(tests) - 1)
 
     def level_rule(j: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
-            parts = [tests[n].stage(n + j + 1, s) for n in range(min(cap, s) + 1)]
+            parts = [tests[n].stage(n + j + 1, s) for n in range(min(len(tests), s + 1))]
             return clopen_union(*parts) if parts else ClopenSet.empty()
 
         return StagedOpenSet(stages=stage_rule)
@@ -90,11 +88,8 @@ def combine(tests: Sequence[RapidGDelta], schedule_bound: int | None = None,
 
 def avoids(x: Point, t: RapidGDelta, level: int, stage: int) -> AvoidsSoFar | CapturedAt:
     """Three-valued by stage: capture is final, avoidance only provisional."""
-    c = t.stage(level, stage)
-    for g in c.generators:
-        if all(x.bit(i) == int(g[i]) for i in range(len(g))):
-            return CapturedAt(level, stage, g)
-    return AvoidsSoFar(level, stage)
+    g = t.stage(level, stage).hit(x)
+    return AvoidsSoFar(level, stage) if g is None else CapturedAt(level, stage, g)
 
 
 def budget_report(t: RapidGDelta, level: int, stage: int) -> Dyadic:

@@ -43,6 +43,9 @@ from .stepfn import StepFunction, l1_norm
 
 MeasureDecomposition = dict[Address, L1Name]
 
+# levels on which char_to_regularity checks the overlap bound exactly
+REGULARITY_CHECK_LEVELS = 8
+
 
 def build_decomposition(code: BorelCode) -> MeasureDecomposition:
     """Bottom-up: leaf characteristic names, exact pointwise max at unions,
@@ -271,16 +274,10 @@ class RegularityApprox:
 
     OVERLAP_SHIFT = 4
 
-    def a_level(self, n: int) -> StagedOpenSet:
-        return self.a_levels(n)
-
-    def c_level(self, n: int) -> StagedOpenSet:
-        return self.c_levels(n)
-
     def overlap_stage(self, n: int, s: int) -> ClopenSet:
         from .space import clopen_intersection
 
-        return clopen_intersection(self.a_level(n).stage(s), self.c_level(n).stage(s))
+        return clopen_intersection(self.a_levels(n).stage(s), self.c_levels(n).stage(s))
 
     def overlap_test(self) -> RapidGDelta:
         shift = self.OVERLAP_SHIFT
@@ -291,13 +288,12 @@ class RegularityApprox:
         return RapidGDelta(level_rule, label="overlap")
 
 
-def char_to_regularity(name: L1Name, reference: ClopenSet | None = None,
-                       check_levels: int = 8) -> RegularityApprox:
+def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> RegularityApprox:
     """Level n: A_n = {f_n < 2/3}, C_n = {f_n > 1/3} (constant stages).
 
     When a reference clopen set with characteristic limit is supplied, the
     overlap bound mu_I(A_n intersect C_n) <= 3 * 2^(-n+1) is asserted exactly on
-    levels up to check_levels."""
+    the first REGULARITY_CHECK_LEVELS levels."""
     memo: dict[tuple[str, int], StagedOpenSet] = {}
 
     def level(kind: str, n: int) -> StagedOpenSet:
@@ -311,9 +307,9 @@ def char_to_regularity(name: L1Name, reference: ClopenSet | None = None,
         a_levels=lambda n: level("a", n), c_levels=lambda n: level("c", n)
     )
     if reference is not None:
-        from .space import clopen_intersection, mu_I
+        from .space import mu_I
 
-        for n in range(check_levels):
+        for n in range(REGULARITY_CHECK_LEVELS):
             overlap = approx.overlap_stage(n, 0)
             bound = Dyadic(3, 0) * Dyadic.pow2(-n + 1)
             got = mu_I(overlap)
@@ -340,8 +336,8 @@ def regularity_to_char(approx: RegularityApprox,
     def f(n: int) -> StepFunction:
         if n not in fs:
             s = stage_oracle(n)
-            a = approx.a_level(n + 1).stage(s)
-            c = approx.c_level(n + 1).stage(s)
+            a = approx.a_levels(n + 1).stage(s)
+            c = approx.c_levels(n + 1).stage(s)
             d = clopen_complement(clopen_union(a, c))
             leak = mu_I(d)
             if not leak < Dyadic.pow2(-(n + 1)):

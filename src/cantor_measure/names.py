@@ -80,12 +80,6 @@ class L1Name:
         return DyadicInterval(mid - pad, mid + pad)
 
 
-def certify_rapid_cauchy(terms: Sequence[StepFunction], label: str = "name") -> L1Name:
-    """Check the strict certificate on the whole list; error names the first
-    violating index with the exact norm."""
-    return L1Name(terms, label=label)
-
-
 def constant_name(f: StepFunction, label: str = "const") -> L1Name:
     return L1Name([f], label=label)
 
@@ -163,29 +157,18 @@ class Captured:
     cylinder: str
 
 
-def _point_hits(x: Point, c: ClopenSet) -> str | None:
-    for g in c.generators:
-        if all(x.bit(i) == int(g[i]) for i in range(len(g))):
-            return g
-    return None
+def value_at(name: L1Name, x: Point, precision: int) -> Dyadic | Captured:
+    """f_m(x) with m = 2*precision+1, good to 2^-precision whenever x avoids
+    the inspected bad sets.
 
-
-def value_at(name: L1Name, x: Point, precision: int, avoid_level: int = 0,
-             stage_bound: int | None = None) -> Dyadic | Captured:
-    """f_m(x) with m = 2*max(precision, avoid_level)+1, good to 2^-precision
-    whenever x avoids the inspected bad sets.
-
-    Capture is checked at levels avoid_level..max(precision, avoid_level)
-    (the range the correctness bound uses) and at stages up to stage_bound,
-    which defaults to a bound that is exhaustive for constant-tail names."""
-    n = max(precision, avoid_level)
-    m = 2 * n + 1
+    Capture is checked at levels 0..precision (the range the correctness
+    bound uses) and at a stage that is exhaustive for constant-tail names."""
+    m = 2 * precision + 1
     name.term(m + 1)
-    if stage_bound is None:
-        const = name.constant_tail_from()
-        stage_bound = max(m + 2, (const if const is not None else 0) + 1)
-    for j in range(avoid_level, n + 1):
-        hit = _point_hits(x, bad_set(name, j).stage(stage_bound))
+    const = name.constant_tail_from()
+    stage = max(m + 2, (const if const is not None else 0) + 1)
+    for j in range(precision + 1):
+        hit = bad_set(name, j).stage(stage).hit(x)
         if hit is not None:
             return Captured(j, hit)
     return name.term(m).value_at(x)

@@ -52,9 +52,7 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
     if isinstance(target, StepFunction):
         total = 0
         for j in range(trials):
-            x = _trial_point(seed, j)
-            p = "".join(str(x.bit(k)) for k in range(target.depth))
-            total += target.values[int(p, 2)] if target.depth else target.values[0]
+            total += target.values[_trial_point(seed, j).cell_index(target.depth)]
         value = Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS)
         return Estimate(value, trials, seed, "stepfn")
     if isinstance(target, L1Name):
@@ -76,11 +74,7 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
     d, table = membership_table(target)
     hits = 0
     for j in range(trials):
-        x = _trial_point(seed, j)
-        idx = 0
-        for k in range(d):
-            idx = (idx << 1) | x.bit(k)
-        hits += table[idx]
+        hits += table[_trial_point(seed, j).cell_index(d)]
     value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
     return Estimate(value, trials, seed, "code")
 
@@ -105,9 +99,7 @@ def sampled_average(f: StepFunction, i: int, trials: int, seed: int) -> StepFunc
         p = format(c, f"0{i}b") if i else ""
         total = 0
         for t in tails:
-            x = tail_append(p, t)
-            q = "".join(str(x.bit(k)) for k in range(f.depth))
-            total += f.values[int(q, 2)] if f.depth else f.values[0]
+            total += f.values[tail_append(p, t).cell_index(f.depth)]
         cells.append(Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS))
     return StepFunction.from_dyadics(i, cells)
 

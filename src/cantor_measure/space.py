@@ -8,6 +8,7 @@ prefix-free generator antichain, so equality is syntactic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -94,6 +95,22 @@ class ClopenSet:
         when len(p) >= depth)."""
         return any(p.startswith(g) for g in self.generators)
 
+    def hit(self, x: Point) -> str | None:
+        """The generator that is a prefix of x, or None.  Reads each bit of x
+        once and stops as soon as no generator extends the bits read: the
+        generators extending a prefix are a contiguous run of the sorted
+        antichain, narrowed by bisection."""
+        gens = self.generators
+        lo, hi = 0, len(gens)
+        seen = ""
+        while lo < hi:
+            if len(gens[lo]) == len(seen):
+                return gens[lo]
+            seen += "1" if x.bit(len(seen)) else "0"
+            lo = bisect_left(gens, seen, lo, hi)
+            hi = bisect_left(gens, seen + "2", lo, hi)
+        return None
+
 
 def mu_I(s: ClopenSet) -> Dyadic:
     """Intensional measure: sum of 2^-|p| over the canonical antichain."""
@@ -138,19 +155,6 @@ def clopen_subset(a: ClopenSet, b: ClopenSet) -> bool:
     return clopen_intersection(a, b) == a
 
 
-def clopen_algebra(op: str, *sets: ClopenSet) -> ClopenSet:
-    """Dispatch by name; kept for callers that carry the operation as data."""
-    if op == "union":
-        return clopen_union(*sets)
-    if op == "intersection":
-        a, b = sets
-        return clopen_intersection(a, b)
-    if op == "complement":
-        (a,) = sets
-        return clopen_complement(a)
-    raise ValidationError(f"unknown clopen op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # points
 
@@ -175,8 +179,13 @@ class Point:
     def bit(self, n: int) -> int:
         raise NotImplementedError
 
-    def prefix(self, d: int) -> str:
-        return "".join(str(self.bit(i)) for i in range(d))
+    def cell_index(self, d: int) -> int:
+        """Bits 0..d-1 read as a binary number: the index of the depth-d
+        cylinder containing the point."""
+        idx = 0
+        for i in range(d):
+            idx = (idx << 1) | self.bit(i)
+        return idx
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -258,16 +267,7 @@ def tail_append(p: str, x: Point) -> Point:
 
 def point_in(x: Point, s: ClopenSet) -> bool:
     """Reads at most max-generator-length bits of x."""
-    if s.is_empty():
-        return False
-    seen = ""
-    for depth in range(s.depth() + 1):
-        for g in s.generators:
-            if len(g) == depth and seen == g:
-                return True
-        if depth < s.depth():
-            seen += str(x.bit(depth))
-    return False
+    return s.hit(x) is not None
 
 
 def enumerate_eventually_periodic(max_head: int, max_period: int) -> Iterator[EventuallyPeriodicPoint]:

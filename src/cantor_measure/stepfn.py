@@ -10,9 +10,9 @@ functions is tuple equality.  All arithmetic is exact integer work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic
 from .errors import ValidationError
 from .space import ClopenSet, Point
 
@@ -95,10 +95,7 @@ class StepFunction:
         return Dyadic(self.values[idx], self.exp)
 
     def value_at(self, x: Point) -> Dyadic:
-        idx = 0
-        for i in range(self.depth):
-            idx = (idx << 1) | x.bit(i)
-        return Dyadic(self.values[idx], self.exp)
+        return Dyadic(self.values[x.cell_index(self.depth)], self.exp)
 
     # -- arithmetic
 

@@ -166,6 +166,16 @@ def test_decorate_split_generator(capsys):
     assert all(a["pass"] for a in doc["assertions"])
 
 
+def test_usage_errors_exit_2(capsys):
+    for argv in (["measure", "cyl(0)", "--mc", "0"],
+                 ["measure", "cyl(0)", "--mc", "-5"],
+                 ["eval", "cyl(0)", "--point", "u=:v=0", "--mc", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_report_aggregates(capsys):
     rc, out, _ = run_main(capsys, "report", "inter(cyl(0),cyl(01))", "--mc", "500")
     assert rc == 0

@@ -57,15 +57,6 @@ def test_combine_respects_budgets_and_schedule():
                     assert clopen_subset(fam[n].stage(n + j + 1, s), out)
 
 
-def test_combine_schedule_bound_caps_inputs():
-    rng = random.Random(33)
-    fam = [rapid_family_member(rng, label=f"t{k}") for k in range(4)]
-    c = combine(fam, schedule_bound=1, label="capped")
-    out = c.stage(0, 3)
-    for n in range(2):
-        assert clopen_subset(fam[n].stage(n + 1, 3), out)
-
-
 def test_avoids_is_three_valued():
     t = rapid_family_member(random.Random(34))
     s0 = t.stage(1, 2)

@@ -158,8 +158,8 @@ def test_regularity_sandwich():
         b = nm.exact_limit().char_support()
         approx = char_to_regularity(nm)
         for n in range(5):
-            a_n = approx.a_level(n).stage(0)
-            c_n = approx.c_level(n).stage(0)
+            a_n = approx.a_levels(n).stage(0)
+            c_n = approx.c_levels(n).stage(0)
             assert clopen_intersection(clopen_complement(a_n), clopen_complement(b)).is_empty()
             assert clopen_intersection(b, clopen_complement(c_n)).is_empty()
 

@@ -12,7 +12,6 @@ from cantor_measure.space import (
     SeededPoint,
     StagedOpenSet,
     cantor_pair,
-    clopen_algebra,
     clopen_complement,
     clopen_intersection,
     clopen_subset,
@@ -101,16 +100,6 @@ def test_additivity_on_disjoint():
     assert mu_I(clopen_union(a, b)) == a.mu + b.mu
 
 
-def test_clopen_algebra_dispatch():
-    a = ClopenSet(("0",))
-    b = ClopenSet(("01", "11"))
-    assert clopen_algebra("union", a, b) == clopen_union(a, b)
-    assert clopen_algebra("intersection", a, b) == clopen_intersection(a, b)
-    assert clopen_algebra("complement", a) == clopen_complement(a)
-    with pytest.raises(ValidationError):
-        clopen_algebra("xor", a, b)
-
-
 def test_eventually_periodic_point_bits():
     x = EventuallyPeriodicPoint("01", "10")
     got = "".join(str(x.bit(i)) for i in range(8))
@@ -155,6 +144,15 @@ def test_point_in_reads_finitely_many_bits():
     s = ClopenSet(("01",))
     assert point_in(EventuallyPeriodicPoint("01", "1"), s)
     assert not point_in(EventuallyPeriodicPoint("", "0"), s)
+    # hit returns the generator brute-force prefix checking finds, or None
+    points = list(enumerate_eventually_periodic(3, 2))
+    for gens in [(), ("",), ("01",), ("0", "10"), ("001", "01", "110", "1111")]:
+        c = ClopenSet(gens)
+        for x in points:
+            bits = "".join(str(x.bit(i)) for i in range(c.depth()))
+            want = [g for g in c.generators if bits.startswith(g)]
+            assert c.hit(x) == (want[0] if want else None)
+            assert point_in(x, c) == bool(want)
 
 
 def test_enumerate_eventually_periodic_counts():

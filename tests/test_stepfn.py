@@ -69,6 +69,9 @@ def test_value_on_and_at():
     assert f.value_on("00") == Dyadic(1, 1)
     assert f.value_on("110") == Dyadic(4, 1)   # deeper prefixes refine
     assert f.value_at(EventuallyPeriodicPoint("10", "0")) == Dyadic(3, 1)
+    x = EventuallyPeriodicPoint("1", "01")
+    assert [x.cell_index(d) for d in range(5)] == [0, 1, 2, 5, 10]
+    assert f.value_at(x) == f.value_on("10") == Dyadic(3, 1)
 
 
 def test_value_on_short_prefix_rejected():
