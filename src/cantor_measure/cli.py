@@ -203,6 +203,20 @@ def _cmd_tests_combine(args) -> dict:
     }
 
 
+def _load_targets(path: str) -> list[ClopenSet]:
+    """Split targets: a JSON list of lists of bit strings."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            raw = None
+    if not isinstance(raw, list) or not all(
+            isinstance(gens, list) and all(isinstance(g, str) and set(g) <= {"0", "1"} for g in gens)
+            for gens in raw):
+        raise ValidationError(f"{path}: targets must be a JSON list of lists of bit strings")
+    return [ClopenSet(tuple(gens)) for gens in raw]
+
+
 def _load_generator(args, root_rank):
     spec = args.generator or "empty"
     if spec == "empty":
@@ -215,9 +229,7 @@ def _load_generator(args, root_rank):
         budgets = [OrdinalNotation.parse(b) for b in args.budget.split(",")]
         targets = None
         if spec.startswith("split:"):
-            with open(spec[6:]) as fh:
-                raw = json.load(fh)
-            targets = [ClopenSet(tuple(gens)) for gens in raw]
+            targets = _load_targets(spec[6:])
         return split_generator(budgets, targets)
     raise ValidationError(f"unknown generator {spec!r}")
 

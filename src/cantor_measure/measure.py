@@ -10,6 +10,7 @@ the root integral is the code's measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 from .codes import (
@@ -38,7 +39,8 @@ from .names import (
     sup_name,
     value_at,
 )
-from .space import ClopenSet, Point, StagedOpenSet, clopen_union
+from .space import (ClopenSet, Point, StagedOpenSet, clopen_complement, clopen_intersection,
+                    clopen_union, mu_I)
 from .stepfn import StepFunction, l1_norm
 
 MeasureDecomposition = dict[Address, L1Name]
@@ -110,10 +112,11 @@ def verify_decomposition(code: BorelCode, d: MeasureDecomposition,
 
 
 def measure_of_code(code: BorelCode) -> Dyadic:
-    """Integral of the root name of the code's decomposition; agrees with the
-    depth-d cylinder count for finite codes."""
-    root = build_decomposition(code)[()]
-    return root.exact_limit().integral()
+    """mu_I of the code's denotation, a clopen fold over the code; equals the
+    integral of the root name of build_decomposition without building any
+    decomposition or step-function table."""
+    require_complement_free(code, "measure_of_code")
+    return mu_I(_denotation_table(code))
 
 
 def decomposition_from_membership(f: L1Name, code: BorelCode,
@@ -154,9 +157,20 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
 
 
 def _denotation_table(code: BorelCode) -> ClopenSet:
-    """The code's denotation as a clopen set, via its own decomposition."""
-    root = build_decomposition(code)[()]
-    return root.exact_limit().char_support()
+    """The denotation of a complement-free code as a clopen set: a leaf
+    gives its label, a union node the union of its children, an
+    intersection node the intersection of its children folded from the
+    full space."""
+
+    def fold(node: BorelCode) -> ClopenSet:
+        if isinstance(node, Leaf):
+            return node.label
+        kids = [fold(c) for _, c in child_items(node)]
+        if isinstance(node, UnionNode):
+            return clopen_union(*kids)
+        return reduce(clopen_intersection, kids, ClopenSet.full())
+
+    return fold(code)
 
 
 def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
@@ -275,8 +289,6 @@ class RegularityApprox:
     OVERLAP_SHIFT = 4
 
     def overlap_stage(self, n: int, s: int) -> ClopenSet:
-        from .space import clopen_intersection
-
         return clopen_intersection(self.a_levels(n).stage(s), self.c_levels(n).stage(s))
 
     def overlap_test(self) -> RapidGDelta:
@@ -307,8 +319,6 @@ def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> Regu
         a_levels=lambda n: level("a", n), c_levels=lambda n: level("c", n)
     )
     if reference is not None:
-        from .space import mu_I
-
         for n in range(REGULARITY_CHECK_LEVELS):
             overlap = approx.overlap_stage(n, 0)
             bound = Dyadic(3, 0) * Dyadic.pow2(-n + 1)
@@ -329,8 +339,6 @@ def regularity_to_char(approx: RegularityApprox,
 
     The sequence satisfies |f_n - f_m|_1 <= 2^-n + 2^-m; the output
     resubsamples (term i = f_{i+2}) for a strict certificate."""
-    from .space import clopen_complement, clopen_union, mu_I
-
     fs: dict[int, StepFunction] = {}
 
     def f(n: int) -> StepFunction:

@@ -36,7 +36,7 @@ class L1Name:
         self._terms: list[StepFunction] = list(terms)
         self._rule = rule
         self.label = label
-        self._bad_sets: dict[int, StagedOpenSet] = {}
+        self._bad_sets: dict[int, list[ClopenSet]] = {}
         if _precheck:
             for i in range(len(self._terms) - 1):
                 self._check_pair(i)
@@ -118,14 +118,17 @@ def exceedance_stages(term_fn: Callable[[int], StepFunction], start: int,
 def bad_set(name: L1Name, level: int) -> StagedOpenSet:
     """Level-level bad set of the name: partial sums start at index
     2*level+1 against the threshold 2^-level.  Certified names keep every
-    stage at measure <= 2^-level (checked via the RapidGDelta wrapper)."""
+    stage at measure <= 2^-level (checked via the RapidGDelta wrapper).
+
+    The stages built so far are kept on the name as plain clopen sets, so
+    no reference leads from the name back to itself and a dropped name is
+    freed at once, big tables included.  A view that must build a new
+    stage recomputes its partial sums from the start."""
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    if level not in name._bad_sets:
-        name._bad_sets[level] = exceedance_stages(
-            name.term, 2 * level + 1, Dyadic.pow2(-level)
-        )
-    return name._bad_sets[level]
+    staged = exceedance_stages(name.term, 2 * level + 1, Dyadic.pow2(-level))
+    staged._memo = name._bad_sets.setdefault(level, [])
+    return staged
 
 
 def bad_set_family(name: L1Name) -> RapidGDelta:
@@ -179,9 +182,13 @@ def value_at(name: L1Name, x: Point, precision: int) -> Dyadic | Captured:
 
 @dataclass(frozen=True)
 class NamesEqualResult:
+    """mode is "exact" when both limits were compared exactly, "bounded"
+    when the tail bound at index bound decided."""
+
     equal: bool
     residual: Dyadic
     bound: int
+    mode: str
 
     def __bool__(self) -> bool:
         return self.equal
@@ -199,13 +206,18 @@ def interleave_terms(n1: L1Name, n2: L1Name) -> Callable[[int], StepFunction]:
 
 
 def names_equal(n1: L1Name, n2: L1Name, bound: int = 24) -> NamesEqualResult:
-    """Equal iff the limits coincide; decided by the combined tail bound
-    |f_i - g_i|_1 <= 2^-i+2 at i = bound, which holds for all i exactly
-    when the limits agree."""
+    """When both names have exact limits: equal iff the limits coincide,
+    with residual their exact L1 distance.  Otherwise the combined tail
+    bound |f_i - g_i|_1 <= 2^-i+2 at i = bound decides; it holds whenever
+    the limits agree, but also accepts limits closer than about 2^-bound+3."""
     if bound < 1:
         raise ValidationError("bound must be positive")
+    a, b = n1.exact_limit(), n2.exact_limit()
+    if a is not None and b is not None:
+        same = a == b
+        return NamesEqualResult(same, ZERO if same else l1_norm(a, b), bound, "exact")
     r = l1_norm(n1.term(bound), n2.term(bound))
-    return NamesEqualResult(r <= Dyadic.pow2(-bound + 2), r, bound)
+    return NamesEqualResult(r <= Dyadic.pow2(-bound + 2), r, bound, "bounded")
 
 
 def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:

@@ -27,28 +27,23 @@ def validate_bits(p: str) -> str:
 def prefix_free_normalize(gens: Iterable[str]) -> tuple[str, ...]:
     """Canonical antichain with the same union of cylinders.
 
-    Prefix absorption first (a generator kills its extensions), then sibling
-    merge to a fixpoint: p0 and p1 both present collapse to p.  The result is
+    One pass over the sorted distinct generators, O(n log n) for n inputs.
+    A string's extensions follow it in one contiguous run of sorted order,
+    so p is absorbed exactly when it starts with the last generator kept.
+    Kept generators sit on a stack; while its top two are siblings q0 and
+    q1 they collapse to q, so no sibling pair survives.  The result is
     sorted; {""} denotes the whole space, () the empty set.
     """
-    kept: set[str] = set()
-    for p in sorted(set(gens), key=len):
+    kept: list[str] = []
+    for p in sorted(set(gens)):
         validate_bits(p)
-        if not any(p.startswith(q) for q in kept if len(q) <= len(p)):
-            kept.add(p)
-    # sibling merges never re-create prefix violations on an antichain
-    work = sorted(kept, key=len, reverse=True)
-    while work:
-        p = work.pop(0)
-        if p not in kept or not p:
+        if kept and p.startswith(kept[-1]):
             continue
-        sib = p[:-1] + ("1" if p[-1] == "0" else "0")
-        if sib in kept:
-            kept.discard(p)
-            kept.discard(sib)
-            kept.add(p[:-1])
-            work.insert(0, p[:-1])
-    return tuple(sorted(kept))
+        kept.append(p)
+        while len(kept) > 1 and kept[-2][-1:] == "0" and kept[-1] == kept[-2][:-1] + "1":
+            kept.pop()
+            kept[-1] = kept[-1][:-1]
+    return tuple(kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,29 +120,31 @@ def clopen_union(*sets: ClopenSet) -> ClopenSet:
 
 
 def clopen_intersection(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    out = []
-    for p in a.generators:
-        for q in b.generators:
-            if q.startswith(p):
-                out.append(q)
-            elif p.startswith(q):
-                out.append(p)
+    """Each generator of one antichain keeps the other's generators that
+    extend it, found as one bisected run of the sorted antichain."""
+    out: list[str] = []
+    for xs, ys in ((a.generators, b.generators), (b.generators, a.generators)):
+        for p in xs:
+            out.extend(ys[bisect_left(ys, p):bisect_left(ys, p + "2")])
     return ClopenSet(tuple(out))
 
 
 def clopen_complement(a: ClopenSet) -> ClopenSet:
+    """Walks the cylinders above the generators, each holding the index
+    range of the sorted antichain that extends it: an empty range is a
+    complement generator, a range that starts at the cylinder itself is
+    inside the set, and any other range splits at the first 1-child."""
+    gens = a.generators
     out: list[str] = []
-
-    def walk(prefix: str) -> None:
-        if any(prefix.startswith(g) for g in a.generators):
-            return
-        if not any(g.startswith(prefix) for g in a.generators):
+    todo = [("", 0, len(gens))]
+    while todo:
+        prefix, lo, hi = todo.pop()
+        if lo == hi:
             out.append(prefix)
-            return
-        walk(prefix + "0")
-        walk(prefix + "1")
-
-    walk("")
+        elif gens[lo] != prefix:
+            mid = bisect_left(gens, prefix + "1", lo, hi)
+            todo.append((prefix + "0", lo, mid))
+            todo.append((prefix + "1", mid, hi))
     return ClopenSet(tuple(out))
 
 

@@ -10,6 +10,8 @@ functions is tuple equality.  All arithmetic is exact integer work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, or_, sub
 from typing import Iterable
 
 from .dyadic import Dyadic
@@ -18,15 +20,15 @@ from .space import ClopenSet, Point
 
 
 def _reduce(depth: int, exp: int, values: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    while depth > 0 and all(values[i] == values[i + 1] for i in range(0, len(values), 2)):
+    while depth > 0 and values[::2] == values[1::2]:
         values = values[::2]
         depth -= 1
     if exp > 0:
-        if all(v == 0 for v in values):
+        low = reduce(or_, values, 0)  # lowest set bit of any value
+        if not low:
             exp = 0
         else:
-            tz = min(((v & -v).bit_length() - 1) for v in values if v)
-            s = min(tz, exp)
+            s = min((low & -low).bit_length() - 1, exp)
             if s:
                 values = tuple(v >> s for v in values)
                 exp -= s
@@ -60,11 +62,12 @@ class StepFunction:
     @classmethod
     def from_char(cls, s: ClopenSet) -> "StepFunction":
         d = s.depth()
-        table = tuple(
-            1 if s.contains_prefix_point(format(i, f"0{d}b") if d else "") else 0
-            for i in range(1 << d)
-        )
-        return cls(d, 0, table)
+        table = [0] * (1 << d)
+        for g in s.generators:
+            size = 1 << (d - len(g))
+            start = int(g, 2) * size if g else 0
+            table[start : start + size] = [1] * size
+        return cls(d, 0, tuple(table))
 
     @classmethod
     def from_dyadics(cls, depth: int, cells: Iterable[Dyadic]) -> "StepFunction":
@@ -77,14 +80,21 @@ class StepFunction:
     def at_depth(self, d: int) -> tuple[int, ...]:
         if d < self.depth:
             raise ValidationError("cannot coarsen below canonical depth")
-        reps = 1 << (d - self.depth)
-        return tuple(v for v in self.values for _ in range(reps))
+        values = self.values
+        for _ in range(d - self.depth):  # each pass doubles every cell
+            twice = [0] * (2 * len(values))
+            twice[::2] = twice[1::2] = values
+            values = twice
+        return tuple(values)
 
     def _aligned(self, other: "StepFunction") -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
         d = max(self.depth, other.depth)
         e = max(self.exp, other.exp)
-        a = tuple(v << (e - self.exp) for v in self.at_depth(d))
-        b = tuple(v << (e - other.exp) for v in other.at_depth(d))
+        a, b = self.at_depth(d), other.at_depth(d)
+        if e > self.exp:
+            a = tuple(v << (e - self.exp) for v in a)
+        if e > other.exp:
+            b = tuple(v << (e - other.exp) for v in b)
         return d, a, b, e
 
     def value_on(self, p: str) -> Dyadic:
@@ -101,23 +111,23 @@ class StepFunction:
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         d, a, b, e = self._aligned(other)
-        return StepFunction(d, e, tuple(x + y for x, y in zip(a, b)))
+        return StepFunction(d, e, tuple(map(add, a, b)))
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         d, a, b, e = self._aligned(other)
-        return StepFunction(d, e, tuple(x - y for x, y in zip(a, b)))
+        return StepFunction(d, e, tuple(map(sub, a, b)))
 
     def abs_diff(self, other: "StepFunction") -> "StepFunction":
         d, a, b, e = self._aligned(other)
-        return StepFunction(d, e, tuple(abs(x - y) for x, y in zip(a, b)))
+        return StepFunction(d, e, tuple(map(abs, map(sub, a, b))))
 
     def max_with(self, other: "StepFunction") -> "StepFunction":
         d, a, b, e = self._aligned(other)
-        return StepFunction(d, e, tuple(max(x, y) for x, y in zip(a, b)))
+        return StepFunction(d, e, tuple(map(max, a, b)))
 
     def min_with(self, other: "StepFunction") -> "StepFunction":
         d, a, b, e = self._aligned(other)
-        return StepFunction(d, e, tuple(min(x, y) for x, y in zip(a, b)))
+        return StepFunction(d, e, tuple(map(min, a, b)))
 
     def integral(self) -> Dyadic:
         return Dyadic(sum(self.values), self.exp + self.depth)
@@ -175,5 +185,5 @@ class StepFunction:
 def l1_norm(f: StepFunction, g: StepFunction | None = None) -> Dyadic:
     """Exact L1 norm of f (or of f - g)."""
     if g is None:
-        return Dyadic(sum(abs(v) for v in f.values), f.exp + f.depth)
+        return Dyadic(sum(map(abs, f.values)), f.exp + f.depth)
     return l1_norm(f.abs_diff(g))

@@ -92,3 +92,71 @@ def l1_fraction(f, g) -> Fraction:
 
 def dyadic_fraction(x) -> Fraction:
     return Fraction(x.num, 1 << x.exp)
+
+
+# ---------------------------------------------------------------------------
+# reference algorithms the package replaced with faster ones; they read only
+# generator strings and table fields
+
+def normalize_bf(gens) -> tuple[str, ...]:
+    """Quadratic normalize: prefix absorption by scanning every kept
+    generator, then sibling merges from the deepest generator up."""
+    kept: set[str] = set()
+    for p in sorted(set(gens), key=len):
+        if not any(p.startswith(q) for q in kept if len(q) <= len(p)):
+            kept.add(p)
+    work = sorted(kept, key=len, reverse=True)
+    while work:
+        p = work.pop(0)
+        if p not in kept or not p:
+            continue
+        sib = p[:-1] + ("1" if p[-1] == "0" else "0")
+        if sib in kept:
+            kept.discard(p)
+            kept.discard(sib)
+            kept.add(p[:-1])
+            work.insert(0, p[:-1])
+    return tuple(sorted(kept))
+
+
+def intersection_bf(a, b) -> tuple[str, ...]:
+    """Every pair of generators, the longer kept when one extends the other."""
+    out = []
+    for p in a.generators:
+        for q in b.generators:
+            if q.startswith(p):
+                out.append(q)
+            elif p.startswith(q):
+                out.append(p)
+    return normalize_bf(out)
+
+
+def complement_bf(a) -> tuple[str, ...]:
+    """Tree walk that scans all generators at every node."""
+    out: list[str] = []
+
+    def walk(prefix: str) -> None:
+        if any(prefix.startswith(g) for g in a.generators):
+            return
+        if not any(g.startswith(prefix) for g in a.generators):
+            out.append(prefix)
+            return
+        walk(prefix + "0")
+        walk(prefix + "1")
+
+    walk("")
+    return normalize_bf(out)
+
+
+def char_table_bf(s) -> tuple[int, ...]:
+    """Depth-d 0/1 table of a clopen set, each cell tested against every
+    generator."""
+    d = max((len(g) for g in s.generators), default=0)
+    return tuple(1 if any(p.startswith(g) for g in s.generators) else 0
+                 for p in all_prefixes(d))
+
+
+def at_depth_bf(f, d: int) -> tuple[int, ...]:
+    """f's table repeated cell by cell down to depth d >= f.depth."""
+    reps = 1 << (d - f.depth)
+    return tuple(v for v in f.values for _ in range(reps))

@@ -166,6 +166,38 @@ def test_decorate_split_generator(capsys):
     assert all(a["pass"] for a in doc["assertions"])
 
 
+@pytest.mark.parametrize("content", ["{bad", "[1]", '[["0"], [7]]', '[["2"]]'])
+def test_decorate_malformed_split_targets_exit_3(capsys, tmp_path, content):
+    path = tmp_path / "targets.json"
+    path.write_text(content)
+    rc, out, err = run_main(
+        capsys, "decorate", "union(cyl(0),inter(cyl(10),cyl(1)))",
+        "--generator", f"split:{path}", "--budget", "1,2",
+    )
+    assert rc == 3 and out == ""
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_decorate_split_targets_file(capsys, tmp_path):
+    path = tmp_path / "targets.json"
+    path.write_text('[["1"], ["01"]]')
+    rc, out, _ = run_main(
+        capsys, "decorate", "union(cyl(0),inter(cyl(10),cyl(1)))",
+        "--generator", f"split:{path}", "--budget", "1,2",
+    )
+    assert rc == 0
+    assert all(a["pass"] for a in json.loads(out)["assertions"])
+
+
+def test_measure_depth_40_leaves_without_dense_tables(capsys):
+    # a dense 2^40-cell table could not be built; the clopen fold reads
+    # only the generators
+    expr = f"union(cyl({'0' * 40}),inter(cyl(1),cyl({'1' * 40})))"
+    rc, out, _ = run_main(capsys, "measure", expr)
+    assert rc == 0
+    assert json.loads(out)["measure"] == "1/2^39"
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (["measure", "cyl(0)", "--mc", "0"],
                  ["measure", "cyl(0)", "--mc", "-5"],

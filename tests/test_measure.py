@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantor_measure.codes import Leaf, UnionNode, addresses, child_items, subtree, tilde
 from cantor_measure.dyadic import Dyadic
@@ -18,7 +19,7 @@ from cantor_measure.measure import (
     sup_open_set,
     verify_decomposition,
 )
-from cantor_measure.names import char_name, names_equal
+from cantor_measure.names import char_name, constant_name, names_equal
 from cantor_measure.space import (
     ClopenSet,
     EventuallyPeriodicPoint,
@@ -37,6 +38,39 @@ def test_measure_matches_counting_oracle():
     for _ in range(120):
         c = random_code(rng, max_depth=3, max_gen_len=5)
         assert dyadic_fraction(measure_of_code(c)) == counting_measure(c)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_clopen_fold_matches_decomposition_root(seed):
+    c = random_code(random.Random(seed), max_depth=3, max_gen_len=5)
+    root = build_decomposition(c)[()].exact_limit()
+    assert measure_of_code(c) == root.integral()
+    assert _denotation_table(c) == root.char_support()
+
+
+ROOT_01_11 = UnionNode((Leaf(ClopenSet.cylinder("0")), Leaf(ClopenSet.cylinder("11"))))
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_verify_rejects_root_off_by_one_deep_cell(k):
+    # the root named by its support minus [0^k]: a wrong measure that the
+    # tail bound at index k used to accept, since 2^-k <= 2^-(k-2)
+    d = build_decomposition(ROOT_01_11)
+    support = d[()].exact_limit().char_support()
+    tampered = clopen_intersection(support, clopen_complement(ClopenSet.cylinder("0" * k)))
+    assert mu_I(tampered) == Dyadic(3 << (k - 2), k) - Dyadic.pow2(-k)
+    d[()] = char_name(tampered)
+    res = verify_decomposition(ROOT_01_11, d, bound=k)
+    assert not res and (res.address, res.law) == ((), "union")
+    r = names_equal(d[()], build_decomposition(ROOT_01_11)[()], bound=k)
+    assert (r.equal, r.residual, r.mode) == (False, Dyadic.pow2(-k), "exact")
+
+
+def test_verify_rejects_root_nudged_below_default_bound():
+    d = build_decomposition(ROOT_01_11)
+    d[()] = constant_name(d[()].exact_limit() + StepFunction.constant(Dyadic.pow2(-24)))
+    assert not verify_decomposition(ROOT_01_11, d)
 
 
 def test_decomposition_laws_verify_and_detect_tampering():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,19 @@ def test_bad_set_frozen_value_for_chi_tail():
     assert mu_I(got) == Dyadic(63, 9)
 
 
+def test_bad_set_stages_shared_and_name_freed_without_cycle_collector():
+    nm = chi_tail_name()
+    assert bad_set(nm, 1).stage(8) is bad_set(nm, 1).stage(8)
+    value_at(nm, EventuallyPeriodicPoint("0", "1"), precision=3)
+    ref = weakref.ref(nm)
+    gc.disable()
+    try:
+        del nm
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_value_at_reads_limit_or_captures():
     nm = chi_tail_name()
     one = EventuallyPeriodicPoint("", "1")
@@ -153,6 +168,15 @@ def test_names_equal_tolerates_residual_within_bound():
     rng = random.Random(26)
     b = perturbed_name(rng, base=base)
     assert names_equal(a, b).equal
+
+
+def test_names_equal_mode_exact_iff_both_limits_known():
+    base = random_stepfn(random.Random(27))
+    a = constant_name(base)
+    ruled = L1Name([], rule=lambda i: base, label="ruled")
+    assert names_equal(a, a).mode == "exact"
+    r = names_equal(a, ruled)
+    assert r.equal and r.mode == "bounded"
 
 
 def test_interleave_terms_exposes_raw_sequence():

@@ -23,10 +23,36 @@ from cantor_measure.space import (
     prefix_free_normalize,
     tail_append,
 )
-from bruteforce import all_prefixes, dyadic_fraction, union_measure
+from bruteforce import (
+    all_prefixes,
+    complement_bf,
+    dyadic_fraction,
+    intersection_bf,
+    normalize_bf,
+    union_measure,
+)
 
 bits = st.text(alphabet="01", max_size=6)
 gen_lists = st.lists(bits, max_size=5)
+
+
+@st.composite
+def near_full_cells(draw):
+    """All depth-d cells (d <= 8), a few split into both children, a few
+    dropped, plus a few extra strings: inputs with long sibling-merge
+    chains, which gen_lists rarely produces."""
+    d = draw(st.integers(min_value=0, max_value=8))
+    cells = list(all_prefixes(d))
+    index = st.integers(min_value=0, max_value=len(cells) - 1)
+    split = draw(st.sets(index, max_size=3))
+    drop = draw(st.sets(index, max_size=3))
+    out = []
+    for i, c in enumerate(cells):
+        if i in split:
+            out += [c + "0", c + "1"]
+        elif i not in drop:
+            out.append(c)
+    return out + draw(st.lists(st.text(alphabet="01", max_size=8), max_size=3))
 
 
 def covered(gens, p):
@@ -51,6 +77,18 @@ def test_normalize_idempotent_and_sorted(gens):
     out = prefix_free_normalize(tuple(gens))
     assert prefix_free_normalize(out) == out
     assert tuple(sorted(out)) == out
+
+
+@given(near_full_cells())
+def test_normalize_matches_quadratic_reference_on_near_full_sets(gens):
+    assert prefix_free_normalize(gens) == normalize_bf(gens)
+
+
+@given(st.one_of(gen_lists, near_full_cells()), st.one_of(gen_lists, near_full_cells()))
+def test_intersection_and_complement_match_references(g1, g2):
+    a, b = ClopenSet(tuple(g1)), ClopenSet(tuple(g2))
+    assert clopen_intersection(a, b).generators == intersection_bf(a, b)
+    assert clopen_complement(a).generators == complement_bf(a)
 
 
 def test_normalize_examples():

@@ -11,6 +11,8 @@ from cantor_measure.stepfn import StepFunction, l1_norm
 
 from bruteforce import (
     all_prefixes,
+    at_depth_bf,
+    char_table_bf,
     dyadic_fraction,
     integral_fraction,
     l1_fraction,
@@ -51,6 +53,19 @@ def test_arithmetic_matches_fractions(f, g):
         assert step_value(f.abs_diff(g), i, d) == abs(a - b)
         assert step_value(f.max_with(g), i, d) == max(a, b)
         assert step_value(f.min_with(g), i, d) == min(a, b)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_from_char_matches_per_cell_reference(seed):
+    s = random_clopen(random.Random(seed), max_gens=6, max_len=7)
+    assert StepFunction.from_char(s) == StepFunction(s.depth(), 0, char_table_bf(s))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=4))
+def test_at_depth_matches_per_element_reference(seed, extra):
+    f = random_stepfn(random.Random(seed))
+    d = f.depth + extra
+    assert f.at_depth(d) == at_depth_bf(f, d)
 
 
 @given(fns)
