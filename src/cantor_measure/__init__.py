@@ -17,6 +17,7 @@ from .codes import (
     bfs_addresses,
     check_rank,
     child_items,
+    denotation,
     encode_formulas,
     eval_map_violations,
     evaluate,
@@ -112,7 +113,7 @@ from .space import (
     mu_I,
     point_in,
     prefix_free_normalize,
-    tail_append,
+    seeded_cells,
 )
 from .stepfn import StepFunction, l1_norm
 

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 
 from .codes import (
     annotate_min_ranks,
@@ -330,6 +331,7 @@ _VERB_FLAGS = {
 }
 
 
+@cache  # built once per process, however many times main() runs in it
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cantor-measure",

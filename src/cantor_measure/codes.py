@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence, Union as TUnion
 
 from .errors import ValidationError
@@ -22,8 +23,11 @@ from .space import (
     ClopenSet,
     Point,
     clopen_complement,
+    clopen_intersection,
+    clopen_union,
     point_in,
 )
+from .stepfn import StepFunction
 
 Address = tuple[int, ...]
 
@@ -311,25 +315,32 @@ def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Addres
     return bad
 
 
+def denotation(code: BorelCode) -> ClopenSet:
+    """The denotation of a complement-free code as a clopen set: a leaf
+    gives its label, a union node the union of its children, an
+    intersection node the intersection of its children folded from the
+    full space."""
+    require_complement_free(code, "denotation")
+
+    def fold(node: BorelCode) -> ClopenSet:
+        if isinstance(node, Leaf):
+            return node.label
+        kids = [fold(c) for _, c in child_items(node)]
+        if isinstance(node, UnionNode):
+            return clopen_union(*kids)
+        return reduce(clopen_intersection, kids, ClopenSet.full())
+
+    return fold(code)
+
+
 def membership_table(code: BorelCode, depth: int | None = None) -> tuple[int, list[int]]:
     """(d, table) with table[int(p, 2)] = membership of [p] for all p in 2^d.
 
     Valid because membership depends only on the first support_depth bits."""
-    require_complement_free(code, "membership_table")
     d = support_depth(code) if depth is None else depth
     if d < support_depth(code):
         raise ValidationError("table depth below support depth")
-
-    def walk(node: BorelCode, p: str) -> int:
-        if isinstance(node, Leaf):
-            return 1 if node.label.contains_prefix_point(p) else 0
-        vals = (walk(c, p) for _, c in child_items(node))
-        if isinstance(node, UnionNode):
-            return max(vals, default=0)
-        return min(vals, default=1)
-
-    table = [walk(code, format(i, f"0{d}b") if d else "") for i in range(1 << d)]
-    return d, table
+    return d, list(StepFunction.from_char(denotation(code)).at_depth(d))
 
 
 # ---------------------------------------------------------------------------

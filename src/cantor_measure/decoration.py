@@ -22,6 +22,7 @@ from .codes import (
     UnionNode,
     check_rank,
     child_items,
+    denotation,
     eval_map_violations,
     evaluate,
     is_alternating,
@@ -89,12 +90,10 @@ class DecorationGenerator:
     def footprint(self) -> ClopenSet:
         """Union of the denotations of every insert; membership outside it
         is immune to decoration."""
-        from .measure import _denotation_table
-
         parts = []
         for _, pos, neg in self.entries:
-            parts.append(_denotation_table(pos))
-            parts.append(_denotation_table(neg))
+            parts.append(denotation(pos))
+            parts.append(denotation(neg))
         return clopen_union(*parts) if parts else ClopenSet.empty()
 
 

@@ -10,7 +10,6 @@ the root integral is the code's measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 from .codes import (
@@ -20,6 +19,7 @@ from .codes import (
     UnionNode,
     addresses,
     child_items,
+    denotation,
     require_complement_free,
     subtree,
 )
@@ -81,6 +81,7 @@ class VerifyResult:
     ok: bool
     address: Address | None = None
     law: str | None = None
+    mode: str = "exact"  # "bounded" when a tail bound decided some names_equal
 
     def __bool__(self) -> bool:
         return self.ok
@@ -93,6 +94,7 @@ def verify_decomposition(code: BorelCode, d: MeasureDecomposition,
     for addr in addresses(code):
         if addr not in d:
             return VerifyResult(False, addr, "missing")
+    mode = "exact"
     for addr in addresses(code):
         node = subtree(code, addr)
         if isinstance(node, Leaf):
@@ -106,17 +108,19 @@ def verify_decomposition(code: BorelCode, d: MeasureDecomposition,
                 base = ZERO if isinstance(node, UnionNode) else Dyadic(1, 0)
                 want = constant_name(StepFunction.constant(base))
             law = "union" if isinstance(node, UnionNode) else "intersection"
-        if not names_equal(d[addr], want, bound=bound).equal:
-            return VerifyResult(False, addr, law)
-    return VerifyResult(True)
+        res = names_equal(d[addr], want, bound=bound)
+        if res.mode != "exact":
+            mode = "bounded"
+        if not res.equal:
+            return VerifyResult(False, addr, law, mode)
+    return VerifyResult(True, mode=mode)
 
 
 def measure_of_code(code: BorelCode) -> Dyadic:
     """mu_I of the code's denotation, a clopen fold over the code; equals the
     integral of the root name of build_decomposition without building any
     decomposition or step-function table."""
-    require_complement_free(code, "measure_of_code")
-    return mu_I(_denotation_table(code))
+    return mu_I(denotation(code))
 
 
 def decomposition_from_membership(f: L1Name, code: BorelCode,
@@ -131,7 +135,7 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
     stacked = tilde(code, h)
     lim = f.exact_limit()
     if lim is not None:
-        want = StepFunction.from_char(_denotation_table(stacked))
+        want = StepFunction.from_char(denotation(stacked))
         if lim != want:
             raise ValidationError(
                 "name limit is not the characteristic function of the stacked union"
@@ -154,23 +158,6 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
             f"recovered names fail the {res.law} law at address {res.address}"
         )
     return out
-
-
-def _denotation_table(code: BorelCode) -> ClopenSet:
-    """The denotation of a complement-free code as a clopen set: a leaf
-    gives its label, a union node the union of its children, an
-    intersection node the intersection of its children folded from the
-    full space."""
-
-    def fold(node: BorelCode) -> ClopenSet:
-        if isinstance(node, Leaf):
-            return node.label
-        kids = [fold(c) for _, c in child_items(node)]
-        if isinstance(node, UnionNode):
-            return clopen_union(*kids)
-        return reduce(clopen_intersection, kids, ClopenSet.full())
-
-    return fold(code)
 
 
 def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,

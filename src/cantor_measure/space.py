@@ -159,15 +159,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 
-def _splitmix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return z ^ (z >> 31)
-
-
 def seeded_bit(seed: int, n: int) -> int:
-    """Pure function of (seed, position); no hidden state, safe to share."""
-    return _splitmix((seed + (n + 1) * _GOLDEN) & _MASK) >> 63
+    """Pure function of (seed, position); no hidden state, safe to share.
+    Bit 63 of splitmix64, whose final z ^ (z >> 31) cannot change it."""
+    z = (seed + (n + 1) * _GOLDEN) & _MASK
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    return (z ^ (z >> 27)) * 0x94D049BB133111EB >> 63 & 1
 
 
 class Point:
@@ -252,14 +249,30 @@ def cantor_pair(k: int, n: int) -> int:
     return (k + n) * (k + n + 1) // 2 + n
 
 
+def seeded_cells(seed: int, columns: Iterable[int], d: int) -> list[int]:
+    """column(SeededPoint(seed), k).cell_index(d) for each column index
+    k >= 0, without building a Point: seeded_bit inlined at stream position
+    cantor_pair(k, n) for bit n of column k."""
+    mask, golden = _MASK, _GOLDEN
+    out = []
+    for k in columns:
+        idx = 0
+        z0 = seed + (k * (k + 1) // 2 + 1) * golden  # counter of position cantor_pair(k, 0)
+        step = (k + 2) * golden  # cantor_pair(k, n + 1) - cantor_pair(k, n) = k + n + 2
+        for _ in range(d):
+            z = z0 & mask
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            idx = (idx << 1) | ((z ^ (z >> 27)) * 0x94D049BB133111EB >> 63 & 1)
+            z0 += step
+            step += golden
+        out.append(idx)
+    return out
+
+
 def column(x: Point, k: int) -> Point:
     if k < 0:
         raise ValidationError("column index must be nonnegative")
     return ColumnPoint(x, k)
-
-
-def tail_append(p: str, x: Point) -> Point:
-    return TailPoint(p, x)
 
 
 def point_in(x: Point, s: ClopenSet) -> bool:

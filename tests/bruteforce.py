@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cantor_measure.codes import ComplNode, InterNode, Leaf, UnionNode, child_items
+from cantor_measure.codes import ComplNode, InterNode, Leaf, UnionNode, bfs_addresses, child_items, subtree
+from cantor_measure.dyadic import Dyadic
+from cantor_measure.sampling import AVERAGE_BITS, Estimate
+from cantor_measure.space import SeededPoint, TailPoint, cantor_pair, column
+from cantor_measure.stepfn import StepFunction
 
 
 def support_depth_bf(code) -> int:
@@ -160,3 +164,56 @@ def at_depth_bf(f, d: int) -> tuple[int, ...]:
     """f's table repeated cell by cell down to depth d >= f.depth."""
     reps = 1 << (d - f.depth)
     return tuple(v for v in f.values for _ in range(reps))
+
+
+# ---------------------------------------------------------------------------
+# per-trial Monte Carlo loops the package replaced with the batched
+# seeded_cells kernel; they read bits through the package's Point classes,
+# whose bits the kernel must reproduce, and decide membership by the tree
+# walk above
+
+def membership_table_bf(code, d: int | None = None) -> list[int]:
+    """Depth-d membership table, one tree walk per cell."""
+    if d is None:
+        d = support_depth_bf(code)
+    return [1 if contains_prefix(code, p) else 0 for p in all_prefixes(d)]
+
+
+def _bits(x, d: int) -> str:
+    return "".join(str(x.bit(n)) for n in range(d))
+
+
+def mc_integral_bf(target, trials: int, seed: int):
+    """Per-trial Monte Carlo estimate of a step function's integral or a
+    code's measure: trial j reads column j of SeededPoint(seed)."""
+    points = [column(SeededPoint(seed), j) for j in range(trials)]
+    if isinstance(target, StepFunction):
+        total = sum(target.values[int(_bits(x, target.depth) or "0", 2)] for x in points)
+        return Estimate(Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS),
+                        trials, seed, "stepfn")
+    d = support_depth_bf(target)
+    table = membership_table_bf(target, d)
+    hits = sum(table[int(_bits(x, d) or "0", 2)] for x in points)
+    return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed, "code")
+
+
+def sampled_average_bf(f, i: int, trials: int, seed: int):
+    """Per-cell, per-trial average over the points p + column j."""
+    tails = [column(SeededPoint(seed), j) for j in range(trials)]
+    cells = []
+    for p in all_prefixes(i):
+        total = sum(f.values[int(_bits(TailPoint(p, t), f.depth) or "0", 2)] for t in tails)
+        cells.append(Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS))
+    return StepFunction.from_dyadics(i, cells)
+
+
+def membership_frequency_bf(code, addr, p: str, trials: int, seed: int):
+    """Per-trial membership of p + column cantor_pair(pos, j) in the subtree
+    at addr, where pos is addr's breadth-first position."""
+    pos = bfs_addresses(code).index(addr)
+    node = subtree(code, addr)
+    d = support_depth_bf(node)
+    hits = sum(1 for j in range(trials) if contains_prefix(
+        node, _bits(TailPoint(p, column(SeededPoint(seed), cantor_pair(pos, j))), d)))
+    return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed,
+                    f"freq@{addr}")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,11 +193,26 @@ def test_decorate_split_targets_file(capsys, tmp_path):
 
 def test_measure_depth_40_leaves_without_dense_tables(capsys):
     # a dense 2^40-cell table could not be built; the clopen fold reads
-    # only the generators
+    # only the generators, and Monte Carlo bisects its cell intervals
     expr = f"union(cyl({'0' * 40}),inter(cyl(1),cyl({'1' * 40})))"
-    rc, out, _ = run_main(capsys, "measure", expr)
-    assert rc == 0
-    assert json.loads(out)["measure"] == "1/2^39"
+    for extra in ((), ("--mc", "1000", "--seed", "3")):
+        rc, out, _ = run_main(capsys, "measure", expr, *extra)
+        assert rc == 0
+        assert json.loads(out)["measure"] == "1/2^39"
+    assert json.loads(out)["trials"] == 1000
+
+
+def test_parser_built_once_per_process(capsys):
+    run_main(capsys, "measure", "cyl(0)")
+    before = cli._build_argparser.cache_info()
+    rc, _, _ = run_main(capsys, "report", "cyl(1)", "--mc", "10")
+    after = cli._build_argparser.cache_info()
+    assert rc == 0 and after.misses == before.misses and after.hits == before.hits + 1
+    # the shared parser still rejects a flag the verb does not take
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["measure", "cyl(0)", "--depth", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_errors_exit_2(capsys):
@@ -219,9 +236,12 @@ def test_report_aggregates(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package from wherever this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "cantor_measure.cli", "measure", "cyl(0)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["measure"] == "1/2^1"

@@ -35,6 +35,7 @@ from bruteforce import (
     contains_prefix,
     counting_measure,
     emap_bf,
+    membership_table_bf,
     support_depth_bf,
 )
 from gen import random_code
@@ -93,8 +94,10 @@ def test_membership_table_agrees_with_member():
         c = random_code(rng, max_depth=3, max_gen_len=4)
         d, table = membership_table(c)
         assert d == support_depth(c)
-        for i, p in enumerate(all_prefixes(d)):
-            assert table[i] == (1 if contains_prefix(c, p) else 0)
+        assert table == membership_table_bf(c, d)
+        assert membership_table(c, d + 2) == (d + 2, membership_table_bf(c, d + 2))
+    with pytest.raises(ValidationError):
+        membership_table(Leaf(ClopenSet.cylinder("01")), 1)
 
 
 def test_normalize_demorgan_preserves_denotation():

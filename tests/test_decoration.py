@@ -85,11 +85,11 @@ def test_empty_set_code_rejects_zero():
 def test_split_generator_default_targets():
     gen = split_generator([ONE_ORD, _fin(2), _fin(3)])
     assert gen.budgets() == (ONE_ORD, _fin(2), _fin(3))
-    from cantor_measure.measure import _denotation_table
+    from cantor_measure.codes import denotation
 
     for k, (b, pos, neg) in enumerate(gen.entries):
-        assert _denotation_table(pos).generators == ("0" * k + "10",)
-        assert _denotation_table(neg).generators == ("0" * k + "11",)
+        assert denotation(pos).generators == ("0" * k + "10",)
+        assert denotation(neg).generators == ("0" * k + "11",)
 
 
 def test_split_generator_target_allowance():

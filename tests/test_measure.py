@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantor_measure.codes import Leaf, UnionNode, addresses, child_items, subtree, tilde
+from cantor_measure.codes import Leaf, UnionNode, addresses, denotation, subtree, tilde
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError, ValidationError
 from cantor_measure.gdelta import budget_report
 from cantor_measure.measure import (
-    _denotation_table,
     assemble_bad_gdelta,
     build_decomposition,
     char_to_regularity,
@@ -19,7 +18,7 @@ from cantor_measure.measure import (
     sup_open_set,
     verify_decomposition,
 )
-from cantor_measure.names import char_name, constant_name, names_equal
+from cantor_measure.names import L1Name, char_name, constant_name, names_equal
 from cantor_measure.space import (
     ClopenSet,
     EventuallyPeriodicPoint,
@@ -46,7 +45,7 @@ def test_clopen_fold_matches_decomposition_root(seed):
     c = random_code(random.Random(seed), max_depth=3, max_gen_len=5)
     root = build_decomposition(c)[()].exact_limit()
     assert measure_of_code(c) == root.integral()
-    assert _denotation_table(c) == root.char_support()
+    assert denotation(c) == root.char_support()
 
 
 ROOT_01_11 = UnionNode((Leaf(ClopenSet.cylinder("0")), Leaf(ClopenSet.cylinder("11"))))
@@ -81,10 +80,24 @@ def test_decomposition_laws_verify_and_detect_tampering():
         assert verify_decomposition(c, d)
         addr = random.Random(rng.random()).choice(addresses(c))
         bad = dict(d)
-        bad[addr] = char_name(ClopenSet.full() if not _denotation_table(subtree(c, addr)).is_full() else ClopenSet.empty())
+        bad[addr] = char_name(ClopenSet.full() if not denotation(subtree(c, addr)).is_full() else ClopenSet.empty())
         res = verify_decomposition(c, bad)
         assert not res.ok
         assert res.law in ("leaf", "union", "intersection")
+
+
+def test_verify_mode_exact_iff_every_comparison_exact():
+    d = build_decomposition(ROOT_01_11)
+    assert verify_decomposition(ROOT_01_11, d).mode == "exact"
+    # a leaf named by a rule has no exact limit, so its law is decided by
+    # the tail bound, and so is the union law that reads it
+    leaf = StepFunction.from_char(ClopenSet.cylinder("0"))
+    d[(0,)] = L1Name([], rule=lambda i: leaf, label="ruled")
+    res = verify_decomposition(ROOT_01_11, d)
+    assert res.ok and res.mode == "bounded"
+    d[(1,)] = char_name(ClopenSet.cylinder("10"))
+    res = verify_decomposition(ROOT_01_11, d)
+    assert (res.ok, res.address, res.law, res.mode) == (False, (), "union", "bounded")
 
 
 def test_decomposition_missing_address_reported():
@@ -138,7 +151,7 @@ def test_membership_recovery_round_trip():
         h = list(addresses(c))
         rng.shuffle(h)
         h = h + [h[0]]
-        f = char_name(_denotation_table(tilde(c, h)), label="stack")
+        f = char_name(denotation(tilde(c, h)), label="stack")
         d = decomposition_from_membership(f, c, h)
         assert verify_decomposition(c, d)
         ref = build_decomposition(c)

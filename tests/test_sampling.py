@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import StatisticalGateError, ValidationError
@@ -13,11 +14,20 @@ from cantor_measure.sampling import (
     membership_frequency,
     sampled_average,
 )
-from cantor_measure.space import ClopenSet
+from cantor_measure.codes import bfs_addresses
+from cantor_measure.space import ClopenSet, SeededPoint, column, seeded_cells
 from cantor_measure.stepfn import StepFunction, l1_norm
 
-from bruteforce import integral_fraction
-from gen import random_code, random_stepfn
+from bruteforce import (
+    integral_fraction,
+    mc_integral_bf,
+    membership_frequency_bf,
+    sampled_average_bf,
+)
+from gen import random_bits, random_code, random_stepfn
+
+# stream seeds: negative ones and ones at or past 2^64 wrap like any other
+SEEDS = st.integers(min_value=-(1 << 80), max_value=1 << 80)
 
 
 def test_determinism_same_seed():
@@ -112,13 +122,17 @@ def test_membership_frequency_proper_fraction():
 
 
 def test_validation_errors():
-    from cantor_measure.codes import Leaf
+    from cantor_measure.codes import ComplNode, Leaf
 
     code = Leaf(ClopenSet.full())
     with pytest.raises(ValidationError):
         mc_integral(code, trials=0, seed=0)
     with pytest.raises(ValidationError):
         membership_frequency(code, (0,), "0", trials=10, seed=0)
+    with pytest.raises(ValidationError):
+        membership_frequency(code, (), "0a", trials=10, seed=0)
+    with pytest.raises(ValidationError):
+        mc_integral(ComplNode(code), trials=10, seed=0)
 
 
 def test_name_estimate_excludes_captured():
@@ -128,3 +142,52 @@ def test_name_estimate_excludes_captured():
     est = mc_integral(nm, trials=1000, seed=8)
     assert est.captured == 0
     assert abs(float(est) - 0.5) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the per-trial Point loops it replaced
+
+@settings(deadline=None, max_examples=60)
+@given(SEEDS, st.lists(st.integers(min_value=0, max_value=10**4), max_size=6),
+       st.integers(min_value=0, max_value=64))
+@example(-1, [0, 1, 7], 64)
+@example(1 << 64, [0, 3], 0)
+@example((1 << 64) + 5, [2], 33)
+def test_seeded_cells_match_column_points(seed, ks, d):
+    assert seeded_cells(seed, ks, d) == [column(SeededPoint(seed), k).cell_index(d) for k in ks]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=300), SEEDS)
+@example(0, 1, -3)
+@example(1, 200, 1 << 64)
+def test_mc_integral_matches_per_trial_loop(gen_seed, trials, seed):
+    rng = random.Random(gen_seed)
+    f = random_stepfn(rng, max_depth=6)
+    c = random_code(rng, max_depth=3, max_gen_len=7)
+    assert mc_integral(f, trials, seed) == mc_integral_bf(f, trials, seed)
+    assert mc_integral(c, trials, seed) == mc_integral_bf(c, trials, seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=4),
+       st.sampled_from([-3, -1, 0, 1, 3]), st.integers(min_value=1, max_value=150), SEEDS)
+@example(0, 3, -2, 20, 5)  # f.depth < i
+@example(0, 2, 0, 20, -5)  # f.depth = i
+@example(0, 1, 3, 20, 1 << 64)  # f.depth > i
+def test_sampled_average_matches_per_trial_loop(gen_seed, i, gap, trials, seed):
+    rng = random.Random(gen_seed)
+    d = max(i + gap, 0)
+    f = StepFunction(d, rng.randint(0, 4), tuple(rng.randint(0, 12) for _ in range(1 << d)))
+    assert sampled_average(f, i, trials, seed) == sampled_average_bf(f, i, trials, seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=200), SEEDS)
+def test_membership_frequency_matches_per_trial_loop(gen_seed, trials, seed):
+    rng = random.Random(gen_seed)
+    c = random_code(rng, max_depth=3, max_gen_len=6)
+    addr = rng.choice(bfs_addresses(c))
+    p = random_bits(rng, 8)
+    assert (membership_frequency(c, addr, p, trials, seed)
+            == membership_frequency_bf(c, addr, p, trials, seed))

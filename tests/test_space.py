@@ -11,6 +11,7 @@ from cantor_measure.space import (
     EventuallyPeriodicPoint,
     SeededPoint,
     StagedOpenSet,
+    TailPoint,
     cantor_pair,
     clopen_complement,
     clopen_intersection,
@@ -21,7 +22,6 @@ from cantor_measure.space import (
     mu_I,
     point_in,
     prefix_free_normalize,
-    tail_append,
 )
 from bruteforce import (
     all_prefixes,
@@ -174,7 +174,7 @@ def test_columns_are_disjoint_streams():
 
 
 def test_tail_append_reads_head_then_base():
-    x = tail_append("110", EventuallyPeriodicPoint("", "0"))
+    x = TailPoint("110", EventuallyPeriodicPoint("", "0"))
     assert [x.bit(i) for i in range(5)] == [1, 1, 0, 0, 0]
 
 
