@@ -20,6 +20,7 @@ from functools import cache
 
 from .codes import (
     annotate_min_ranks,
+    denotation,
     evaluate,
     is_complement_free,
     make_alternating,
@@ -43,15 +44,12 @@ from .errors import (
     ValidationError,
 )
 from .gdelta import budget_report
-from .measure import (
-    assemble_bad_gdelta,
-    build_decomposition,
-    measure_of_code,
-    verify_decomposition,
-)
+from .measure import assemble_bad_gdelta, build_decomposition, verify_decomposition
 from .ordinals import OrdinalNotation
 from .sampling import mc_integral
-from .space import ClopenSet, EventuallyPeriodicPoint, SeededPoint, enumerate_eventually_periodic
+from .space import (ClopenSet, EventuallyPeriodicPoint, SeededPoint, enumerate_eventually_periodic,
+                    mu_I)
+from .stepfn import StepFunction
 
 SCHEMA = "cantor-measure/1"
 
@@ -152,11 +150,11 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_measure(args) -> dict:
     _, shaped = _prepared(args)
-    shaped = _require_normalized(shaped)
-    exact = measure_of_code(shaped)
+    den = denotation(_require_normalized(shaped))
+    exact = mu_I(den)
     payload = {"measure": str(exact)}
     if args.mc is not None:
-        est = mc_integral(shaped, args.mc, args.seed)
+        est = mc_integral(StepFunction.from_char(den), args.mc, args.seed)
         payload["estimate"] = str(est.value)
         payload["trials"] = est.trials
         payload["seed"] = est.seed
@@ -179,7 +177,7 @@ def _cmd_decompose(args) -> dict:
         rows.append({"address": _addr_str(addr), "integral": str(lim.integral())})
     return {
         "addresses": rows,
-        "measure": str(measure_of_code(shaped)),
+        "measure": str(d[()].exact_limit().integral()),
         "assertions": [{"name": "decomposition laws", "pass": True}],
     }
 
@@ -260,10 +258,11 @@ def _cmd_decorate(args) -> dict:
 def _cmd_report(args) -> dict:
     _, shaped = _prepared(args)
     shaped = _require_normalized(shaped)
+    den = denotation(shaped)
     payload = {
         "expr": print_dsl(shaped),
         "support_depth": support_depth(shaped),
-        "measure": str(measure_of_code(shaped)),
+        "measure": str(mu_I(den)),
     }
     d = build_decomposition(shaped)
     res = verify_decomposition(shaped, d)
@@ -274,7 +273,7 @@ def _cmd_report(args) -> dict:
             budget_report(t, n, s)
     assertions.append({"name": "stage budgets", "pass": True})
     if args.mc is not None:
-        est = mc_integral(shaped, args.mc, args.seed)
+        est = mc_integral(StepFunction.from_char(den), args.mc, args.seed)
         payload["estimate"] = str(est.value)
         payload["seed"] = est.seed
         payload["trials"] = est.trials

@@ -85,17 +85,21 @@ def child_items(node: BorelCode) -> tuple[tuple[int, BorelCode], ...]:
     return ()
 
 
+def nodes(code: BorelCode) -> list[tuple[Address, BorelCode]]:
+    """Every (address, node) pair, depth-first preorder: a node comes before
+    its descendants, so the reversed list visits children before parents."""
+    out: list[tuple[Address, BorelCode]] = []
+    todo: list[tuple[Address, BorelCode]] = [((), code)]
+    while todo:
+        addr, node = todo.pop()
+        out.append((addr, node))
+        todo += [(addr + (slot,), child) for slot, child in reversed(child_items(node))]
+    return out
+
+
 def addresses(code: BorelCode) -> list[Address]:
     """All node addresses, depth-first preorder."""
-    out: list[Address] = []
-
-    def walk(node: BorelCode, addr: Address) -> None:
-        out.append(addr)
-        for slot, child in child_items(node):
-            walk(child, addr + (slot,))
-
-    walk(code, ())
-    return out
+    return [addr for addr, _ in nodes(code)]
 
 
 def bfs_addresses(code: BorelCode) -> list[Address]:
@@ -149,37 +153,34 @@ def normalize_demorgan(code: BorelCode) -> BorelCode:
     become intersections of complemented children and dually.  Ranks are left
     in place on uncomplemented structure (shape under a flipped polarity is
     preserved, so any annotation present stays positionally valid)."""
+    return _demorgan(code, False)
 
-    def walk(node: BorelCode, flip: bool) -> BorelCode:
-        if isinstance(node, ComplNode):
-            return walk(node.child, not flip)
-        if isinstance(node, Leaf):
-            label = clopen_complement(node.label) if flip else node.label
-            return Leaf(label, node.rank)
-        kids = tuple(walk(c, flip) for _, c in child_items(node))
-        slots = node.slots
-        if isinstance(node, UnionNode):
-            cls = InterNode if flip else UnionNode
-        else:
-            cls = UnionNode if flip else InterNode
-        return cls(kids, node.rank, slots)
 
-    return walk(code, False)
+def _demorgan(node: BorelCode, flip: bool) -> BorelCode:
+    if isinstance(node, ComplNode):
+        return _demorgan(node.child, not flip)
+    if isinstance(node, Leaf):
+        label = clopen_complement(node.label) if flip else node.label
+        return Leaf(label, node.rank)
+    kids = tuple(_demorgan(c, flip) for _, c in child_items(node))
+    if isinstance(node, UnionNode):
+        cls = InterNode if flip else UnionNode
+    else:
+        cls = UnionNode if flip else InterNode
+    return cls(kids, node.rank, node.slots)
 
 
 def is_alternating(code: BorelCode) -> bool:
     """Unions and intersections strictly interleave along every branch."""
     require_complement_free(code, "is_alternating")
-
-    def walk(node: BorelCode) -> bool:
+    todo = [code]
+    while todo:
+        node = todo.pop()
         for _, child in child_items(node):
             if type(child) is type(node):
                 return False
-            if not walk(child):
-                return False
-        return True
-
-    return walk(code)
+            todo.append(child)
+    return True
 
 
 def make_alternating(code: BorelCode) -> BorelCode:
@@ -189,28 +190,28 @@ def make_alternating(code: BorelCode) -> BorelCode:
     are re-slotted densely (the splice has no canonical sparse layout) and,
     when the input was rank-annotated, get rank = max child rank + 1."""
     require_complement_free(code, "make_alternating")
+    return _fuse(code)
 
-    def walk(node: BorelCode) -> BorelCode:
-        if isinstance(node, Leaf):
-            return node
-        kids = [walk(c) for _, c in child_items(node)]
-        if not any(type(k) is type(node) for k in kids):
-            return replace(node, children=tuple(kids))
-        spliced: list[BorelCode] = []
-        for k in kids:
-            if type(k) is type(node):
-                spliced.extend(c for _, c in child_items(k))
-            else:
-                spliced.append(k)
-        rank = node.rank
-        if rank is not None:
-            ranks = [k.rank for k in spliced]
-            if any(r is None for r in ranks):
-                raise ValidationError("cannot recompute fused rank: child rank missing")
-            rank = max(ranks).successor() if ranks else ONE_ORD
-        return type(node)(tuple(spliced), rank, None)
 
-    return walk(code)
+def _fuse(node: BorelCode) -> BorelCode:
+    if isinstance(node, Leaf):
+        return node
+    kids = [_fuse(c) for _, c in child_items(node)]
+    if not any(type(k) is type(node) for k in kids):
+        return replace(node, children=tuple(kids))
+    spliced: list[BorelCode] = []
+    for k in kids:
+        if type(k) is type(node):
+            spliced.extend(c for _, c in child_items(k))
+        else:
+            spliced.append(k)
+    rank = node.rank
+    if rank is not None:
+        ranks = [k.rank for k in spliced]
+        if any(r is None for r in ranks):
+            raise ValidationError("cannot recompute fused rank: child rank missing")
+        rank = max(ranks).successor() if ranks else ONE_ORD
+    return type(node)(tuple(spliced), rank, None)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +222,17 @@ def check_rank(code: BorelCode) -> bool:
 
     Missing annotations are a structural error naming the offending address;
     law violations return False."""
-
-    def walk(node: BorelCode, addr: Address) -> bool:
+    todo: list[tuple[BorelCode, Address, OrdinalNotation | None]] = [(code, (), None)]
+    while todo:  # preorder: each node is checked against its parent, then itself
+        node, addr, above = todo.pop()
         if node.rank is None:
             raise ValidationError(f"missing rank annotation at address {addr}")
-        if isinstance(node, Leaf):
-            return node.rank == ONE_ORD
-        for slot, child in child_items(node):
-            if child.rank is None:
-                raise ValidationError(f"missing rank annotation at address {addr + (slot,)}")
-            if not child.rank < node.rank:
-                return False
-            if not walk(child, addr + (slot,)):
-                return False
-        return True
-
-    return walk(code, ())
+        if above is not None and not node.rank < above:
+            return False
+        if isinstance(node, Leaf) and node.rank != ONE_ORD:
+            return False
+        todo += [(c, addr + (s,), node.rank) for s, c in reversed(child_items(node))]
+    return True
 
 
 def annotate_min_ranks(code: BorelCode) -> BorelCode:
@@ -261,35 +257,27 @@ def evaluate(code: BorelCode, x: Point) -> EvalMap:
     """The unique clause-respecting 0/1 assignment to all node addresses."""
     require_complement_free(code, "evaluate")
     out: EvalMap = {}
-
-    def walk(node: BorelCode, addr: Address) -> int:
+    for addr, node in reversed(nodes(code)):
         if isinstance(node, Leaf):
-            v = 1 if point_in(x, node.label) else 0
+            out[addr] = 1 if point_in(x, node.label) else 0
         else:
-            vals = [walk(c, addr + (s,)) for s, c in child_items(node)]
-            if isinstance(node, UnionNode):
-                v = max(vals, default=0)
-            else:
-                v = min(vals, default=1)
-        out[addr] = v
-        return v
-
-    walk(code, ())
+            vals = [out[addr + (s,)] for s, _ in child_items(node)]
+            out[addr] = max(vals, default=0) if isinstance(node, UnionNode) else min(vals, default=1)
     return out
 
 
 def member(code: BorelCode, x: Point) -> bool:
     """Root value of the evaluation map, with short-circuiting."""
     require_complement_free(code, "member")
+    return _member(code, x)
 
-    def walk(node: BorelCode) -> bool:
-        if isinstance(node, Leaf):
-            return point_in(x, node.label)
-        if isinstance(node, UnionNode):
-            return any(walk(c) for _, c in child_items(node))
-        return all(walk(c) for _, c in child_items(node))
 
-    return walk(code)
+def _member(node: BorelCode, x: Point) -> bool:
+    if isinstance(node, Leaf):
+        return point_in(x, node.label)
+    if isinstance(node, UnionNode):
+        return any(_member(c, x) for _, c in child_items(node))
+    return all(_member(c, x) for _, c in child_items(node))
 
 
 def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Address]:
@@ -297,8 +285,7 @@ def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Addres
     evaluation map (values are forced bottom-up, so clause-validity at every
     node is equivalent to uniqueness)."""
     bad = []
-    for addr in addresses(code):
-        node = subtree(code, addr)
+    for addr, node in nodes(code):
         if addr not in emap:
             bad.append(addr)
             continue
@@ -321,16 +308,16 @@ def denotation(code: BorelCode) -> ClopenSet:
     intersection node the intersection of its children folded from the
     full space."""
     require_complement_free(code, "denotation")
+    return _fold(code)
 
-    def fold(node: BorelCode) -> ClopenSet:
-        if isinstance(node, Leaf):
-            return node.label
-        kids = [fold(c) for _, c in child_items(node)]
-        if isinstance(node, UnionNode):
-            return clopen_union(*kids)
-        return reduce(clopen_intersection, kids, ClopenSet.full())
 
-    return fold(code)
+def _fold(node: BorelCode) -> ClopenSet:
+    if isinstance(node, Leaf):
+        return node.label
+    kids = [_fold(c) for _, c in child_items(node)]
+    if isinstance(node, UnionNode):
+        return clopen_union(*kids)
+    return reduce(clopen_intersection, kids, ClopenSet.full())
 
 
 def membership_table(code: BorelCode, depth: int | None = None) -> tuple[int, list[int]]:
@@ -352,15 +339,14 @@ def relocate(n: int, code: BorelCode) -> BorelCode:
     require_complement_free(code, "relocate")
     if n < 0:
         raise ValidationError("relocation index must be nonnegative")
-    prefix = "0" * n + "1"
+    return _prefixed(code, "0" * n + "1")
 
-    def walk(node: BorelCode) -> BorelCode:
-        if isinstance(node, Leaf):
-            return Leaf(ClopenSet(tuple(prefix + g for g in node.label.generators)), node.rank)
-        kids = tuple(walk(c) for _, c in child_items(node))
-        return type(node)(kids, node.rank, node.slots)
 
-    return walk(code)
+def _prefixed(node: BorelCode, prefix: str) -> BorelCode:
+    if isinstance(node, Leaf):
+        return Leaf(ClopenSet(tuple(prefix + g for g in node.label.generators)), node.rank)
+    kids = tuple(_prefixed(c, prefix) for _, c in child_items(node))
+    return type(node)(kids, node.rank, node.slots)
 
 
 def tilde(code: BorelCode, h: Sequence[Address]) -> BorelCode:
@@ -405,18 +391,18 @@ def eval_formula(phi: FormulaCode) -> dict[Address, bool]:
     """Unique determination map: empty disjunction false, empty conjunction
     true."""
     out: dict[Address, bool] = {}
-
-    def walk(node: FormulaCode, addr: Address) -> bool:
-        if isinstance(node, FLeaf):
-            v = node.value
-        else:
-            vals = [walk(c, addr + (i,)) for i, c in enumerate(node.children)]
-            v = any(vals) if isinstance(node, FUnion) else (all(vals) if vals else True)
-        out[addr] = v
-        return v
-
-    walk(phi, ())
+    _determine(phi, (), out)
     return out
+
+
+def _determine(node: FormulaCode, addr: Address, out: dict[Address, bool]) -> bool:
+    if isinstance(node, FLeaf):
+        v = node.value
+    else:
+        vals = [_determine(c, addr + (i,), out) for i, c in enumerate(node.children)]
+        v = any(vals) if isinstance(node, FUnion) else (all(vals) if vals else True)
+    out[addr] = v
+    return v
 
 
 def formula_value(phi: FormulaCode) -> bool:
@@ -427,12 +413,12 @@ def encode_formulas(phis: Sequence[FormulaCode]) -> BorelCode:
     """Union over n of phi_n with true leaves replaced by the cylinder
     [0^n 1] and false leaves by the empty set; the truth of phi_n is then
     readable from the measure of the result inside [0^n 1]."""
+    return UnionNode(tuple(_encoded(phi, n) for n, phi in enumerate(phis)))
 
-    def convert(node: FormulaCode, n: int) -> BorelCode:
-        if isinstance(node, FLeaf):
-            label = ClopenSet.cylinder("0" * n + "1") if node.value else ClopenSet.empty()
-            return Leaf(label)
-        kids = tuple(convert(c, n) for c in node.children)
-        return (UnionNode if isinstance(node, FUnion) else InterNode)(kids)
 
-    return UnionNode(tuple(convert(phi, n) for n, phi in enumerate(phis)))
+def _encoded(node: FormulaCode, n: int) -> BorelCode:
+    if isinstance(node, FLeaf):
+        label = ClopenSet.cylinder("0" * n + "1") if node.value else ClopenSet.empty()
+        return Leaf(label)
+    kids = tuple(_encoded(c, n) for c in node.children)
+    return (UnionNode if isinstance(node, FUnion) else InterNode)(kids)

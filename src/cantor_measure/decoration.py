@@ -162,24 +162,24 @@ def decorate(code: BorelCode, gen: DecorationGenerator) -> BorelCode:
         raise ValidationError("decorate needs a rank-disciplined code")
     if not is_alternating(code):
         raise ValidationError("decorate needs an alternating code")
+    return _decorate(code, gen)
 
-    def walk(node: BorelCode) -> BorelCode:
-        if isinstance(node, Leaf):
-            return node
-        under_union = isinstance(node, UnionNode)
-        items: list[tuple[int, BorelCode]] = [
-            (2 * s, walk(c)) for s, c in child_items(node)
-        ]
-        for k, (b, _, _) in enumerate(gen.entries):
-            if b < node.rank:
-                items.append((2 * k + 1, walk(gen.insert_for(b, under_union))))
-        items.sort(key=lambda sc: sc[0])
-        slots = tuple(s for s, _ in items)
-        kids = tuple(c for _, c in items)
-        cls = UnionNode if under_union else InterNode
-        return cls(children=kids, rank=node.rank, slots=slots)
 
-    return walk(code)
+def _decorate(node: BorelCode, gen: DecorationGenerator) -> BorelCode:
+    if isinstance(node, Leaf):
+        return node
+    under_union = isinstance(node, UnionNode)
+    items: list[tuple[int, BorelCode]] = [
+        (2 * s, _decorate(c, gen)) for s, c in child_items(node)
+    ]
+    for k, (b, _, _) in enumerate(gen.entries):
+        if b < node.rank:
+            items.append((2 * k + 1, _decorate(gen.insert_for(b, under_union), gen)))
+    items.sort(key=lambda sc: sc[0])
+    slots = tuple(s for s, _ in items)
+    kids = tuple(c for _, c in items)
+    cls = UnionNode if under_union else InterNode
+    return cls(children=kids, rank=node.rank, slots=slots)
 
 
 @dataclass(frozen=True)

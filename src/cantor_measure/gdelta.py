@@ -36,10 +36,8 @@ class RapidGDelta:
     budget-checked, so no materialization path can observe a stage whose
     measure exceeds 2^-n without raising BudgetError."""
 
-    def __init__(self, levels: Callable[[int], StagedOpenSet] | Sequence[StagedOpenSet],
-                 label: str = "test"):
-        self._rule = levels if callable(levels) else None
-        self._fixed = None if callable(levels) else list(levels)
+    def __init__(self, levels: Callable[[int], StagedOpenSet], label: str = "test"):
+        self._rule = levels
         self._memo: dict[int, StagedOpenSet] = {}
         self.label = label
 
@@ -47,17 +45,8 @@ class RapidGDelta:
         if n < 0:
             raise ValidationError("level must be nonnegative")
         if n not in self._memo:
-            if self._fixed is not None:
-                if n >= len(self._fixed):
-                    raise ValidationError(f"{self.label} has only {len(self._fixed)} levels")
-                self._memo[n] = self._fixed[n]
-            else:
-                self._memo[n] = self._rule(n)
+            self._memo[n] = self._rule(n)
         return self._memo[n]
-
-    @property
-    def level_count(self) -> int | None:
-        return None if self._fixed is None else len(self._fixed)
 
     def stage(self, n: int, s: int) -> ClopenSet:
         c = self.level(n).stage(s)
@@ -101,13 +90,10 @@ def covered_cell_count(stage_set: ClopenSet, k: int) -> int:
     """How many of the 2^k depth-k cells lie entirely inside the stage.
 
     mu-bounded stages cover at most mu * 2^k of them, which is the finite
-    echo of 'a rapidly null set is not everything'."""
-    count = 0
-    for i in range(1 << k):
-        p = format(i, f"0{k}b") if k else ""
-        if stage_set.contains_prefix_point(p) or stage_set.covers_prefix(p):
-            count += 1
-    return count
+    echo of 'a rapidly null set is not everything'.  A depth-k cell lies
+    inside the canonical antichain exactly when some generator is a prefix
+    of it, so generator g covers 2^(k - |g|) cells when |g| <= k."""
+    return sum(1 << (k - len(g)) for g in stage_set.generators if len(g) <= k)
 
 
 def eventually_periodic_avoider(stage_set: ClopenSet):

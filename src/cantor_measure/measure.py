@@ -20,8 +20,8 @@ from .codes import (
     addresses,
     child_items,
     denotation,
+    nodes,
     require_complement_free,
-    subtree,
 )
 from .dyadic import Dyadic, ZERO
 from .errors import CertificateError, ValidationError
@@ -54,25 +54,19 @@ def build_decomposition(code: BorelCode) -> MeasureDecomposition:
     exact pointwise min at intersections."""
     require_complement_free(code, "build_decomposition")
     out: MeasureDecomposition = {}
-
-    def walk(node: BorelCode, addr: Address) -> L1Name:
+    for addr, node in reversed(nodes(code)):  # children before parents
         if isinstance(node, Leaf):
-            name = char_name(node.label, label=f"leaf@{addr}")
+            out[addr] = char_name(node.label, label=f"leaf@{addr}")
+            continue
+        limits = [out[addr + (s,)].exact_limit() for s, _ in child_items(node)]
+        fold = StepFunction.max_with if isinstance(node, UnionNode) else StepFunction.min_with
+        if limits:
+            acc = limits[0]
+            for lim in limits[1:]:
+                acc = fold(acc, lim)
         else:
-            kids = [walk(c, addr + (s,)) for s, c in child_items(node)]
-            limits = [k.exact_limit() for k in kids]
-            fold = StepFunction.max_with if isinstance(node, UnionNode) else StepFunction.min_with
-            if kids:
-                acc = limits[0]
-                for lim in limits[1:]:
-                    acc = fold(acc, lim)
-            else:
-                acc = StepFunction.constant(ZERO if isinstance(node, UnionNode) else Dyadic(1, 0))
-            name = constant_name(acc, label=f"node@{addr}")
-        out[addr] = name
-        return name
-
-    walk(code, ())
+            acc = StepFunction.constant(ZERO if isinstance(node, UnionNode) else Dyadic(1, 0))
+        out[addr] = constant_name(acc, label=f"node@{addr}")
     return out
 
 
@@ -95,8 +89,7 @@ def verify_decomposition(code: BorelCode, d: MeasureDecomposition,
         if addr not in d:
             return VerifyResult(False, addr, "missing")
     mode = "exact"
-    for addr in addresses(code):
-        node = subtree(code, addr)
+    for addr, node in nodes(code):
         if isinstance(node, Leaf):
             want = char_name(node.label)
             law = "leaf"
@@ -173,8 +166,7 @@ def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
     parts: list[RapidGDelta] = []
     for addr in addresses(code):
         parts.append(convergence_test(d[addr]))
-    for addr in addresses(code):
-        node = subtree(code, addr)
+    for addr, node in nodes(code):
         if isinstance(node, Leaf):
             parts.append(agreement_test(d[addr], char_name(node.label)))
         else:

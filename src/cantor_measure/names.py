@@ -30,16 +30,15 @@ class L1Name:
 
     def __init__(self, terms: Sequence[StepFunction],
                  rule: Callable[[int], StepFunction] | None = None,
-                 label: str = "name", _precheck: bool = True):
+                 label: str = "name"):
         if not terms and rule is None:
             raise ValidationError("a name needs at least one term or a rule")
         self._terms: list[StepFunction] = list(terms)
         self._rule = rule
         self.label = label
         self._bad_sets: dict[int, list[ClopenSet]] = {}
-        if _precheck:
-            for i in range(len(self._terms) - 1):
-                self._check_pair(i)
+        for i in range(len(self._terms) - 1):
+            self._check_pair(i)
         if rule is not None and not self._terms:
             self._terms.append(rule(0))
 
@@ -309,8 +308,7 @@ def diagonal_name(hs: Sequence[L1Name], g: L1Name | None = None,
 # ---------------------------------------------------------------------------
 # sup and inf
 
-def _pointwise_fold(members: Sequence[L1Name], rate: Callable[[int], int] | None,
-                    use_max: bool, label: str) -> L1Name:
+def _pointwise_fold(members: Sequence[L1Name], use_max: bool, label: str) -> L1Name:
     if not members:
         raise ValidationError("sup/inf of an empty family is undefined")
     members = list(members)
@@ -318,73 +316,31 @@ def _pointwise_fold(members: Sequence[L1Name], rate: Callable[[int], int] | None
         return members[0]
 
     fold = StepFunction.max_with if use_max else StepFunction.min_with
-
-    def partial(count: int) -> StepFunction | None:
-        """Exact fold of the first count members' limits; None if some member
-        has no exact limit."""
-        acc = None
-        for m in members[:count]:
-            lim = m.exact_limit()
-            if lim is None:
-                return None
-            acc = lim if acc is None else fold(acc, lim)
-        return acc
-
-    if rate is None:
-        exact = partial(len(members))
-        if exact is not None:
-            return constant_name(exact, label=label)
-        # no rate witness and no exact limits: fold term-by-term with the
-        # index shift that restores a strict certificate
-        shift = max(1, (len(members) - 1).bit_length())
-
-        def term_rule(i: int) -> StepFunction:
-            acc = members[0].term(i + shift)
-            for m in members[1:]:
-                acc = fold(acc, m.term(i + shift))
-            return acc
-
-        return L1Name([], rule=term_rule, label=label)
-
-    # staged family with an explicit tail-rate witness
-    for m in members:
-        if m.exact_limit() is None:
-            raise ValidationError("rate-witnessed sup/inf needs exact-limit members")
-
-    partials: dict[int, StepFunction] = {}
-
-    def t(s: int) -> StepFunction:
-        if s not in partials:
-            count = max(1, min(rate(s), len(members)))
-            partials[s] = partial(count)
-        return partials[s]
-
-    checked: set[int] = set()
+    limits = [m.exact_limit() for m in members]
+    if all(lim is not None for lim in limits):
+        exact = limits[0]
+        for lim in limits[1:]:
+            exact = fold(exact, lim)
+        return constant_name(exact, label=label)
+    # no exact limits: fold term-by-term with the index shift that restores
+    # a strict certificate
+    shift = max(1, (len(members) - 1).bit_length())
 
     def term_rule(i: int) -> StepFunction:
-        s = i + 2
-        for j in range(s + 1):
-            if j not in checked:
-                gap = l1_norm(t(j), t(j + 1))
-                if gap > Dyadic.pow2(-j):
-                    raise CertificateError(
-                        f"{label}: rate witness false, |t_{j} - t_{j + 1}|_1 = {gap} > 2^-{j}"
-                    )
-                checked.add(j)
-        return t(s)
+        acc = members[0].term(i + shift)
+        for m in members[1:]:
+            acc = fold(acc, m.term(i + shift))
+        return acc
 
     return L1Name([], rule=term_rule, label=label)
 
 
-def sup_name(members: Sequence[L1Name], rate: Callable[[int], int] | None = None,
-             label: str = "sup") -> L1Name:
+def sup_name(members: Sequence[L1Name], label: str = "sup") -> L1Name:
     """Pointwise maximum: exact for finite families of eventually constant
-    names; otherwise the rate witness schedules how many members enter per
-    stage, and every adjacent exact norm check can falsify it."""
-    return _pointwise_fold(members, rate, True, label)
+    names; otherwise folded term by term."""
+    return _pointwise_fold(members, True, label)
 
 
-def inf_name(members: Sequence[L1Name], rate: Callable[[int], int] | None = None,
-             label: str = "inf") -> L1Name:
+def inf_name(members: Sequence[L1Name], label: str = "inf") -> L1Name:
     """Pointwise minimum, dual to sup_name."""
-    return _pointwise_fold(members, rate, False, label)
+    return _pointwise_fold(members, False, label)

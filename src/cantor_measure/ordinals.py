@@ -124,19 +124,14 @@ def notations_up_to(bound: OrdinalNotation, coeff_cap: int = 3) -> list[OrdinalN
     ascending.  Finite for any bound below omega^omega."""
     if bound.is_zero():
         return []
-    max_exp = bound.terms[0][0]
     out = []
-
-    def build(prefix: tuple, next_exp: int) -> None:
-        if prefix:
-            cand = OrdinalNotation(prefix)
-            if cand <= bound:
-                out.append(cand)
-        for e in range(next_exp, -1, -1):
-            for c in range(1, coeff_cap + 1):
-                build(prefix + ((e, c),), e - 1)
-
-    build((), max_exp)
+    todo: list[tuple[tuple, int]] = [((), bound.terms[0][0])]
+    while todo:  # (terms so far, largest exponent the next term may take)
+        prefix, next_exp = todo.pop()
+        if prefix and OrdinalNotation(prefix) <= bound:
+            out.append(OrdinalNotation(prefix))
+        todo += [(prefix + ((e, c),), e - 1)
+                 for e in range(next_exp, -1, -1) for c in range(1, coeff_cap + 1)]
     return sorted(out)
 
 

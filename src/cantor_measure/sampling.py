@@ -8,9 +8,11 @@ disjoint column indices.
 Step-function and code targets, sampled_average and membership_frequency
 draw all their trials in one call to space.seeded_cells, which gives each
 column's depth-d cell index without building a Point, from the same bits
-column(SeededPoint(seed), k) reads; every estimate is bit for bit the one a
-loop over per-trial Points gives.  Only L1-name targets walk a Point per
-trial, since value_at reads as many bits as the name's bad sets ask for.
+column(SeededPoint(seed), k) reads, and look each cell up in the target's
+partition by bisection; every estimate is bit for bit the one a loop over
+per-trial Points gives.  A depth-0 target reads no bits at all.  Only
+L1-name targets walk a Point per trial, since value_at reads as many bits
+as the name's bad sets ask for.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from operator import mul
 
 from .codes import BorelCode, bfs_addresses, denotation, subtree
 from .dyadic import Dyadic
 from .errors import StatisticalGateError, ValidationError
 from .names import Captured, L1Name, value_at
-from .space import ClopenSet, SeededPoint, cantor_pair, column, seeded_cells, validate_bits
+from .space import SeededPoint, cantor_pair, column, seeded_cells, validate_bits
 from .stepfn import StepFunction
 
 # fraction of captured trials tolerated before the estimate is refused
@@ -46,16 +49,24 @@ class Estimate:
         return float(self.value)
 
 
-def _hits(s: ClopenSet, cells: Iterable[int]) -> int:
-    """How many of the depth-s.depth() cell indices lie in s.  The sorted
-    antichain is a sorted run of disjoint cell intervals [a, b); listed in
-    order, their ends put exactly the cells inside at an odd bisection."""
-    d = s.depth()
-    ends: list[int] = []
-    for g in s.generators:
-        a = int(g or "0", 2) << (d - len(g))
-        ends += (a, a + (1 << (d - len(g))))
-    return sum(bisect_right(ends, c) & 1 for c in cells)
+def _lookup(f: StepFunction):
+    """Maps depth-f.depth cell indices to f's numerators on them: an index
+    lies in the last run of equal-valued cells starting at or before it."""
+    d = f.depth
+    starts: list[int] = []
+    nums = [0]  # never read: bisect_right >= 1, since every index is >= starts[0] = 0
+    for p, v in zip(f.prefixes, f.nums):
+        if not starts or v != nums[-1]:
+            starts.append(int(p or "0", 2) << (d - len(p)))
+            nums.append(v)
+    return lambda cells: map(nums.__getitem__, map(bisect_right, repeat(starts), cells))
+
+
+def _sum_at(f: StepFunction, seed: int, trials: int) -> int:
+    """Sum of f's numerators over the cells of columns 0..trials-1."""
+    if f.depth == 0:
+        return trials * f.nums[0]
+    return sum(_lookup(f)(seeded_cells(seed, range(trials), f.depth)))
 
 
 def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate:
@@ -64,14 +75,12 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
 
     Name targets read values through value_at; trials landing in the bad-set
     guard are dropped, and more than CAPTURE_GATE_PERCENT of them aborts the
-    run rather than returning a silently biased average.  A code counts the
-    trials whose cell lies in its denotation, at the denotation's depth."""
+    run rather than returning a silently biased average.  A code is counted
+    as the characteristic function of its denotation."""
     if trials <= 0:
         raise ValidationError("trial count must be positive")
     if isinstance(target, StepFunction):
-        cells = seeded_cells(seed, range(trials), target.depth)
-        total = sum(map(target.values.__getitem__, cells))
-        value = Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS)
+        value = Dyadic(_sum_at(target, seed, trials), target.exp).div_floor(trials, AVERAGE_BITS)
         return Estimate(value, trials, seed, "stepfn")
     if isinstance(target, L1Name):
         total = Dyadic.from_int(0)
@@ -88,8 +97,7 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
             )
         value = total.div_floor(trials - captured, AVERAGE_BITS)
         return Estimate(value, trials, seed, "name", captured)
-    s = denotation(target)
-    hits = _hits(s, seeded_cells(seed, range(trials), s.depth()))
+    hits = _sum_at(StepFunction.from_char(denotation(target)), seed, trials)
     value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
     return Estimate(value, trials, seed, "code")
 
@@ -109,12 +117,14 @@ def sampled_average(f: StepFunction, i: int, trials: int, seed: int) -> StepFunc
         raise ValidationError("cell depth must be nonnegative")
     if trials <= 0:
         raise ValidationError("trial count must be positive")
-    rest = max(f.depth - i, 0)  # bits of a tail that f reads
-    tails = Counter(seeded_cells(seed, range(trials), rest)).items()
+    d = f.depth
+    rest = max(d - i, 0)  # bits of a tail that f reads
+    tails, counts = zip(*Counter(seeded_cells(seed, range(trials), rest)).items())
+    at = _lookup(f)
     cells = []
     for c in range(1 << i):
-        base = (c >> (i + rest - f.depth)) << rest
-        total = sum(n * f.values[base + t] for t, n in tails)
+        base = (c >> (i + rest - d)) << rest
+        total = sum(map(mul, counts, at(base + t for t in tails)))
         cells.append(Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS))
     return StepFunction.from_dyadics(i, cells)
 
@@ -133,11 +143,11 @@ def membership_frequency(code: BorelCode, addr: tuple[int, ...], p: str,
     if addr not in order:
         raise ValidationError(f"no node at address {addr}")
     pos = order.index(addr)
-    s = denotation(subtree(code, addr))
-    d, i = s.depth(), len(validate_bits(p))
+    f = StepFunction.from_char(denotation(subtree(code, addr)))
+    d, i = f.depth, len(validate_bits(p))
     rest = max(d - i, 0)  # bits of a column the denotation reads
     base = (int(p or "0", 2) >> (i + rest - d)) << rest
     tails = seeded_cells(seed, (cantor_pair(pos, j) for j in range(trials)), rest)
-    hits = _hits(s, (base + t for t in tails))
+    hits = sum(_lookup(f)(base + t for t in tails))
     value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
     return Estimate(value, trials, seed, f"freq@{addr}")

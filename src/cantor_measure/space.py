@@ -8,7 +8,7 @@ prefix-free generator antichain, so equality is syntactic.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -81,30 +81,17 @@ class ClopenSet:
         return mu_I(self)
 
     def covers_prefix(self, p: str) -> bool:
-        """Whole cylinder [p] inside the set (membership decided by a generator
-        at or above p, or by the generators below p covering it)."""
-        return clopen_intersection(self, ClopenSet.cylinder(p)) == ClopenSet.cylinder(p)
-
-    def contains_prefix_point(self, p: str) -> bool:
-        """Some generator is a prefix of p (decides membership of any x in [p]
-        when len(p) >= depth)."""
-        return any(p.startswith(g) for g in self.generators)
+        """Whole cylinder [p] inside the set.  Generators below p that covered
+        [p] would have merged into p, so in the canonical antichain this
+        holds exactly when some generator is a prefix of p: the last one
+        sorted at or before p."""
+        i = bisect_right(self.generators, p) - 1
+        return i >= 0 and p.startswith(self.generators[i])
 
     def hit(self, x: Point) -> str | None:
-        """The generator that is a prefix of x, or None.  Reads each bit of x
-        once and stops as soon as no generator extends the bits read: the
-        generators extending a prefix are a contiguous run of the sorted
-        antichain, narrowed by bisection."""
-        gens = self.generators
-        lo, hi = 0, len(gens)
-        seen = ""
-        while lo < hi:
-            if len(gens[lo]) == len(seen):
-                return gens[lo]
-            seen += "1" if x.bit(len(seen)) else "0"
-            lo = bisect_left(gens, seen, lo, hi)
-            hi = bisect_left(gens, seen + "2", lo, hi)
-        return None
+        """The generator that is a prefix of x, or None."""
+        i = locate(self.generators, x)
+        return None if i is None else self.generators[i]
 
 
 def mu_I(s: ClopenSet) -> Dyadic:
@@ -129,23 +116,34 @@ def clopen_intersection(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     return ClopenSet(tuple(out))
 
 
-def clopen_complement(a: ClopenSet) -> ClopenSet:
-    """Walks the cylinders above the generators, each holding the index
-    range of the sorted antichain that extends it: an empty range is a
-    complement generator, a range that starts at the cylinder itself is
-    inside the set, and any other range splits at the first 1-child."""
+def char_partition(a: ClopenSet) -> tuple[list[str], list[int]]:
+    """The canonical partition of the space by a, left to right: the
+    cylinders with 1 for those inside a and 0 for those outside.
+
+    Walks the cylinders above the generators, each holding the index range
+    of the sorted antichain that extends it: an empty range is a 0-cell, a
+    range that starts at the cylinder itself is a 1-cell, and any other
+    range splits at the first 1-child."""
     gens = a.generators
-    out: list[str] = []
+    cells: list[str] = []
+    inside: list[int] = []
     todo = [("", 0, len(gens))]
     while todo:
         prefix, lo, hi = todo.pop()
-        if lo == hi:
-            out.append(prefix)
-        elif gens[lo] != prefix:
+        if lo == hi or gens[lo] == prefix:
+            cells.append(prefix)
+            inside.append(int(lo < hi))
+        else:
             mid = bisect_left(gens, prefix + "1", lo, hi)
-            todo.append((prefix + "0", lo, mid))
             todo.append((prefix + "1", mid, hi))
-    return ClopenSet(tuple(out))
+            todo.append((prefix + "0", lo, mid))
+    return cells, inside
+
+
+def clopen_complement(a: ClopenSet) -> ClopenSet:
+    """The 0-cells of the partition by a."""
+    cells, inside = char_partition(a)
+    return ClopenSet(tuple(p for p, v in zip(cells, inside) if not v))
 
 
 def clopen_subset(a: ClopenSet, b: ClopenSet) -> bool:
@@ -172,14 +170,6 @@ class Point:
 
     def bit(self, n: int) -> int:
         raise NotImplementedError
-
-    def cell_index(self, d: int) -> int:
-        """Bits 0..d-1 read as a binary number: the index of the depth-d
-        cylinder containing the point."""
-        idx = 0
-        for i in range(d):
-            idx = (idx << 1) | self.bit(i)
-        return idx
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -250,9 +240,10 @@ def cantor_pair(k: int, n: int) -> int:
 
 
 def seeded_cells(seed: int, columns: Iterable[int], d: int) -> list[int]:
-    """column(SeededPoint(seed), k).cell_index(d) for each column index
-    k >= 0, without building a Point: seeded_bit inlined at stream position
-    cantor_pair(k, n) for bit n of column k."""
+    """For each column index k >= 0, the first d bits of
+    column(SeededPoint(seed), k) read as a binary number, the index of the
+    depth-d cylinder holding it, without building a Point: seeded_bit
+    inlined at stream position cantor_pair(k, n) for bit n of column k."""
     mask, golden = _MASK, _GOLDEN
     out = []
     for k in columns:
@@ -273,6 +264,22 @@ def column(x: Point, k: int) -> Point:
     if k < 0:
         raise ValidationError("column index must be nonnegative")
     return ColumnPoint(x, k)
+
+
+def locate(prefixes: Sequence[str], x: Point) -> int | None:
+    """Index of the string of a sorted antichain that is a prefix of x, or
+    None.  Reads each bit of x once and stops as soon as no string extends
+    the bits read: the strings extending a prefix are a contiguous run of
+    the sorted antichain, narrowed by bisection."""
+    lo, hi = 0, len(prefixes)
+    seen = ""
+    while lo < hi:
+        if len(prefixes[lo]) == len(seen):
+            return lo
+        seen += "1" if x.bit(len(seen)) else "0"
+        lo = bisect_left(prefixes, seen, lo, hi)
+        hi = bisect_left(prefixes, seen + "2", lo, hi)
+    return None
 
 
 def point_in(x: Point, s: ClopenSet) -> bool:

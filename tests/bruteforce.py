@@ -166,6 +166,97 @@ def at_depth_bf(f, d: int) -> tuple[int, ...]:
     return tuple(v for v in f.values for _ in range(reps))
 
 
+def covers_bf(s, p: str) -> bool:
+    """Every subcell of [p] at the set's depth or below has a generator as
+    a prefix."""
+    d = max(len(p), max((len(g) for g in s.generators), default=0))
+    return all(any((p + q).startswith(g) for g in s.generators) for q in all_prefixes(d - len(p)))
+
+
+def covered_cell_count_bf(s, k: int) -> int:
+    """The 2^k-cell loop: depth-k cells the set covers."""
+    return sum(covers_bf(s, p) for p in all_prefixes(k))
+
+
+# ---------------------------------------------------------------------------
+# the dense step-function core the package replaced with canonical
+# partitions: tables of numerators over all 2^depth cells, read through the
+# package's dense adapter (values, depth, exp)
+
+def reduce_bf(depth: int, exp: int, values) -> tuple[int, int, tuple[int, ...]]:
+    """Canonical (depth, exp, table): halve the table while every sibling
+    pair agrees, then halve the numerators while all are even."""
+    values = tuple(values)
+    while depth > 0 and values[::2] == values[1::2]:
+        values, depth = values[::2], depth - 1
+    while exp > 0 and all(v % 2 == 0 for v in values):
+        values, exp = tuple(v // 2 for v in values), exp - 1
+    return depth, exp, values
+
+
+def aligned_bf(f, g):
+    """(d, e, a, b): both tables at the deeper depth over the larger
+    exponent."""
+    d, e = max(f.depth, g.depth), max(f.exp, g.exp)
+    a = [v << (e - f.exp) for v in at_depth_bf(f, d)]
+    b = [v << (e - g.exp) for v in at_depth_bf(g, d)]
+    return d, e, a, b
+
+
+def level_bf(f, a: int, b: int, above: bool) -> tuple[str, ...]:
+    """Depth-f.depth cells whose value is strictly above (or below) a/b."""
+    thr = Fraction(a, b)
+    return tuple(p for p, v in zip(all_prefixes(f.depth), f.values)
+                 if (Fraction(v, 1 << f.exp) > thr if above else Fraction(v, 1 << f.exp) < thr))
+
+
+def cell_average_bf(f, i: int) -> tuple[int, int, tuple[int, ...]]:
+    """Block sums of f's table per depth-i cell, canonical; i <= f.depth."""
+    block = 1 << (f.depth - i)
+    sums = [sum(f.values[j:j + block]) for j in range(0, len(f.values), block)]
+    return reduce_bf(i, f.exp + f.depth - i, sums)
+
+
+# ---------------------------------------------------------------------------
+# per-cell oracles for canonical partitions too deep for tables: quadratic
+# scans over the cell prefixes, Fraction values
+
+def refinement_bf(*fs) -> list[str]:
+    """Cells of the common refinement: every cell prefix of the step
+    functions that no other one extends."""
+    ps = sorted({p for f in fs for p in f.prefixes})
+    # in sorted order, a string's extensions come right after it
+    return [p for i, p in enumerate(ps) if i + 1 == len(ps) or not ps[i + 1].startswith(p)]
+
+
+def value_bf(f, r: str) -> Fraction:
+    """f's value on [r], from the one cell of f whose prefix r extends."""
+    (v,) = [Fraction(n, 1 << f.exp) for p, n in zip(f.prefixes, f.nums) if r.startswith(p)]
+    return v
+
+
+def average_bf(f, r: str) -> Fraction:
+    """Average of f over [r]."""
+    inside = [(p, n) for p, n in zip(f.prefixes, f.nums) if p.startswith(r) and p != r]
+    if not inside:
+        return value_bf(f, r)
+    return sum(Fraction(n, 1 << (f.exp + len(p) - len(r))) for p, n in inside)
+
+
+def canonical_bf(f) -> bool:
+    """The cells are sorted, tile the space (an antichain whose measures sum
+    to 1), no two siblings carry the same numerator, and the exponent is
+    minimal."""
+    ps = list(f.prefixes)
+    by_prefix = dict(zip(ps, f.nums))
+    return (ps == sorted(ps) and len(ps) == len(f.nums)
+            and sum(Fraction(1, 1 << len(p)) for p in ps) == 1
+            and not any(q.startswith(p) for p, q in zip(ps, ps[1:]))
+            and not any(p.endswith("0") and by_prefix.get(p[:-1] + "1") == n
+                        for p, n in by_prefix.items())
+            and (f.exp == 0 or any(n % 2 for n in f.nums)))
+
+
 # ---------------------------------------------------------------------------
 # per-trial Monte Carlo loops the package replaced with the batched
 # seeded_cells kernel; they read bits through the package's Point classes,
@@ -183,17 +274,22 @@ def _bits(x, d: int) -> str:
     return "".join(str(x.bit(n)) for n in range(d))
 
 
+def cell_index_bf(x, d: int) -> int:
+    """Bits 0..d-1 of x read as a binary number."""
+    return int(_bits(x, d) or "0", 2)
+
+
 def mc_integral_bf(target, trials: int, seed: int):
     """Per-trial Monte Carlo estimate of a step function's integral or a
     code's measure: trial j reads column j of SeededPoint(seed)."""
     points = [column(SeededPoint(seed), j) for j in range(trials)]
     if isinstance(target, StepFunction):
-        total = sum(target.values[int(_bits(x, target.depth) or "0", 2)] for x in points)
+        total = sum(target.values[cell_index_bf(x, target.depth)] for x in points)
         return Estimate(Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS),
                         trials, seed, "stepfn")
     d = support_depth_bf(target)
     table = membership_table_bf(target, d)
-    hits = sum(table[int(_bits(x, d) or "0", 2)] for x in points)
+    hits = sum(table[cell_index_bf(x, d)] for x in points)
     return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed, "code")
 
 
@@ -202,7 +298,7 @@ def sampled_average_bf(f, i: int, trials: int, seed: int):
     tails = [column(SeededPoint(seed), j) for j in range(trials)]
     cells = []
     for p in all_prefixes(i):
-        total = sum(f.values[int(_bits(TailPoint(p, t), f.depth) or "0", 2)] for t in tails)
+        total = sum(f.values[cell_index_bf(TailPoint(p, t), f.depth)] for t in tails)
         cells.append(Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS))
     return StepFunction.from_dyadics(i, cells)
 

@@ -21,7 +21,7 @@ from cantor_measure.dyadic import Dyadic
 from cantor_measure.names import L1Name, char_name, constant_name
 from cantor_measure.space import ClopenSet, StagedOpenSet
 from cantor_measure.gdelta import RapidGDelta
-from cantor_measure.stepfn import StepFunction
+from cantor_measure.stepfn import StepFunction, _cells
 
 
 def random_bits(rng: random.Random, max_len: int, min_len: int = 0) -> str:
@@ -66,6 +66,26 @@ def random_stepfn(rng: random.Random, max_depth: int = 4, max_exp: int = 4,
     e = rng.randint(0, max_exp)
     vals = tuple(rng.randint(0, max_num) for _ in range(1 << d))
     return StepFunction(d, e, vals)
+
+
+def random_deep_stepfn(rng: random.Random, min_depth: int = 30, max_depth: int = 60,
+                       max_exp: int = 4, max_num: int = 6) -> StepFunction:
+    """Step function on a sparse partition: one to three cells split along
+    random paths down to min_depth..max_depth bits, a random numerator per
+    cell.  Built from its cells directly, since no table this deep fits in
+    memory."""
+    cells = {""}
+    for _ in range(rng.randint(1, 3)):
+        p = rng.choice(sorted(cells))
+        cells.remove(p)
+        for _ in range(rng.randint(min_depth, max_depth) - len(p)):
+            b = rng.choice("01")
+            cells.add(p + ("1" if b == "0" else "0"))
+            p += b
+        cells.add(p)
+    prefixes = tuple(sorted(cells))
+    nums = tuple(rng.randint(-max_num, max_num) for _ in prefixes)
+    return _cells(prefixes, nums, rng.randint(0, max_exp))
 
 
 def perturbed_name(rng: random.Random, base: StepFunction | None = None,

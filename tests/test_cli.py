@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -192,14 +193,39 @@ def test_decorate_split_targets_file(capsys, tmp_path):
 
 
 def test_measure_depth_40_leaves_without_dense_tables(capsys):
-    # a dense 2^40-cell table could not be built; the clopen fold reads
-    # only the generators, and Monte Carlo bisects its cell intervals
+    # a dense 2^40-cell table could not be built; step functions hold the
+    # canonical partition, whose cells follow the generators, and Monte
+    # Carlo bisects the cells' start indices
     expr = f"union(cyl({'0' * 40}),inter(cyl(1),cyl({'1' * 40})))"
     for extra in ((), ("--mc", "1000", "--seed", "3")):
         rc, out, _ = run_main(capsys, "measure", expr, *extra)
         assert rc == 0
         assert json.loads(out)["measure"] == "1/2^39"
     assert json.loads(out)["trials"] == 1000
+    for verb in ("decompose", "report", "tests-combine"):
+        rc, out, _ = run_main(capsys, verb, expr)
+        assert rc == 0
+        if verb != "tests-combine":
+            assert json.loads(out)["measure"] == "1/2^39"
+
+
+def test_verbs_leave_no_cyclic_garbage():
+    # tree walks are loops or module-level functions, not closures that
+    # call themselves, so a verb's garbage is freed without the cycle
+    # collector.  The verbs run without _emit: json's indented encoder
+    # builds cyclic closures of its own.
+    expr = "union(cyl(0),inter(cyl(1),cyl(11)))"
+    for argv in (["decompose", expr], ["report", expr, "--mc", "50"],
+                 ["decorate", expr, "--alternating"]):
+        args = cli._build_argparser().parse_args(argv)
+        cli._COMMANDS[args.verb](args)  # first call warms caches
+        gc.collect()
+        gc.disable()
+        try:
+            cli._COMMANDS[args.verb](args)
+            assert gc.collect() == 0, argv[0]
+        finally:
+            gc.enable()
 
 
 def test_parser_built_once_per_process(capsys):

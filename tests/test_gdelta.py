@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import BudgetError
@@ -22,7 +23,8 @@ from cantor_measure.space import (
     mu_I,
     point_in,
 )
-from gen import rapid_family_member
+from bruteforce import all_prefixes, covered_cell_count_bf, covers_bf
+from gen import rapid_family_member, random_clopen
 
 
 def test_budget_enforced_on_stage_access():
@@ -81,6 +83,14 @@ def test_covered_cell_count_bounds():
         k = 6
         # a budgeted stage can cover at most mu * 2^k of the depth-k cells
         assert covered_cell_count(stage, k) <= int(mu_I(stage).num * (1 << (k - mu_I(stage).exp)))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=6))
+def test_covered_cell_count_matches_cell_loop(seed, k):
+    s = random_clopen(random.Random(seed), max_gens=6, max_len=7)
+    assert covered_cell_count(s, k) == covered_cell_count_bf(s, k)
+    for p in all_prefixes(k):
+        assert s.covers_prefix(p) == covers_bf(s, p)
 
 
 def test_eventually_periodic_avoider_lies_outside():

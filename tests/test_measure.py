@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -64,6 +65,33 @@ def test_verify_rejects_root_off_by_one_deep_cell(k):
     assert not res and (res.address, res.law) == ((), "union")
     r = names_equal(d[()], build_decomposition(ROOT_01_11)[()], bound=k)
     assert (r.equal, r.residual, r.mode) == (False, Dyadic.pow2(-k), "exact")
+
+
+def test_verify_rejects_root_minus_depth_24_cell_at_default_bound():
+    # the depth-24 tamper the tail bound at index 24 accepted; exact limits
+    # on canonical partitions compare it without any 2^24-cell table
+    d = build_decomposition(ROOT_01_11)
+    support = d[()].exact_limit().char_support()
+    tampered = clopen_intersection(support, clopen_complement(ClopenSet.cylinder("0" * 24)))
+    assert mu_I(tampered) == Dyadic(12582911, 24)
+    d[()] = char_name(tampered)
+    res = verify_decomposition(ROOT_01_11, d)
+    assert (res.ok, res.address, res.law, res.mode) == (False, (), "union", "exact")
+
+
+def test_membership_recovery_leaves_no_cyclic_garbage():
+    # relocation and every other tree walk is a loop or a module-level
+    # function, so recovery frees its garbage without the cycle collector
+    h = addresses(ROOT_01_11)
+    f = char_name(denotation(tilde(ROOT_01_11, h)))
+    decomposition_from_membership(f, ROOT_01_11, h)
+    gc.collect()
+    gc.disable()
+    try:
+        decomposition_from_membership(f, ROOT_01_11, h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_rejects_root_nudged_below_default_bound():

@@ -19,6 +19,7 @@ from cantor_measure.space import ClopenSet, SeededPoint, column, seeded_cells
 from cantor_measure.stepfn import StepFunction, l1_norm
 
 from bruteforce import (
+    cell_index_bf,
     integral_fraction,
     mc_integral_bf,
     membership_frequency_bf,
@@ -154,7 +155,7 @@ def test_name_estimate_excludes_captured():
 @example(1 << 64, [0, 3], 0)
 @example((1 << 64) + 5, [2], 33)
 def test_seeded_cells_match_column_points(seed, ks, d):
-    assert seeded_cells(seed, ks, d) == [column(SeededPoint(seed), k).cell_index(d) for k in ks]
+    assert seeded_cells(seed, ks, d) == [cell_index_bf(column(SeededPoint(seed), k), d) for k in ks]
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,24 +1,34 @@
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ValidationError
-from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint
+from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, clopen_complement
 from cantor_measure.stepfn import StepFunction, l1_norm
 
 from bruteforce import (
+    aligned_bf,
     all_prefixes,
     at_depth_bf,
+    average_bf,
+    canonical_bf,
+    cell_average_bf,
+    cell_index_bf,
     char_table_bf,
     dyadic_fraction,
     integral_fraction,
     l1_fraction,
+    level_bf,
+    reduce_bf,
+    refinement_bf,
     step_value,
+    value_bf,
 )
-from gen import random_clopen, random_stepfn
+from gen import random_bits, random_clopen, random_deep_stepfn, random_stepfn
 
 fns = st.builds(
     lambda d, e, seed: StepFunction(
@@ -85,7 +95,7 @@ def test_value_on_and_at():
     assert f.value_on("110") == Dyadic(4, 1)   # deeper prefixes refine
     assert f.value_at(EventuallyPeriodicPoint("10", "0")) == Dyadic(3, 1)
     x = EventuallyPeriodicPoint("1", "01")
-    assert [x.cell_index(d) for d in range(5)] == [0, 1, 2, 5, 10]
+    assert [cell_index_bf(x, d) for d in range(5)] == [0, 1, 2, 5, 10]
     assert f.value_at(x) == f.value_on("10") == Dyadic(3, 1)
 
 
@@ -171,3 +181,113 @@ def test_from_dyadics():
     f = StepFunction.from_dyadics(1, [Dyadic(1, 1), Dyadic(3, 2)])
     assert f.value_on("0") == Dyadic(1, 1)
     assert f.value_on("1") == Dyadic(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# the canonical partition against the dense tables it replaced
+
+BINARY_OPS = (
+    (StepFunction.__add__, add),
+    (StepFunction.__sub__, sub),
+    (StepFunction.abs_diff, lambda a, b: abs(a - b)),
+    (StepFunction.max_with, max),
+    (StepFunction.min_with, min),
+)
+
+tables = st.builds(
+    lambda d, e, seed: (d, e, tuple(random.Random(seed).randint(-3, 3) for _ in range(1 << d))),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@given(tables)
+def test_dense_adapter_matches_table_reduction(table):
+    f = StepFunction(*table)
+    assert (f.depth, f.exp, f.values) == reduce_bf(*table)
+    assert canonical_bf(f)
+
+
+@given(fns, fns)
+def test_binary_ops_match_aligned_tables(f, g):
+    d, e, a, b = aligned_bf(f, g)
+    for method, op in BINARY_OPS:
+        h = method(f, g)
+        assert (h.depth, h.exp, h.values) == reduce_bf(d, e, map(op, a, b))
+
+
+@given(fns, st.integers(min_value=0, max_value=4))
+def test_cell_average_matches_block_sums(f, i):
+    h = f.cell_average(i)
+    assert (h.depth, h.exp, h.values) == cell_average_bf(f, min(i, f.depth))
+
+
+@given(fns, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=7))
+def test_level_sets_match_table_filter(f, a, b):
+    assert f.strictly_above(a, b) == ClopenSet(level_bf(f, a, b, True))
+    assert f.strictly_below(a, b) == ClopenSet(level_bf(f, a, b, False))
+
+
+deep_seeds = st.integers(min_value=0, max_value=10**6)
+
+
+@settings(deadline=None, max_examples=50)
+@given(deep_seeds)
+def test_deep_binary_ops_match_refinement_oracle(seed):
+    rng = random.Random(seed)
+    f, g = random_deep_stepfn(rng), random_deep_stepfn(rng)
+    assert canonical_bf(f) and canonical_bf(g)
+    cells = refinement_bf(f, g)
+    for method, op in BINARY_OPS:
+        h = method(f, g)
+        assert canonical_bf(h)
+        for r in refinement_bf(f, g, h):
+            assert value_bf(h, r) == op(value_bf(f, r), value_bf(g, r))
+    assert dyadic_fraction(f.integral()) == sum(
+        value_bf(f, r) / (1 << len(r)) for r in refinement_bf(f))
+    assert dyadic_fraction(l1_norm(f, g)) == sum(
+        abs(value_bf(f, r) - value_bf(g, r)) / (1 << len(r)) for r in cells)
+    assert (f - g + g) == f and f.abs_diff(f) == StepFunction.constant(Dyadic(0, 0))
+
+
+@settings(deadline=None, max_examples=50)
+@given(deep_seeds)
+def test_deep_restrictions_match_refinement_oracle(seed):
+    rng = random.Random(seed)
+    f = random_deep_stepfn(rng)
+    p = random_bits(rng, 6)
+    h = f.precompose_prefix(p)
+    assert canonical_bf(h)
+    for q in refinement_bf(f, StepFunction.from_char(ClopenSet.cylinder(p))):
+        if q.startswith(p):
+            assert value_bf(h, q[len(p):]) == value_bf(f, q)
+    i = rng.randint(0, 8)
+    avg = f.cell_average(i)
+    assert canonical_bf(avg) and avg.depth <= i
+    blocks = StepFunction.from_char(ClopenSet(tuple({q[:i] for q in f.prefixes})))
+    for r in refinement_bf(avg, blocks):
+        assert value_bf(avg, r) == average_bf(f, r)
+
+
+@settings(deadline=None, max_examples=50)
+@given(deep_seeds, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=5))
+def test_deep_level_sets_and_points_match_refinement_oracle(seed, a, b):
+    rng = random.Random(seed)
+    f = random_deep_stepfn(rng)
+    above, below = f.strictly_above(a, b), f.strictly_below(a, b)
+    for r in refinement_bf(f):
+        v = value_bf(f, r)
+        assert any(r.startswith(q) for q in above.generators) == (v > Fraction(a, b))
+        assert any(r.startswith(q) for q in below.generators) == (v < Fraction(a, b))
+    # a clopen set's generators are the value-1 cells of its characteristic
+    # function, and its 0-cells are its complement's generators
+    char = StepFunction.from_char(above)
+    assert canonical_bf(char) and char.char_support() == above
+    assert tuple(p for p, n in zip(char.prefixes, char.nums) if n) == above.generators
+    assert tuple(p for p, n in zip(char.prefixes, char.nums) if not n) == (
+        clopen_complement(above).generators)
+    for _ in range(10):
+        x = EventuallyPeriodicPoint(random_bits(rng, 64), random_bits(rng, 3, min_len=1))
+        bits = "".join(str(x.bit(n)) for n in range(f.depth))
+        assert dyadic_fraction(f.value_at(x)) == value_bf(f, bits)
