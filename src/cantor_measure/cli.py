@@ -22,6 +22,7 @@ from .codes import (
     annotate_min_ranks,
     denotation,
     evaluate,
+    fold,
     is_complement_free,
     make_alternating,
     member,
@@ -52,6 +53,10 @@ from .space import (ClopenSet, EventuallyPeriodicPoint, SeededPoint, enumerate_e
 from .stepfn import StepFunction
 
 SCHEMA = "cantor-measure/1"
+
+# the deepest code, in edges from root to leaf, whose JSON tree a parse
+# report embeds: the report encoder recurses about twice per level
+MAX_REPORT_TREE_DEPTH = 400
 
 
 def _parse_point(spec: str):
@@ -110,8 +115,18 @@ def _require_normalized(code):
     return code if is_complement_free(code) else normalize_demorgan(code)
 
 
+def _tree_depth(node, depths: list[int], flip: bool) -> int:
+    return max(depths, default=-1) + 1
+
+
 def _cmd_parse(args) -> dict:
     code, shaped = _prepared(args)
+    depth = fold(shaped, _tree_depth)
+    if depth > MAX_REPORT_TREE_DEPTH:
+        raise ValidationError(
+            f"code depth {depth} exceeds MAX_REPORT_TREE_DEPTH = {MAX_REPORT_TREE_DEPTH}, "
+            "the deepest tree a parse report embeds"
+        )
     assertions = []
     payload = {
         "expr": print_dsl(shaped),

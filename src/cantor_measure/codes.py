@@ -8,14 +8,21 @@ the decoration transform needs gaps); a slot path is a node's address.
 Evaluation at a point assigns every node a 0/1 value: leaves by membership,
 unions by max over children, intersections by min.  An empty union denotes
 the empty set, an empty intersection the whole space.
+
+Every node carries its facts from construction: `children` (empty for a
+leaf, the one child of a complement) and `complement_free`, which an
+interior node computes once from its children's flags.  Tree transforms are
+callbacks to `fold`, one iterative postorder walk, and walks keyed by
+address loop over `nodes`, so no walk recurses.  A propositional formula is
+a code whose leaves are `full` (true) or `empty` (false).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from functools import reduce
-from typing import Sequence, Union as TUnion
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from typing import Callable, Sequence, TypeVar, Union as TUnion
 
 from .errors import ValidationError
 from .ordinals import ONE_ORD, OrdinalNotation
@@ -30,15 +37,7 @@ from .space import (
 from .stepfn import StepFunction
 
 Address = tuple[int, ...]
-
-
-def _check_slots(children: tuple, slots: tuple[int, ...] | None) -> None:
-    if slots is None:
-        return
-    if len(slots) != len(children):
-        raise ValidationError("slots and children must align")
-    if list(slots) != sorted(set(slots)) or any(s < 0 for s in slots):
-        raise ValidationError(f"slots must be distinct, ascending, nonnegative: {slots}")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -46,25 +45,34 @@ class Leaf:
     label: ClopenSet
     rank: OrdinalNotation | None = None
 
-
-@dataclass(frozen=True)
-class UnionNode:
-    children: tuple["BorelCode", ...]
-    rank: OrdinalNotation | None = None
-    slots: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        _check_slots(self.children, self.slots)
+    children = ()
+    complement_free = True
 
 
 @dataclass(frozen=True)
-class InterNode:
+class _Interior:
+    """Fields shared by union and intersection nodes."""
+
     children: tuple["BorelCode", ...]
     rank: OrdinalNotation | None = None
     slots: tuple[int, ...] | None = None
+    complement_free: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_slots(self.children, self.slots)
+        if self.slots is not None:
+            if len(self.slots) != len(self.children):
+                raise ValidationError("slots and children must align")
+            if list(self.slots) != sorted(set(self.slots)) or any(s < 0 for s in self.slots):
+                raise ValidationError(f"slots must be distinct, ascending, nonnegative: {self.slots}")
+        object.__setattr__(self, "complement_free", all(c.complement_free for c in self.children))
+
+
+class UnionNode(_Interior):
+    pass
+
+
+class InterNode(_Interior):
+    pass
 
 
 @dataclass(frozen=True)
@@ -72,17 +80,39 @@ class ComplNode:
     child: "BorelCode"
     rank: OrdinalNotation | None = None
 
+    complement_free = False
+
+    @property
+    def children(self) -> tuple["BorelCode"]:
+        return (self.child,)
+
 
 BorelCode = TUnion[Leaf, UnionNode, InterNode, ComplNode]
 
 
 def child_items(node: BorelCode) -> tuple[tuple[int, BorelCode], ...]:
-    if isinstance(node, (UnionNode, InterNode)):
-        slots = node.slots if node.slots is not None else tuple(range(len(node.children)))
-        return tuple(zip(slots, node.children))
-    if isinstance(node, ComplNode):
-        return ((0, node.child),)
-    return ()
+    slots = node.slots if isinstance(node, _Interior) else None
+    return tuple(zip(range(len(node.children)) if slots is None else slots, node.children))
+
+
+def fold(code: BorelCode, f: Callable[[BorelCode, list, bool], T]) -> T:
+    """f(node, its children's values in order, polarity) at every node,
+    children before parents, returning the root's value; the polarity is
+    True under an odd number of complements.  An explicit stack, linear in
+    the node count; f gets a fresh list it may keep."""
+    vals: list = []
+    todo: list = [(code, False, False)]
+    while todo:
+        node, flip, ready = todo.pop()
+        kids = node.children
+        if kids and not ready:  # visit the children first, then come back
+            todo.append((node, flip, True))
+            flip ^= isinstance(node, ComplNode)
+            todo += [(c, flip, False) for c in reversed(kids)]
+            continue
+        cut = len(vals) - len(kids)
+        vals[cut:] = [f(node, vals[cut:], flip)]  # the node's value replaces its children's
+    return vals[0]
 
 
 def nodes(code: BorelCode) -> list[tuple[Address, BorelCode]]:
@@ -108,39 +138,36 @@ def bfs_addresses(code: BorelCode) -> list[Address]:
     while queue:
         node, addr = queue.popleft()
         out.append(addr)
-        for slot, child in child_items(node):
-            queue.append((child, addr + (slot,)))
+        queue.extend((child, addr + (slot,)) for slot, child in child_items(node))
     return out
 
 
 def subtree(code: BorelCode, addr: Address) -> BorelCode:
     node = code
     for slot in addr:
-        for s, child in child_items(node):
-            if s == slot:
-                node = child
-                break
-        else:
+        kids = dict(child_items(node))
+        if slot not in kids:
             raise ValidationError(f"no child at slot {slot} under address {addr}")
+        node = kids[slot]
     return node
 
 
 def is_complement_free(code: BorelCode) -> bool:
-    if isinstance(code, ComplNode):
-        return False
-    return all(is_complement_free(c) for _, c in child_items(code))
+    return code.complement_free
 
 
 def require_complement_free(code: BorelCode, op: str) -> None:
-    if not is_complement_free(code):
+    if not code.complement_free:
         raise ValidationError(f"{op} requires a complement-free code")
 
 
 def support_depth(code: BorelCode) -> int:
     """Membership depends only on the first support_depth(code) bits."""
-    if isinstance(code, Leaf):
-        return code.label.depth()
-    return max((support_depth(c) for _, c in child_items(code)), default=0)
+    return fold(code, _support_depth)
+
+
+def _support_depth(node: BorelCode, depths: list[int], flip: bool) -> int:
+    return node.label.depth() if isinstance(node, Leaf) else max(depths, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,34 +180,29 @@ def normalize_demorgan(code: BorelCode) -> BorelCode:
     become intersections of complemented children and dually.  Ranks are left
     in place on uncomplemented structure (shape under a flipped polarity is
     preserved, so any annotation present stays positionally valid)."""
-    return _demorgan(code, False)
+    return fold(code, _demorgan)
 
 
-def _demorgan(node: BorelCode, flip: bool) -> BorelCode:
+def _demorgan(node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
     if isinstance(node, ComplNode):
-        return _demorgan(node.child, not flip)
+        return kids[0]  # already built under the flipped polarity
     if isinstance(node, Leaf):
         label = clopen_complement(node.label) if flip else node.label
         return Leaf(label, node.rank)
-    kids = tuple(_demorgan(c, flip) for _, c in child_items(node))
-    if isinstance(node, UnionNode):
-        cls = InterNode if flip else UnionNode
-    else:
-        cls = UnionNode if flip else InterNode
-    return cls(kids, node.rank, node.slots)
+    cls = type(node)
+    if flip:
+        cls = InterNode if cls is UnionNode else UnionNode
+    return cls(tuple(kids), node.rank, node.slots)
 
 
 def is_alternating(code: BorelCode) -> bool:
     """Unions and intersections strictly interleave along every branch."""
     require_complement_free(code, "is_alternating")
-    todo = [code]
-    while todo:
-        node = todo.pop()
-        for _, child in child_items(node):
-            if type(child) is type(node):
-                return False
-            todo.append(child)
-    return True
+    return fold(code, _alternates)
+
+
+def _alternates(node: BorelCode, below: list[bool], flip: bool) -> bool:
+    return all(below) and not any(type(c) is type(node) for c in node.children)
 
 
 def make_alternating(code: BorelCode) -> BorelCode:
@@ -190,19 +212,18 @@ def make_alternating(code: BorelCode) -> BorelCode:
     are re-slotted densely (the splice has no canonical sparse layout) and,
     when the input was rank-annotated, get rank = max child rank + 1."""
     require_complement_free(code, "make_alternating")
-    return _fuse(code)
+    return fold(code, _fuse)
 
 
-def _fuse(node: BorelCode) -> BorelCode:
+def _fuse(node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
     if isinstance(node, Leaf):
         return node
-    kids = [_fuse(c) for _, c in child_items(node)]
     if not any(type(k) is type(node) for k in kids):
         return replace(node, children=tuple(kids))
     spliced: list[BorelCode] = []
     for k in kids:
         if type(k) is type(node):
-            spliced.extend(c for _, c in child_items(k))
+            spliced.extend(k.children)
         else:
             spliced.append(k)
     rank = node.rank
@@ -238,13 +259,16 @@ def check_rank(code: BorelCode) -> bool:
 def annotate_min_ranks(code: BorelCode) -> BorelCode:
     """Minimal valid ranking: leaves 1, interior max child rank + 1."""
     require_complement_free(code, "annotate_min_ranks")
-    if isinstance(code, Leaf):
-        return Leaf(code.label, ONE_ORD)
-    kids = tuple(annotate_min_ranks(c) for _, c in child_items(code))
+    return fold(code, _min_ranks)
+
+
+def _min_ranks(node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
+    if isinstance(node, Leaf):
+        return Leaf(node.label, ONE_ORD)
     rank = max((k.rank for k in kids), default=OrdinalNotation.zero()).successor()
     if rank < OrdinalNotation.finite(2):
         rank = OrdinalNotation.finite(2)
-    return type(code)(kids, rank, code.slots)
+    return type(node)(tuple(kids), rank, node.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +291,15 @@ def evaluate(code: BorelCode, x: Point) -> EvalMap:
 
 
 def member(code: BorelCode, x: Point) -> bool:
-    """Root value of the evaluation map, with short-circuiting."""
+    """Root value of the evaluation map."""
     require_complement_free(code, "member")
-    return _member(code, x)
+    return fold(code, partial(_member, x))
 
 
-def _member(node: BorelCode, x: Point) -> bool:
+def _member(x: Point, node: BorelCode, vals: list[bool], flip: bool) -> bool:
     if isinstance(node, Leaf):
         return point_in(x, node.label)
-    if isinstance(node, UnionNode):
-        return any(_member(c, x) for _, c in child_items(node))
-    return all(_member(c, x) for _, c in child_items(node))
+    return any(vals) if isinstance(node, UnionNode) else all(vals)
 
 
 def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Address]:
@@ -308,13 +330,12 @@ def denotation(code: BorelCode) -> ClopenSet:
     intersection node the intersection of its children folded from the
     full space."""
     require_complement_free(code, "denotation")
-    return _fold(code)
+    return fold(code, _denotation)
 
 
-def _fold(node: BorelCode) -> ClopenSet:
+def _denotation(node: BorelCode, kids: list[ClopenSet], flip: bool) -> ClopenSet:
     if isinstance(node, Leaf):
         return node.label
-    kids = [_fold(c) for _, c in child_items(node)]
     if isinstance(node, UnionNode):
         return clopen_union(*kids)
     return reduce(clopen_intersection, kids, ClopenSet.full())
@@ -339,14 +360,13 @@ def relocate(n: int, code: BorelCode) -> BorelCode:
     require_complement_free(code, "relocate")
     if n < 0:
         raise ValidationError("relocation index must be nonnegative")
-    return _prefixed(code, "0" * n + "1")
+    return fold(code, partial(_relocated, "0" * n + "1"))
 
 
-def _prefixed(node: BorelCode, prefix: str) -> BorelCode:
+def _relocated(prefix: str, node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
     if isinstance(node, Leaf):
         return Leaf(ClopenSet(tuple(prefix + g for g in node.label.generators)), node.rank)
-    kids = tuple(_prefixed(c, prefix) for _, c in child_items(node))
-    return type(node)(kids, node.rank, node.slots)
+    return type(node)(tuple(kids), node.rank, node.slots)
 
 
 def tilde(code: BorelCode, h: Sequence[Address]) -> BorelCode:
@@ -356,69 +376,17 @@ def tilde(code: BorelCode, h: Sequence[Address]) -> BorelCode:
     result recovers one subtree inside its private cylinder [0^n 1]."""
     require_complement_free(code, "tilde")
     want = set(addresses(code))
-    got = set()
     for addr in h:
         if addr not in want:
             raise ValidationError(f"h lists {addr}, not an address of the code")
-        got.add(addr)
-    if got != want:
-        raise ValidationError(f"h misses addresses {sorted(want - got)}")
+    if set(h) != want:
+        raise ValidationError(f"h misses addresses {sorted(want - set(h))}")
     return UnionNode(tuple(relocate(n, subtree(code, addr)) for n, addr in enumerate(h)))
 
 
-# ---------------------------------------------------------------------------
-# propositional formulas
-
-@dataclass(frozen=True)
-class FLeaf:
-    value: bool
-
-
-@dataclass(frozen=True)
-class FUnion:
-    children: tuple["FormulaCode", ...]
-
-
-@dataclass(frozen=True)
-class FInter:
-    children: tuple["FormulaCode", ...]
-
-
-FormulaCode = TUnion[FLeaf, FUnion, FInter]
-
-
-def eval_formula(phi: FormulaCode) -> dict[Address, bool]:
-    """Unique determination map: empty disjunction false, empty conjunction
-    true."""
-    out: dict[Address, bool] = {}
-    _determine(phi, (), out)
-    return out
-
-
-def _determine(node: FormulaCode, addr: Address, out: dict[Address, bool]) -> bool:
-    if isinstance(node, FLeaf):
-        v = node.value
-    else:
-        vals = [_determine(c, addr + (i,), out) for i, c in enumerate(node.children)]
-        v = any(vals) if isinstance(node, FUnion) else (all(vals) if vals else True)
-    out[addr] = v
-    return v
-
-
-def formula_value(phi: FormulaCode) -> bool:
-    return eval_formula(phi)[()]
-
-
-def encode_formulas(phis: Sequence[FormulaCode]) -> BorelCode:
-    """Union over n of phi_n with true leaves replaced by the cylinder
-    [0^n 1] and false leaves by the empty set; the truth of phi_n is then
-    readable from the measure of the result inside [0^n 1]."""
-    return UnionNode(tuple(_encoded(phi, n) for n, phi in enumerate(phis)))
-
-
-def _encoded(node: FormulaCode, n: int) -> BorelCode:
-    if isinstance(node, FLeaf):
-        label = ClopenSet.cylinder("0" * n + "1") if node.value else ClopenSet.empty()
-        return Leaf(label)
-    kids = tuple(_encoded(c, n) for c in node.children)
-    return (UnionNode if isinstance(node, FUnion) else InterNode)(kids)
+def encode_formulas(phis: Sequence[BorelCode]) -> BorelCode:
+    """Union over n of relocate(n, phi_n) for formulas phi_n: true (full)
+    leaves become the cylinder [0^n 1] and false (empty) leaves stay empty,
+    so the truth of phi_n is readable from the measure of the result inside
+    [0^n 1]."""
+    return UnionNode(tuple(relocate(n, phi) for n, phi in enumerate(phis)))

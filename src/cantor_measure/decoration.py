@@ -12,6 +12,7 @@ inserts' denotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .codes import (
@@ -25,6 +26,7 @@ from .codes import (
     denotation,
     eval_map_violations,
     evaluate,
+    fold,
     is_alternating,
     member,
     normalize_demorgan,
@@ -162,19 +164,25 @@ def decorate(code: BorelCode, gen: DecorationGenerator) -> BorelCode:
         raise ValidationError("decorate needs a rank-disciplined code")
     if not is_alternating(code):
         raise ValidationError("decorate needs an alternating code")
-    return _decorate(code, gen)
+    # an insert of budget b has rank b, so it takes only inserts of lower
+    # budgets, which the ascending entries have already built
+    inserts: dict[tuple[int, bool], BorelCode] = {}
+    step = partial(_decorated, gen.entries, inserts)
+    for k, (b, _, _) in enumerate(gen.entries):
+        for under_union in (True, False):
+            inserts[k, under_union] = fold(gen.insert_for(b, under_union), step)
+    return fold(code, step)
 
 
-def _decorate(node: BorelCode, gen: DecorationGenerator) -> BorelCode:
+def _decorated(entries, inserts: dict[tuple[int, bool], BorelCode],
+               node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
     if isinstance(node, Leaf):
         return node
     under_union = isinstance(node, UnionNode)
-    items: list[tuple[int, BorelCode]] = [
-        (2 * s, _decorate(c, gen)) for s, c in child_items(node)
-    ]
-    for k, (b, _, _) in enumerate(gen.entries):
+    items = [(2 * s, kid) for (s, _), kid in zip(child_items(node), kids)]
+    for k, (b, _, _) in enumerate(entries):
         if b < node.rank:
-            items.append((2 * k + 1, _decorate(gen.insert_for(b, under_union), gen)))
+            items.append((2 * k + 1, inserts[k, under_union]))
     items.sort(key=lambda sc: sc[0])
     slots = tuple(s for s, _ in items)
     kids = tuple(c for _, c in items)
@@ -217,7 +225,7 @@ def check_preservation(code: BorelCode, gen: DecorationGenerator,
         if point_in(x, fp):
             captured.append(i)
             continue
-        if member(code, x) == member(decorated, x):
+        if member(code, x) == (emap[()] == 1):
             preserved += 1
         else:
             violations.append((i, ()))

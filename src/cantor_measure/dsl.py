@@ -30,8 +30,7 @@ from .codes import (
     InterNode,
     Leaf,
     UnionNode,
-    child_items,
-    is_complement_free,
+    fold,
     normalize_demorgan,
     relocate,
 )
@@ -115,13 +114,6 @@ class _Parser:
             return self.take()
         self.fail(repr(text))
 
-    def parse(self) -> BorelCode:
-        code = self.expr({})
-        t = self.peek()
-        if t.kind != "end":
-            self.fail("end-of-input")
-        return code
-
     def bits(self) -> str:
         t = self.peek()
         if t.kind == "digits":
@@ -149,37 +141,63 @@ class _Parser:
             return env[name.text]
         self.fail("number or '$'")
 
-    def expr(self, env: dict[str, int]) -> BorelCode:
-        t = self.peek()
-        if t.kind != "word":
-            self.fail("an expression keyword")
-        if t.text not in _KEYWORDS:
-            raise ParseError(f"unknown form {t.text!r}", t.line, t.col)
-        self.take()
-        if t.text == "empty":
-            return Leaf(ClopenSet.empty())
-        if t.text == "full":
-            return Leaf(ClopenSet.full())
-        self.expect("(")
-        if t.text == "cyl":
-            p = self.bits()
-            self.expect(")")
-            return Leaf(ClopenSet.cylinder(p))
-        if t.text == "compl":
-            inner = self.expr(env)
-            self.expect(")")
-            return ComplNode(inner)
-        if t.text == "reloc":
+    def parse(self) -> BorelCode:
+        """One loop over a stack of open forms (keyword, env, argument,
+        children): each finished expression goes to the innermost open
+        form, which reads its next child or closes and passes its code out."""
+        stack: list[tuple[str, dict[str, int], object, list[BorelCode]]] = []
+        env: dict[str, int] = {}
+        while True:
+            t = self.peek()
+            if t.kind != "word":
+                self.fail("an expression keyword")
+            if t.text not in _KEYWORDS:
+                raise ParseError(f"unknown form {t.text!r}", t.line, t.col)
+            self.take()
+            kw = t.text
+            if kw == "empty":
+                code = Leaf(ClopenSet.empty())
+            elif kw == "full":
+                code = Leaf(ClopenSet.full())
+            else:
+                self.expect("(")
+                if kw != "cyl":
+                    arg, inner = self.header(kw, env)
+                    stack.append((kw, env, arg, []))
+                    env = inner
+                    continue
+                code = Leaf(ClopenSet.cylinder(self.bits()))
+                self.expect(")")
+            while stack:
+                kw, env, arg, kids = stack[-1]  # a closed child's bindings end with it
+                kids.append(code)
+                if kw == "bigunion":
+                    # rewind to the body once per index; an empty range
+                    # still parses it once, at lo, to accept or reject it
+                    name, lo, hi, mark = arg
+                    if lo + len(kids) <= hi:
+                        self.pos = mark
+                        env = {**env, name: lo + len(kids)}
+                        break
+                elif kw in ("union", "inter") and self.peek().kind == "punct" and self.peek().text == ",":
+                    self.take()
+                    break
+                self.expect(")")
+                stack.pop()
+                code = _closed(kw, arg, kids)
+            else:
+                if self.peek().kind != "end":
+                    self.fail("end-of-input")
+                return code
+
+    def header(self, kw: str, env: dict[str, int]) -> tuple[object, dict[str, int]]:
+        """What a form reads before its first child, and that child's env:
+        reloc's index; bigunion's index name, bounds and body position."""
+        if kw == "reloc":
             n = self.nat(env)
             self.expect(",")
-            inner = self.expr(env)
-            self.expect(")")
-            # relocation rewrites leaf generators, so complements must be
-            # pushed down first
-            if not is_complement_free(inner):
-                inner = normalize_demorgan(inner)
-            return relocate(n, inner)
-        if t.text == "bigunion":
+            return n, env
+        if kw == "bigunion":
             name = self.peek()
             if name.kind != "word":
                 self.fail("an index name")
@@ -189,84 +207,96 @@ class _Parser:
             self.expect(",")
             hi = self.nat(env)
             self.expect(",")
-            mark = self.pos
-            kids = []
-            for v in range(lo, hi + 1):
-                self.pos = mark
-                inner = dict(env)
-                inner[name.text] = v
-                kids.append(self.expr(inner))
-            if lo > hi:
-                # body must still parse once to be rejected or accepted
-                inner = dict(env)
-                inner[name.text] = lo
-                self.expr(inner)
-            self.expect(")")
-            return UnionNode(tuple(kids))
-        # union | inter
-        kids = [self.expr(env)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.take()
-            kids.append(self.expr(env))
-        self.expect(")")
-        cls = UnionNode if t.text == "union" else InterNode
-        return cls(tuple(kids))
+            return (name.text, lo, hi, self.pos), {**env, name.text: lo}
+        return None, env
+
+
+def _closed(kw: str, arg, kids: list[BorelCode]) -> BorelCode:
+    """The code of a form whose closing parenthesis has been read."""
+    if kw == "compl":
+        return ComplNode(kids[0])
+    if kw == "reloc":
+        # relocation rewrites leaf generators, so complements must be
+        # pushed down first
+        inner = kids[0] if kids[0].complement_free else normalize_demorgan(kids[0])
+        return relocate(arg, inner)
+    if kw == "bigunion":
+        _, lo, hi, _ = arg
+        return UnionNode(tuple(kids) if lo <= hi else ())
+    return (UnionNode if kw == "union" else InterNode)(tuple(kids))
 
 
 def parse_dsl(text: str) -> BorelCode:
     return _Parser(text).parse()
 
 
+_KINDS = {Leaf: "leaf", UnionNode: "union", InterNode: "inter", ComplNode: "compl"}
+
+
 def print_dsl(code: BorelCode) -> str:
     """Canonical spelling; total on all codes, injective on rank-free ones."""
-    if isinstance(code, Leaf):
-        if code.label.is_empty():
+    return fold(code, _spelling)
+
+
+def _spelling(node: BorelCode, kids: list[str], flip: bool) -> str:
+    if isinstance(node, Leaf):
+        if node.label.is_empty():
             return "empty"
-        if code.label.is_full():
+        if node.label.is_full():
             return "full"
-        gens = code.label.generators
+        gens = node.label.generators
         if len(gens) == 1:
             return f"cyl({gens[0]})"
         return "union(" + ",".join(f"cyl({g})" for g in gens) + ")"
-    if isinstance(code, ComplNode):
-        return f"compl({print_dsl(code.child)})"
-    kids = [c for _, c in child_items(code)]
-    if isinstance(code, UnionNode):
-        if not kids:
-            return "empty"
-        return "union(" + ",".join(print_dsl(k) for k in kids) + ")"
+    if isinstance(node, ComplNode):
+        return f"compl({kids[0]})"
     if not kids:
-        return "full"
-    return "inter(" + ",".join(print_dsl(k) for k in kids) + ")"
-
-
-_KINDS = {Leaf: "leaf", UnionNode: "union", InterNode: "inter", ComplNode: "compl"}
+        return "empty" if isinstance(node, UnionNode) else "full"
+    return _KINDS[type(node)] + "(" + ",".join(kids) + ")"
 
 
 def code_to_json(code: BorelCode) -> dict:
     """Tree form: kind, label (leaves), rank, children, slots."""
-    out: dict = {"kind": _KINDS[type(code)]}
-    out["rank"] = str(code.rank) if code.rank is not None else None
-    if isinstance(code, Leaf):
-        out["label"] = list(code.label.generators)
-    elif isinstance(code, ComplNode):
-        out["children"] = [code_to_json(code.child)]
+    return fold(code, _tree_form)
+
+
+def _tree_form(node: BorelCode, kids: list[dict], flip: bool) -> dict:
+    out: dict = {"kind": _KINDS[type(node)]}
+    out["rank"] = str(node.rank) if node.rank is not None else None
+    if isinstance(node, Leaf):
+        out["label"] = list(node.label.generators)
     else:
-        out["children"] = [code_to_json(c) for _, c in child_items(code)]
-        out["slots"] = list(code.slots) if code.slots is not None else None
+        out["children"] = kids
+    if isinstance(node, (UnionNode, InterNode)):
+        out["slots"] = list(node.slots) if node.slots is not None else None
     return out
 
 
 def code_from_json(obj: dict) -> BorelCode:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("code object needs a kind")
+    """Inverse of code_to_json, walked with an explicit stack: a node's kind
+    and rank are read before its children, the node is built after them."""
+    done: list[BorelCode] = []
+    todo: list[tuple[object, OrdinalNotation | None, int | None]] = [(obj, None, None)]
+    while todo:
+        obj, rank, n = todo.pop()
+        if n is not None:  # the node replaces its children's codes
+            cut = len(done) - n
+            done[cut:] = [_from_json(obj, rank, tuple(done[cut:]))]
+            continue
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValidationError("code object needs a kind")
+        rank_s = obj.get("rank")
+        rank = OrdinalNotation.parse(rank_s) if rank_s is not None else None
+        kids = [] if obj["kind"] == "leaf" else list(obj.get("children", []))
+        todo.append((obj, rank, len(kids)))
+        todo += [(c, None, None) for c in reversed(kids)]
+    return done[0]
+
+
+def _from_json(obj: dict, rank: OrdinalNotation | None, kids: tuple) -> BorelCode:
     kind = obj["kind"]
-    rank_s = obj.get("rank")
-    rank = OrdinalNotation.parse(rank_s) if rank_s is not None else None
     if kind == "leaf":
-        gens = obj.get("label", [])
-        return Leaf(ClopenSet(tuple(gens)), rank=rank)
-    kids = tuple(code_from_json(c) for c in obj.get("children", []))
+        return Leaf(ClopenSet(tuple(obj.get("label", []))), rank=rank)
     if kind == "compl":
         if len(kids) != 1:
             raise ValidationError("complement takes exactly one child")

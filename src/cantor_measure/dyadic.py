@@ -59,12 +59,6 @@ class Dyadic:
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.exp)
 
-    def scale_pow2(self, k: int) -> "Dyadic":
-        """self * 2**k, exact."""
-        if k >= 0:
-            return Dyadic(self.num << k, self.exp)
-        return Dyadic(self.num, self.exp - k)
-
     def _cmp(self, other: "Dyadic") -> int:
         e = max(self.exp, other.exp)
         a = self.num << (e - self.exp)
@@ -130,14 +124,8 @@ class DyadicInterval:
         if self.lo > self.hi:
             raise ValidationError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
-
     def contains(self, d: Dyadic) -> bool:
         return self.lo <= d <= self.hi
-
-    def intersects(self, other: "DyadicInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

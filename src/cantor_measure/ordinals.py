@@ -42,9 +42,6 @@ class OrdinalNotation:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_finite(self) -> bool:
-        return all(e == 0 for e, _ in self.terms)
-
     def _cmp(self, other: "OrdinalNotation") -> int:
         for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
             if e1 != e2:

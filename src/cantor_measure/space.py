@@ -304,12 +304,10 @@ class StagedOpenSet:
     """Monotone staged enumeration of an open set.
 
     stage(s) is a clopen set; each stage must cover every earlier one.  Beyond
-    the last entry a list-backed set stays constant.  The optional tail budget
-    bounds how much measure later stages may still add.
+    the last entry a list-backed set stays constant.
     """
 
     stages: Sequence[ClopenSet] | Callable[[int], ClopenSet]
-    tail_budget: Callable[[int], Dyadic] | None = None
     _memo: list[ClopenSet] = field(default_factory=list, repr=False)
 
     def stage(self, s: int) -> ClopenSet:
@@ -329,13 +327,6 @@ class StagedOpenSet:
                 raise ValidationError(f"stage {i} does not extend stage {i - 1}")
             self._memo.append(cur)
         return self._memo[s]
-
-    def measure_bounds(self, s: int):
-        from .dyadic import DyadicInterval
-
-        lo = mu_I(self.stage(s))
-        hi = lo + self.tail_budget(s) if self.tail_budget is not None else lo
-        return DyadicInterval(lo, hi)
 
     @classmethod
     def constant(cls, c: ClopenSet) -> "StagedOpenSet":

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cantor_measure.codes import ComplNode, InterNode, Leaf, UnionNode, bfs_addresses, child_items, subtree
+from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, bfs_addresses, child_items,
+                                  normalize_demorgan, relocate, subtree)
+from cantor_measure.dsl import _KEYWORDS, _tokenize
 from cantor_measure.dyadic import Dyadic
+from cantor_measure.errors import ParseError
 from cantor_measure.sampling import AVERAGE_BITS, Estimate
-from cantor_measure.space import SeededPoint, TailPoint, cantor_pair, column
+from cantor_measure.space import ClopenSet, SeededPoint, TailPoint, cantor_pair, column
 from cantor_measure.stepfn import StepFunction
 
 
@@ -22,6 +25,12 @@ def support_depth_bf(code) -> int:
     if isinstance(code, ComplNode):
         return support_depth_bf(code.child)
     return max((support_depth_bf(c) for _, c in child_items(code)), default=0)
+
+
+def is_complement_free_bf(code) -> bool:
+    if isinstance(code, ComplNode):
+        return False
+    return all(is_complement_free_bf(c) for _, c in child_items(code))
 
 
 def contains_prefix(code, p: str) -> bool:
@@ -313,3 +322,134 @@ def membership_frequency_bf(code, addr, p: str, trials: int, seed: int):
         node, _bits(TailPoint(p, column(SeededPoint(seed), cantor_pair(pos, j))), d)))
     return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed,
                     f"freq@{addr}")
+
+
+class _ParserBF:
+    """The recursive-descent reading of the DSL grammar, one method per
+    form; the package's parser must agree with it on every text.  It shares
+    the package's tokenizer and reloc rewriting, so agreement speaks for the
+    parse loop."""
+
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def take(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def fail(self, expected: str):
+        t = self.peek()
+        where = "end-of-input" if t.kind == "end" else repr(t.text)
+        raise ParseError(f"at {where}, expecting {expected}", t.line, t.col)
+
+    def expect(self, text: str):
+        t = self.peek()
+        if (t.kind == "punct" or t.kind == "word") and t.text == text:
+            return self.take()
+        self.fail(repr(text))
+
+    def parse(self):
+        code = self.expr({})
+        t = self.peek()
+        if t.kind != "end":
+            self.fail("end-of-input")
+        return code
+
+    def bits(self) -> str:
+        t = self.peek()
+        if t.kind == "digits":
+            self.take()
+            if any(c not in "01" for c in t.text):
+                raise ParseError(f"bits must be 0/1, got {t.text!r}", t.line, t.col)
+            return t.text
+        if t.kind == "punct" and t.text == ")":
+            return ""
+        self.fail("bits or ')'")
+
+    def nat(self, env: dict[str, int]) -> int:
+        t = self.peek()
+        if t.kind == "digits":
+            self.take()
+            return int(t.text, 10)
+        if t.kind == "punct" and t.text == "$":
+            self.take()
+            name = self.peek()
+            if name.kind != "word":
+                self.fail("index name after '$'")
+            self.take()
+            if name.text not in env:
+                raise ParseError(f"unbound index ${name.text}", name.line, name.col)
+            return env[name.text]
+        self.fail("number or '$'")
+
+    def expr(self, env: dict[str, int]):
+        t = self.peek()
+        if t.kind != "word":
+            self.fail("an expression keyword")
+        if t.text not in _KEYWORDS:
+            raise ParseError(f"unknown form {t.text!r}", t.line, t.col)
+        self.take()
+        if t.text == "empty":
+            return Leaf(ClopenSet.empty())
+        if t.text == "full":
+            return Leaf(ClopenSet.full())
+        self.expect("(")
+        if t.text == "cyl":
+            p = self.bits()
+            self.expect(")")
+            return Leaf(ClopenSet.cylinder(p))
+        if t.text == "compl":
+            inner = self.expr(env)
+            self.expect(")")
+            return ComplNode(inner)
+        if t.text == "reloc":
+            n = self.nat(env)
+            self.expect(",")
+            inner = self.expr(env)
+            self.expect(")")
+            # relocation rewrites leaf generators, so complements must be
+            # pushed down first
+            if not is_complement_free_bf(inner):
+                inner = normalize_demorgan(inner)
+            return relocate(n, inner)
+        if t.text == "bigunion":
+            name = self.peek()
+            if name.kind != "word":
+                self.fail("an index name")
+            self.take()
+            self.expect(",")
+            lo = self.nat(env)
+            self.expect(",")
+            hi = self.nat(env)
+            self.expect(",")
+            mark = self.pos
+            kids = []
+            for v in range(lo, hi + 1):
+                self.pos = mark
+                inner = dict(env)
+                inner[name.text] = v
+                kids.append(self.expr(inner))
+            if lo > hi:
+                # body must still parse once to be rejected or accepted
+                inner = dict(env)
+                inner[name.text] = lo
+                self.expr(inner)
+            self.expect(")")
+            return UnionNode(tuple(kids))
+        # union | inter
+        kids = [self.expr(env)]
+        while self.peek().kind == "punct" and self.peek().text == ",":
+            self.take()
+            kids.append(self.expr(env))
+        self.expect(")")
+        cls = UnionNode if t.text == "union" else InterNode
+        return cls(tuple(kids))
+
+
+def parse_dsl_bf(text: str):
+    return _ParserBF(text).parse()

@@ -1,6 +1,8 @@
+import functools
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -271,3 +273,48 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["measure"] == "1/2^1"
+
+
+# every verb on fixed inputs, one usage of each flag family, and one failure
+_VERB_RUNS = [
+    ["parse", "union(cyl(0),compl(inter(cyl(1),cyl(10))))", "--alternating"],
+    ["parse", "bigunion(i,0,2,reloc($i,cyl(1)))", "--rank", "2"],
+    ["eval", "union(cyl(0),inter(cyl(1),cyl(11)))", "--point", "u=110:v=01"],
+    ["measure", "inter(cyl(0),compl(cyl(011)))", "--mc", "300", "--seed", "5"],
+    ["decompose", "union(cyl(00),inter(cyl(1),cyl(10)))"],
+    ["tests-combine", "union(cyl(0),cyl(10))", "--depth", "2"],
+    ["decorate", "union(cyl(0),inter(cyl(1),cyl(11)))", "--generator", "split", "--budget", "1,2"],
+    ["report", "inter(cyl(0),union(cyl(01),cyl(001)))", "--mc", "200"],
+    ["parse", "union(cyl(0)"],
+]
+
+# runs in a bare interpreter: no pytest there
+_CHILD = """
+import contextlib, io, json, sys
+from cantor_measure.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    sys.stdout.write(f"exit {rc}\\n" + out.getvalue())
+"""
+
+
+@functools.cache
+def _verb_output(python: str) -> bytes:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([python, "-c", _CHILD, json.dumps(_VERB_RUNS)],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc.stdout
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_reports_byte_identical_across_interpreters(version):
+    python = shutil.which(f"python{version}")
+    probe = python and subprocess.run(
+        [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60)
+    if not probe or probe.returncode != 0 or probe.stdout.strip() != version:
+        pytest.skip(f"no working python{version} on PATH")
+    assert _verb_output(python) == _verb_output(sys.executable)

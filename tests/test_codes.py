@@ -12,6 +12,7 @@ from cantor_measure.codes import (
     bfs_addresses,
     check_rank,
     child_items,
+    denotation,
     encode_formulas,
     eval_map_violations,
     evaluate,
@@ -20,6 +21,7 @@ from cantor_measure.codes import (
     make_alternating,
     member,
     membership_table,
+    nodes,
     normalize_demorgan,
     relocate,
     subtree,
@@ -35,6 +37,7 @@ from bruteforce import (
     contains_prefix,
     counting_measure,
     emap_bf,
+    is_complement_free_bf,
     membership_table_bf,
     support_depth_bf,
 )
@@ -106,6 +109,9 @@ def test_normalize_demorgan_preserves_denotation():
         c = random_code(rng, max_depth=3, max_gen_len=4, allow_compl=True)
         n = normalize_demorgan(c)
         assert is_complement_free(n)
+        for code in (c, n):
+            for _, node in nodes(code):
+                assert node.complement_free == is_complement_free_bf(node)
         d = max(support_depth_bf(c), support_depth_bf(n))
         for p in all_prefixes(d):
             assert contains_prefix(c, p) == contains_prefix(n, p)
@@ -199,15 +205,14 @@ def test_tilde_membership_decodes_addresses():
 
 
 def test_encode_formulas_reads_truth_from_measure():
-    from cantor_measure.codes import FInter, FLeaf, FUnion, formula_value
-
+    true, false = Leaf(ClopenSet.full()), Leaf(ClopenSet.empty())
     phis = [
-        FLeaf(True),
-        FLeaf(False),
-        FUnion((FLeaf(False), FLeaf(True))),
-        FInter((FLeaf(True), FLeaf(False))),
-        FInter(()),            # empty conjunction: true
-        FUnion(()),            # empty disjunction: false
+        true,
+        false,
+        UnionNode((false, true)),
+        InterNode((true, false)),
+        InterNode(()),         # empty conjunction: true
+        UnionNode(()),         # empty disjunction: false
     ]
     stacked = encode_formulas(phis)
     assert is_complement_free(stacked)
@@ -217,5 +222,5 @@ def test_encode_formulas_reads_truth_from_measure():
         # cylinder [0^n 1]
         boxed = InterNode((slice_n, Leaf(ClopenSet.cylinder("0" * n + "1"))))
         m = counting_measure(boxed)
-        want = 1 if formula_value(phi) else 0
+        want = 1 if denotation(phi).is_full() else 0
         assert m * (1 << (n + 1)) == want

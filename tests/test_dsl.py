@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure.codes import (
     ComplNode,
@@ -14,7 +15,7 @@ from cantor_measure.dsl import code_from_json, code_to_json, parse_dsl, print_ds
 from cantor_measure.errors import ParseError, ValidationError
 from cantor_measure.space import ClopenSet
 
-from bruteforce import counting_measure
+from bruteforce import counting_measure, parse_dsl_bf
 from gen import random_code
 
 
@@ -146,3 +147,61 @@ def test_json_rejects_malformed():
         code_from_json({"kind": "pentagon"})
     with pytest.raises(ValidationError):
         code_from_json("cyl(0)")
+
+
+_INDEX = st.sampled_from(["i", "j"])
+_NAT = st.one_of(st.integers(0, 3).map(str), _INDEX.map(lambda n: "$" + n))
+_LEAF = st.one_of(st.sampled_from(["empty", "full"]),
+                  st.text("01", max_size=3).map(lambda b: f"cyl({b})"))
+
+
+def _forms(inner):
+    kids = st.lists(inner, min_size=1, max_size=3).map(",".join)
+    return st.one_of(
+        kids.map(lambda k: f"union({k})"),
+        kids.map(lambda k: f"inter({k})"),
+        inner.map(lambda e: f"compl({e})"),
+        st.tuples(_NAT, inner).map(lambda t: f"reloc({t[0]},{t[1]})"),
+        st.tuples(_INDEX, _NAT, _NAT, inner).map(lambda t: "bigunion(%s,%s,%s,%s)" % t),
+        st.tuples(_INDEX, _NAT, _NAT, inner).map(
+            lambda t: "bigunion(%s,%s,%s,reloc($%s,%s))" % (t[0], t[1], t[2], t[0], t[3])),
+    )
+
+
+_TEXTS = st.recursive(_LEAF, _forms, max_leaves=8)
+_MUTATION = st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                      st.sampled_from(list("(),$01 \nxiunoc") + ["union(", "bigunion(", "$i"]))
+
+
+def _mutated(text: str, edits) -> str:
+    for pos, op, piece in edits:
+        pos %= len(text) + 1
+        if op == 0:
+            text = text[:pos] + piece + text[pos:]
+        elif op == 1:
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + piece + text[pos + 1:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        code = parse(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    return ("code", print_dsl(code), repr(code_to_json(code)))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_TEXTS, st.lists(_MUTATION, max_size=3))
+@example("union(bigunion(i,0,1,cyl(1)),reloc($i,cyl()))", [])  # an index's scope ends
+@example("bigunion(i,0,1,union(cyl(),reloc($i,cyl())))", [])  # and reaches every sibling
+@example("bigunion(i,2,0,reloc($i,cyl()))", [])
+@example("bigunion(i,0,2,bigunion(j,$i,2,reloc($j,cyl(1))))", [])
+def test_parser_agrees_with_recursive_descent(text, edits):
+    """Valid texts with nested bigunion/reloc/$index (lo > hi and unbound
+    indices included), and the same texts mutated: the stack parser gives
+    the recursive parser's code, or its ParseError message and position."""
+    for t in (text, _mutated(text, edits)):
+        assert _outcome(parse_dsl, t) == _outcome(parse_dsl_bf, t)

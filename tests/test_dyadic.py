@@ -68,11 +68,6 @@ def test_div_floor_rejects_nonpositive():
         ONE.div_floor(0)
 
 
-def test_scale_pow2():
-    assert Dyadic(3, 1).scale_pow2(-2) == Dyadic(3, 3)
-    assert Dyadic(3, 3).scale_pow2(3) == Dyadic(3, 0)
-
-
 def test_cmp_fraction():
     # 1/3 and 2/3 are not dyadic; comparisons must still be exact
     third = (1, 3)
@@ -83,11 +78,8 @@ def test_cmp_fraction():
 
 def test_interval():
     iv = DyadicInterval(Dyadic(1, 2), Dyadic(3, 2))
-    assert iv.width() == Dyadic(1, 1)
     assert iv.contains(Dyadic(1, 1))
     assert not iv.contains(Dyadic(7, 3))
-    other = DyadicInterval(Dyadic(5, 3), Dyadic(7, 3))
-    assert iv.intersects(other)
 
 
 def test_interval_rejects_reversed():

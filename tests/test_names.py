@@ -75,7 +75,7 @@ def test_integral_interval_contains_limit():
             nm = L1Name(seq[:k])
             iv = nm.integral()
             assert iv.contains(lim.integral())
-            assert iv.width() == Dyadic.pow2(-(k - 1) + 2)
+            assert iv.hi - iv.lo == Dyadic.pow2(-(k - 1) + 2)
 
 
 def test_bad_set_budgets_and_monotone_stages():

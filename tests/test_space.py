@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ValidationError
 from cantor_measure.space import (
     ClopenSet,
@@ -208,13 +207,3 @@ def test_staged_open_set_monotone_enforced():
 def test_staged_open_set_constant():
     s = StagedOpenSet.constant(ClopenSet(("1",)))
     assert s.stage(0) == s.stage(5) == ClopenSet(("1",))
-
-
-def test_staged_measure_bounds():
-    s = StagedOpenSet(
-        stages=lambda n: ClopenSet(tuple("0" * k + "1" for k in range(n + 1))),
-        tail_budget=lambda n: Dyadic.pow2(-n),
-    )
-    iv = s.measure_bounds(4)
-    assert iv.lo == mu_I(s.stage(4))
-    assert iv.hi == iv.lo + Dyadic.pow2(-4)
