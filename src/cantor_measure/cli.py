@@ -255,7 +255,7 @@ def _cmd_decorate(args) -> dict:
     out = decorate(shaped, gen)
     k = args.depth if args.depth is not None else 2
     points = list(enumerate_eventually_periodic(k, k))
-    rep = check_preservation(shaped, gen, points)
+    rep = check_preservation(shaped, gen, points, out)
     return {
         "expr": print_dsl(out),
         "rank": str(out.rank),

@@ -95,15 +95,24 @@ def child_items(node: BorelCode) -> tuple[tuple[int, BorelCode], ...]:
     return tuple(zip(range(len(node.children)) if slots is None else slots, node.children))
 
 
-def fold(code: BorelCode, f: Callable[[BorelCode, list, bool], T]) -> T:
+def fold(code: BorelCode, f: Callable[[BorelCode, list, bool], T],
+         memo: dict[tuple[int, bool], T] | None = None) -> T:
     """f(node, its children's values in order, polarity) at every node,
     children before parents, returning the root's value; the polarity is
     True under an odd number of complements.  An explicit stack, linear in
-    the node count; f gets a fresh list it may keep."""
+    the node count; f gets a fresh list it may keep.
+
+    With a memo, each value is also kept under its node's id and polarity,
+    and a node found there is not walked again, so a code that shares
+    subtrees costs one call of f per distinct node and polarity.  The memo
+    is only valid while its nodes live."""
     vals: list = []
     todo: list = [(code, False, False)]
     while todo:
         node, flip, ready = todo.pop()
+        if memo is not None and (id(node), flip) in memo:
+            vals.append(memo[id(node), flip])
+            continue
         kids = node.children
         if kids and not ready:  # visit the children first, then come back
             todo.append((node, flip, True))
@@ -112,6 +121,8 @@ def fold(code: BorelCode, f: Callable[[BorelCode, list, bool], T]) -> T:
             continue
         cut = len(vals) - len(kids)
         vals[cut:] = [f(node, vals[cut:], flip)]  # the node's value replaces its children's
+        if memo is not None:
+            memo[id(node), flip] = vals[-1]
     return vals[0]
 
 
@@ -210,20 +221,43 @@ def make_alternating(code: BorelCode) -> BorelCode:
 
     A fused node absorbs the children of any like-kind child.  Fused nodes
     are re-slotted densely (the splice has no canonical sparse layout) and,
-    when the input was rank-annotated, get rank = max child rank + 1."""
+    when the input was rank-annotated, get rank = max child rank + 1.
+
+    The fold leaves each interior node unbuilt until its parent shows
+    whether it is spliced, so the head of each maximal same-kind region
+    gathers the region's frontier once and the walk stays linear."""
     require_complement_free(code, "make_alternating")
-    return fold(code, _fuse)
+    return _built(fold(code, _fuse))
 
 
-def _fuse(node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
+@dataclass
+class _Unbuilt:
+    """An interior node whose parent may still splice it: built children of
+    the other kind, and unbuilt ones of its own kind."""
+
+    node: _Interior
+    kids: list
+
+
+def _fuse(node: BorelCode, kids: list, flip: bool) -> BorelCode | _Unbuilt:
     if isinstance(node, Leaf):
         return node
-    if not any(type(k) is type(node) for k in kids):
-        return replace(node, children=tuple(kids))
+    return _Unbuilt(node, [_built(k) if type(k) is _Unbuilt and type(k.node) is not type(node) else k
+                           for k in kids])
+
+
+def _built(top: BorelCode | _Unbuilt) -> BorelCode:
+    if type(top) is not _Unbuilt:
+        return top
+    node = top.node
+    if not any(type(k) is _Unbuilt for k in top.kids):
+        return replace(node, children=tuple(top.kids))
     spliced: list[BorelCode] = []
-    for k in kids:
-        if type(k) is type(node):
-            spliced.extend(k.children)
+    todo = top.kids[::-1]
+    while todo:  # the region's frontier, left to right
+        k = todo.pop()
+        if type(k) is _Unbuilt:
+            todo += k.kids[::-1]
         else:
             spliced.append(k)
     rank = node.rank
@@ -324,13 +358,13 @@ def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Addres
     return bad
 
 
-def denotation(code: BorelCode) -> ClopenSet:
+def denotation(code: BorelCode, memo: dict[tuple[int, bool], ClopenSet] | None = None) -> ClopenSet:
     """The denotation of a complement-free code as a clopen set: a leaf
     gives its label, a union node the union of its children, an
     intersection node the intersection of its children folded from the
-    full space."""
+    full space.  A memo (see fold) keeps every distinct node's."""
     require_complement_free(code, "denotation")
-    return fold(code, _denotation)
+    return fold(code, _denotation, memo)
 
 
 def _denotation(node: BorelCode, kids: list[ClopenSet], flip: bool) -> ClopenSet:

@@ -7,6 +7,11 @@ every interior node whose rank exceeds the budget, positives under unions
 and De Morgan complements of negatives under intersections, so that rank
 discipline and alternation survive and membership can only change inside the
 inserts' denotations.
+
+check_preservation proves that last property over the whole space, by
+clopen inclusions between the denotations of the original and the decorated
+code, each folded once per distinct node.  The evaluation maps are checked
+at sample points, read off the same denotations.
 """
 
 from __future__ import annotations
@@ -24,18 +29,17 @@ from .codes import (
     check_rank,
     child_items,
     denotation,
-    eval_map_violations,
-    evaluate,
     fold,
     is_alternating,
-    member,
+    nodes,
     normalize_demorgan,
     require_complement_free,
 )
 from .dyadic import Dyadic
 from .errors import ValidationError
 from .ordinals import OrdinalNotation, descending_chain, notations_up_to
-from .space import ClopenSet, Point, clopen_intersection, clopen_union, mu_I, point_in
+from .space import (ClopenSet, Point, clopen_intersection, clopen_subset, clopen_union, mu_I,
+                    read_prefix)
 
 
 def _insert_ok(code: BorelCode, budget: OrdinalNotation, side: str) -> None:
@@ -192,41 +196,84 @@ def _decorated(entries, inserts: dict[tuple[int, bool], BorelCode],
 
 @dataclass(frozen=True)
 class PreservationReport:
+    """Sample counts, violations (point index, () for a sample point
+    outside the footprint whose membership changed), and whether the two
+    codes agree outside the footprint over the whole space (an audit of
+    samples alone leaves it True)."""
+
     checked: int
     preserved: int
     captured: tuple[int, ...]
     violations: tuple[tuple[int, tuple[int, ...]], ...]
+    whole_space: bool = True
 
     @property
     def ok(self) -> bool:
-        return self.preserved == self.checked - len(self.captured) and not self.violations
+        return (self.whole_space and self.preserved == self.checked - len(self.captured)
+                and not self.violations)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def check_preservation(code: BorelCode, gen: DecorationGenerator,
-                       points: Sequence[Point]) -> PreservationReport:
-    """Membership audit of a decoration over sample points.
+def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequence[Point],
+                       decorated: BorelCode | None = None) -> PreservationReport:
+    """Audit of decorated = decorate(code, gen), built here unless given.
 
-    Outside the generator's footprint the decorated code must agree with the
-    original.  Points inside the footprint are only required to carry a
-    clause-valid evaluation map on the decorated tree (which pins the map
-    down uniquely); their indices are reported as captured."""
-    decorated = decorate(code, gen)
+    Outside the generator's footprint F the decorated code must agree with
+    the original.  One fold memoized by node identity gives every distinct
+    node's denotation (decorate shares each insert across the nodes it
+    pads), and den(code) <= den(decorated) | F and den(decorated) <=
+    den(code) | F prove that over the whole space.
+
+    Each sample point's bits are read once, until no generator of a
+    denotation or of F extends them, and points that read the same bits
+    share one cell: both codes' memberships are read off the denotations
+    there.  Points inside F are captured; any other is preserved when both
+    memberships agree, and a violation (its index, ()) when they differ.
+    Every distinct interior node's denotation must also agree with its
+    clause over its children's at each cell, or the clopen algebra is at
+    fault and an AssertionError names the node's address."""
+    if decorated is None:
+        decorated = decorate(code, gen)
     fp = gen.footprint()
-    preserved = 0
-    captured: list[int] = []
-    violations: list[tuple[int, tuple[int, ...]]] = []
-    for i, x in enumerate(points):
-        emap = evaluate(decorated, x)
-        for addr in eval_map_violations(decorated, x, emap):
-            violations.append((i, addr))
-        if point_in(x, fp):
+    dens: dict[tuple[int, bool], ClopenSet] = {}
+    after, before = denotation(decorated, dens), denotation(code, dens)
+    whole = (clopen_subset(before, clopen_union(after, fp))
+             and clopen_subset(after, clopen_union(before, fp)))
+    gens = sorted(set(fp.generators).union(*(den.generators for den in dens.values())))
+    reads = [read_prefix(gens, x) for x in points]
+    cells = {c: j for j, c in enumerate(dict.fromkeys(reads))}
+    masks: dict[tuple[int, bool], int] = {}
+    for tree in (decorated, code):
+        clashes: list[BorelCode] = []
+        fold(tree, partial(_cell_mask, dens, list(cells), clashes), masks)
+        if clashes:
+            where = next(addr for addr, node in nodes(tree) if node is clashes[0])
+            raise AssertionError(f"denotation disagrees with its clause at {where}")
+    changed = masks[id(decorated), False] ^ masks[id(code), False]
+    captured, violations = [], []
+    for i, c in enumerate(reads):
+        if fp.covers_prefix(c):
             captured.append(i)
-            continue
-        if member(code, x) == (emap[()] == 1):
-            preserved += 1
-        else:
+        elif changed >> cells[c] & 1:
             violations.append((i, ()))
-    return PreservationReport(len(points), preserved, tuple(captured), tuple(violations))
+    preserved = len(points) - len(captured) - len(violations)
+    return PreservationReport(len(points), preserved, tuple(captured), tuple(violations), whole)
+
+
+def _cell_mask(dens: dict[tuple[int, bool], ClopenSet], cells: list[str],
+               clashes: list[BorelCode], node: BorelCode, kids: list[int], flip: bool) -> int:
+    """Bit j set when cell j lies in the node's denotation; an interior
+    node whose bits differ from its clause over its children's goes to
+    clashes."""
+    den = dens[id(node), flip]
+    mask = sum(1 << j for j, c in enumerate(cells) if den.covers_prefix(c))
+    if isinstance(node, (UnionNode, InterNode)):
+        union = isinstance(node, UnionNode)
+        clause = 0 if union else (1 << len(cells)) - 1
+        for k in kids:
+            clause = clause | k if union else clause & k
+        if mask != clause:
+            clashes.append(node)
+    return mask

@@ -10,10 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, bfs_addresses, child_items,
-                                  normalize_demorgan, relocate, subtree)
+                                  eval_map_violations, normalize_demorgan, relocate, subtree)
+from cantor_measure.decoration import PreservationReport, decorate
 from cantor_measure.dsl import _KEYWORDS, _tokenize
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ParseError
+from cantor_measure.ordinals import ONE_ORD
 from cantor_measure.sampling import AVERAGE_BITS, Estimate
 from cantor_measure.space import ClopenSet, SeededPoint, TailPoint, cantor_pair, column
 from cantor_measure.stepfn import StepFunction
@@ -159,6 +161,30 @@ def complement_bf(a) -> tuple[str, ...]:
 
     walk("")
     return normalize_bf(out)
+
+
+def locate_bf(prefixes, x) -> int | None:
+    """The first string all of whose characters match x's bits."""
+    for i, p in enumerate(prefixes):
+        if all(x.bit(j) == int(ch) for j, ch in enumerate(p)):
+            return i
+    return None
+
+
+def make_alternating_bf(code):
+    """make_alternating as a splice at every level: after fusing its
+    children a node absorbs the children of each like-kind child, re-slots
+    densely and takes rank max + 1 (1 with no children)."""
+    if isinstance(code, Leaf):
+        return code
+    kids = [make_alternating_bf(c) for c in code.children]
+    if not any(type(k) is type(code) for k in kids):
+        return type(code)(tuple(kids), code.rank, code.slots)
+    spliced = [g for k in kids for g in (k.children if type(k) is type(code) else (k,))]
+    rank = code.rank
+    if rank is not None:
+        rank = max(k.rank for k in spliced).successor() if spliced else ONE_ORD
+    return type(code)(tuple(spliced), rank, None)
 
 
 def char_table_bf(s) -> tuple[int, ...]:
@@ -322,6 +348,36 @@ def membership_frequency_bf(code, addr, p: str, trials: int, seed: int):
         node, _bits(TailPoint(p, column(SeededPoint(seed), cantor_pair(pos, j))), d)))
     return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed,
                     f"freq@{addr}")
+
+
+# ---------------------------------------------------------------------------
+# the per-point decoration audit the package replaced with a whole-space
+# proof over memoized denotations
+
+def check_preservation_bf(code, gen, points, decorated=None):
+    """The decoration audit one sample point at a time, with the recursive
+    walks above: each point's bits are read to the deepest support of the
+    codes and inserts; the decorated tree's evaluation map, built here,
+    must pass the package's clause check at every address; a point in an
+    insert's denotation is captured, and any other must have the same
+    membership in both codes.  It sees only its sample, so it leaves
+    whole_space True."""
+    if decorated is None:
+        decorated = decorate(code, gen)
+    inserts = [c for _, pos, neg in gen.entries for c in (pos, neg)]
+    d = max(support_depth_bf(c) for c in (code, decorated, *inserts))
+    preserved, captured, violations = 0, [], []
+    for i, x in enumerate(points):
+        p = _bits(x, d)
+        emap = emap_bf(decorated, p)
+        violations += [(i, addr) for addr in eval_map_violations(decorated, x, emap)]
+        if any(contains_prefix(c, p) for c in inserts):
+            captured.append(i)
+        elif contains_prefix(code, p) == bool(emap[()]):
+            preserved += 1
+        else:
+            violations.append((i, ()))
+    return PreservationReport(len(points), preserved, tuple(captured), tuple(violations))
 
 
 class _ParserBF:

@@ -16,6 +16,7 @@ from cantor_measure.codes import (
     encode_formulas,
     eval_map_violations,
     evaluate,
+    fold,
     is_alternating,
     is_complement_free,
     make_alternating,
@@ -38,6 +39,7 @@ from bruteforce import (
     counting_measure,
     emap_bf,
     is_complement_free_bf,
+    make_alternating_bf,
     membership_table_bf,
     support_depth_bf,
 )
@@ -133,6 +135,41 @@ def test_make_alternating_fuses_and_preserves():
         d = max(support_depth_bf(c), support_depth_bf(a))
         for p in all_prefixes(d):
             assert contains_prefix(c, p) == contains_prefix(a, p)
+
+
+def test_fold_memo_walks_each_node_once_per_polarity():
+    x = Leaf(ClopenSet.cylinder("0"))
+    code = UnionNode((x, ComplNode(x), InterNode((x, x))))
+    calls = []
+
+    def f(node, kids, flip):
+        calls.append((node, flip))
+        return tuple(kids) if kids else flip
+
+    want = fold(code, f)
+    calls.clear()
+    memo = {}
+    assert fold(code, f, memo) == want == (False, (True,), (False, False))
+    assert sorted(flip for node, flip in calls if node is x) == [False, True]
+    assert memo[id(x), False] is False and memo[id(x), True] is True
+
+
+def test_make_alternating_matches_level_by_level_splice():
+    rng = random.Random(406)
+    for _ in range(150):
+        c = random_code(rng, max_depth=5, max_gen_len=3)
+        for code in (c, annotate_min_ranks(c)):
+            assert make_alternating(code) == make_alternating_bf(code)
+    # like-kind chains with kinds switching every few levels, sparse slots kept
+    # where nothing fuses
+    for levels in (1, 2, 50, 300):
+        code = Leaf(ClopenSet.cylinder("0"))
+        for i in range(levels):
+            cls = UnionNode if i // 3 % 2 == 0 else InterNode
+            leaf = Leaf(ClopenSet.cylinder(format(i % 5, "b")))
+            code = cls((leaf, code), slots=(1, 4)) if i % 4 else cls((code, leaf))
+        for c in (code, annotate_min_ranks(code)):
+            assert make_alternating(c) == make_alternating_bf(c)
 
 
 def test_check_rank_requires_annotations():

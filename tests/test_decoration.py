@@ -1,15 +1,20 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cantor_measure import codes
 from cantor_measure.codes import (
     InterNode,
     Leaf,
     UnionNode,
     addresses,
+    annotate_min_ranks,
     check_rank,
     child_items,
     is_alternating,
+    make_alternating,
     member,
     membership_table,
     subtree,
@@ -22,11 +27,12 @@ from cantor_measure.decoration import (
     empty_set_code,
     split_generator,
 )
+from cantor_measure.dsl import parse_dsl
 from cantor_measure.errors import ValidationError
 from cantor_measure.ordinals import OrdinalNotation, ONE_ORD
-from cantor_measure.space import ClopenSet, enumerate_eventually_periodic
+from cantor_measure.space import ClopenSet, enumerate_eventually_periodic, point_in
 
-from bruteforce import contains_prefix
+from bruteforce import check_preservation_bf, contains_prefix
 from gen import random_ranked_alternating
 
 
@@ -200,3 +206,80 @@ def test_empty_generator_never_captures():
     rep = check_preservation(code, gen, pts)
     assert rep.captured == ()
     assert rep.preserved == rep.checked
+
+
+POINTS = list(enumerate_eventually_periodic(2, 2))
+GENERATORS = {
+    "empty": empty_generator(_fin(4)),
+    "split": split_generator([ONE_ORD, _fin(2), _fin(3)]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       gen=st.sampled_from(sorted(GENERATORS)))
+def test_check_preservation_matches_per_point_oracle(seed, gen):
+    code = random_ranked_alternating(random.Random(seed))
+    g = GENERATORS[gen]
+    want = check_preservation_bf(code, g, POINTS)
+    assert check_preservation(code, g, POINTS) == want
+    assert check_preservation(code, g, POINTS, decorate(code, g)) == want
+    assert want.ok
+
+
+def _shaped(text):
+    return make_alternating(annotate_min_ranks(parse_dsl(text)))
+
+
+DEEP = "0011010011"  # outside the split footprint [1] | [01], entered by no sample point
+
+
+def _with_leaf_label(code, slot, label):
+    """code with its leaf child at the given slot relabelled."""
+    kids = list(code.children)
+    i = code.slots.index(slot)
+    kids[i] = Leaf(label, rank=kids[i].rank)
+    return replace(code, children=tuple(kids))
+
+
+@pytest.mark.parametrize("text,label", [
+    # the tampered tree gains [DEEP]
+    ("union(cyl(11),inter(cyl(0),cyl(01)))", ClopenSet(("11", DEEP))),
+    # the tampered tree loses [DEEP]
+    (f"union(cyl({DEEP}),inter(cyl(0),cyl(01)))", ClopenSet.empty()),
+])
+def test_exact_check_rejects_change_the_sample_misses(text, label):
+    gen = split_generator([ONE_ORD, _fin(2)])
+    assert not any(point_in(x, ClopenSet.cylinder(DEEP)) for x in POINTS)
+    assert not gen.footprint().covers_prefix(DEEP)
+    code = _shaped(text)
+    tampered = _with_leaf_label(decorate(code, gen), 0, label)
+    sampled = check_preservation_bf(code, gen, POINTS, tampered)
+    exact = check_preservation(code, gen, POINTS, tampered)
+    assert sampled.ok
+    assert not exact.ok and not exact.whole_space
+    assert replace(exact, whole_space=True) == sampled
+
+
+@pytest.mark.parametrize("cyl", ["000", "0010"])  # [000] holds the first sample point, [0010] later ones
+def test_exact_check_names_sample_failures_like_the_oracle(cyl):
+    gen = split_generator([ONE_ORD, _fin(2)])
+    code = _shaped("union(cyl(11),inter(cyl(0),cyl(01)))")
+    tampered = _with_leaf_label(decorate(code, gen), 0, ClopenSet(("11", cyl)))
+    want = check_preservation_bf(code, gen, POINTS, tampered)
+    got = check_preservation(code, gen, POINTS, tampered)
+    assert want.violations and all(addr == () for _, addr in want.violations)
+    assert replace(got, whole_space=True) == want
+    assert not got.ok and not got.whole_space
+
+
+def test_clause_clash_is_an_internal_error(monkeypatch):
+    """A union denotation that drops children disagrees with its clause at
+    some sample cell; the audit reports the node's address, not a sample
+    violation."""
+    code = _shaped("union(cyl(11),inter(cyl(0),cyl(01)))")
+    gen = split_generator([ONE_ORD, _fin(2)])
+    decorated = decorate(code, gen)
+    monkeypatch.setattr(codes, "clopen_union", lambda first, *rest: first)
+    with pytest.raises(AssertionError, match=r"clause at \(\)"):
+        check_preservation(code, gen, POINTS, decorated)

@@ -18,15 +18,18 @@ from cantor_measure.space import (
     clopen_union,
     column,
     enumerate_eventually_periodic,
+    locate,
     mu_I,
     point_in,
     prefix_free_normalize,
+    read_prefix,
 )
 from bruteforce import (
     all_prefixes,
     complement_bf,
     dyadic_fraction,
     intersection_bf,
+    locate_bf,
     normalize_bf,
     union_measure,
 )
@@ -190,6 +193,56 @@ def test_point_in_reads_finitely_many_bits():
             want = [g for g in c.generators if bits.startswith(g)]
             assert c.hit(x) == (want[0] if want else None)
             assert point_in(x, c) == bool(want)
+
+
+@st.composite
+def walks(draw):
+    """An eventually periodic point and strings up to 300 bits, some of them
+    prefixes of the point, so that walks run long."""
+    head, period = draw(bits), draw(st.text(alphabet="01", min_size=1, max_size=4))
+    x = EventuallyPeriodicPoint(head, period)
+    on_x = draw(st.lists(st.integers(min_value=0, max_value=300), max_size=3))
+    strings = [_bits_of(x, n) for n in on_x] + draw(st.lists(st.text(alphabet="01", max_size=12), max_size=6))
+    return x, strings
+
+
+def _bits_of(x, n):
+    return "".join(str(x.bit(i)) for i in range(n))
+
+
+@settings(max_examples=300)
+@given(walks())
+def test_locate_matches_prefix_oracle(walk):
+    x, strings = walk
+    prefixes = ClopenSet(tuple(strings)).generators
+    assert locate(prefixes, x) == locate_bf(prefixes, x)
+
+
+@settings(max_examples=300)
+@given(walks())
+def test_read_prefix_decides_every_string(walk):
+    x, strings = walk
+    strings = sorted(set(strings))
+    got = read_prefix(strings, x)
+    assert got == _bits_of(x, len(got))
+    for s in strings:
+        assert got.startswith(s) == (s == _bits_of(x, len(s)))
+    # no bit more than needed: some string extends the bits before the last
+    assert not got or any(s.startswith(got[:-1]) and len(s) >= len(got) for s in strings)
+
+
+def test_locate_reads_each_bit_once_along_a_long_generator():
+    n = 100_000
+    reads = []
+
+    class Counted(EventuallyPeriodicPoint):
+        def bit(self, i):
+            reads.append(i)
+            return super().bit(i)
+
+    assert locate(ClopenSet(("0" * n + "1", "1")).generators, Counted("", "0")) is None
+    assert reads == list(range(n + 1))
+    assert locate(ClopenSet(("0" * n, "1")).generators, Counted("", "0")) == 0
 
 
 def test_enumerate_eventually_periodic_counts():
