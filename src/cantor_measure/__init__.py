@@ -108,12 +108,12 @@ from .space import (
     clopen_intersection,
     clopen_subset,
     clopen_union,
-    column,
     enumerate_eventually_periodic,
     mu_I,
+    partition_trie,
     point_in,
     prefix_free_normalize,
-    seeded_cells,
+    seeded_leaves,
 )
 from .stepfn import StepFunction, l1_norm
 

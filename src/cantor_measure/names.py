@@ -37,6 +37,7 @@ class L1Name:
         self._rule = rule
         self.label = label
         self._bad_sets: dict[int, list[ClopenSet]] = {}
+        self._deltas: dict[int, StepFunction] = {}
         for i in range(len(self._terms) - 1):
             self._check_pair(i)
         if rule is not None and not self._terms:
@@ -58,6 +59,13 @@ class L1Name:
         if i < len(self._terms):
             return self._terms[i]
         return self._terms[-1]
+
+    def delta(self, i: int) -> StepFunction:
+        """|f_i - f_{i+1}|, built once per index."""
+        d = self._deltas.get(i)
+        if d is None:
+            d = self._deltas[i] = self.term(i).abs_diff(self.term(i + 1))
+        return d
 
     @property
     def materialized(self) -> int:
@@ -90,12 +98,13 @@ def char_name(s: ClopenSet, label: str = "char") -> L1Name:
 # ---------------------------------------------------------------------------
 # bad sets
 
-def exceedance_stages(term_fn: Callable[[int], StepFunction], start: int,
+def exceedance_stages(delta: Callable[[int], StepFunction], start: int,
                       threshold: Dyadic) -> StagedOpenSet:
-    """Stage N: the clopen set where sum_{i=start}^{N} |t_i - t_{i+1}|
-    strictly exceeds the threshold.  Monotone because the sums only grow;
-    cylinders enter at the first depth where the bound holds on all of them
-    (canonical normalization merges as deep sums coarsen)."""
+    """Stage N: the clopen set where sum_{i=start}^{N} delta(i) strictly
+    exceeds the threshold, delta(i) being |t_i - t_{i+1}| for a sequence t.
+    Monotone because the sums only grow; cylinders enter at the first depth
+    where the bound holds on all of them (canonical normalization merges as
+    deep sums coarsen)."""
 
     sums: list[StepFunction] = []
 
@@ -105,9 +114,7 @@ def exceedance_stages(term_fn: Callable[[int], StepFunction], start: int,
             if n < start:
                 sums.append(StepFunction.constant(ZERO))
             else:
-                prev = sums[-1] if sums else StepFunction.constant(ZERO)
-                delta = term_fn(n).abs_diff(term_fn(n + 1))
-                sums.append(prev + delta)
+                sums.append(delta(n) if n == start else sums[-1] + delta(n))
         f = sums[s]
         return f.strictly_above(threshold.num, 1 << threshold.exp)
 
@@ -125,7 +132,7 @@ def bad_set(name: L1Name, level: int) -> StagedOpenSet:
     stage recomputes its partial sums from the start."""
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    staged = exceedance_stages(name.term, 2 * level + 1, Dyadic.pow2(-level))
+    staged = exceedance_stages(name.delta, 2 * level + 1, Dyadic.pow2(-level))
     staged._memo = name._bad_sets.setdefault(level, [])
     return staged
 
@@ -159,18 +166,25 @@ class Captured:
     cylinder: str
 
 
-def value_at(name: L1Name, x: Point, precision: int) -> Dyadic | Captured:
-    """f_m(x) with m = 2*precision+1, good to 2^-precision whenever x avoids
-    the inspected bad sets.
-
-    Capture is checked at levels 0..precision (the range the correctness
-    bound uses) and at a stage that is exhaustive for constant-tail names."""
+def capture_sets(name: L1Name, precision: int) -> tuple[int, list[ClopenSet]]:
+    """What value_at reads off the name for a precision, whatever the point:
+    the term index m = 2*precision+1 and, for levels 0..precision (the range
+    the correctness bound uses), the bad set's stage that is exhaustive for
+    constant-tail names."""
     m = 2 * precision + 1
     name.term(m + 1)
     const = name.constant_tail_from()
     stage = max(m + 2, (const if const is not None else 0) + 1)
-    for j in range(precision + 1):
-        hit = bad_set(name, j).stage(stage).hit(x)
+    return m, [bad_set(name, j).stage(stage) for j in range(precision + 1)]
+
+
+def value_at(name: L1Name, x: Point, precision: int) -> Dyadic | Captured:
+    """f_m(x) with m = 2*precision+1, good to 2^-precision whenever x avoids
+    the inspected bad sets; Captured at the first level whose capture set
+    holds x."""
+    m, guards = capture_sets(name, precision)
+    for j, guard in enumerate(guards):
+        hit = guard.hit(x)
         if hit is not None:
             return Captured(j, hit)
     return name.term(m).value_at(x)
@@ -225,10 +239,13 @@ def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     test of the interleaved sequence."""
     inter = interleave_terms(n1, n2)
 
+    def inter_delta(j: int) -> StepFunction:
+        return inter(j).abs_diff(inter(j + 1))
+
     def inter_level(k: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
             parts = [
-                exceedance_stages(inter, 2 * n + 1, Dyadic.pow2(-n)).stage(s)
+                exceedance_stages(inter_delta, 2 * n + 1, Dyadic.pow2(-n)).stage(s)
                 for n in range(k + 1, k + 2 + s)
             ]
             return clopen_union(*parts)

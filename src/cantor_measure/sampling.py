@@ -5,14 +5,16 @@ j-th column of that stream, so runs are reproducible from (seed, trials)
 alone and nested estimates can share a stream without overlap by taking
 disjoint column indices.
 
-Step-function and code targets, sampled_average and membership_frequency
-draw all their trials in one call to space.seeded_cells, which gives each
-column's depth-d cell index without building a Point, from the same bits
-column(SeededPoint(seed), k) reads, and look each cell up in the target's
-partition by bisection; every estimate is bit for bit the one a loop over
-per-trial Points gives.  A depth-0 target reads no bits at all.  Only
-L1-name targets walk a Point per trial, since value_at reads as many bits
-as the name's bad sets ask for.
+Every estimate draws all its trials in one call to space.seeded_leaves,
+which walks each column down the binary trie of the target's canonical
+partition and draws a bit only while the walk stands on an internal node,
+so a trial reads only the bits that decide its cell.  They are the bits
+ColumnPoint(SeededPoint(seed), j) reads, and every estimate is bit for bit
+the one a loop over per-trial Points gives.  An L1 name's capture sets and
+term do not depend on the point, so its trials are walked down the
+refinement of the capture sets' union and the term, whose cells carry
+whether they are captured and the term's value.  A depth-0 target reads
+no bits at all.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
+from itertools import product
+from typing import Sequence
 
 from .codes import BorelCode, bfs_addresses, denotation, subtree
 from .dyadic import Dyadic
 from .errors import StatisticalGateError, ValidationError
-from .names import Captured, L1Name, value_at
-from .space import SeededPoint, cantor_pair, column, seeded_cells, validate_bits
+from .names import L1Name, capture_sets
+from .space import (cantor_pair, char_partition, clopen_union, partition_trie, seeded_leaves,
+                    validate_bits)
 from .stepfn import StepFunction
 
 # fraction of captured trials tolerated before the estimate is refused
@@ -49,55 +52,66 @@ class Estimate:
         return float(self.value)
 
 
-def _lookup(f: StepFunction):
-    """Maps depth-f.depth cell indices to f's numerators on them: an index
-    lies in the last run of equal-valued cells starting at or before it."""
-    d = f.depth
-    starts: list[int] = []
-    nums = [0]  # never read: bisect_right >= 1, since every index is >= starts[0] = 0
-    for p, v in zip(f.prefixes, f.nums):
-        if not starts or v != nums[-1]:
-            starts.append(int(p or "0", 2) << (d - len(p)))
-            nums.append(v)
-    return lambda cells: map(nums.__getitem__, map(bisect_right, repeat(starts), cells))
+def _walk(prefixes: list[str] | tuple[str, ...], seed: int, columns) -> list[int]:
+    """For each column, the index of the cell of the canonical partition
+    holding it."""
+    return seeded_leaves(seed, columns, partition_trie(prefixes))
 
 
-def _sum_at(f: StepFunction, seed: int, trials: int) -> int:
-    """Sum of f's numerators over the cells of columns 0..trials-1."""
-    if f.depth == 0:
-        return trials * f.nums[0]
-    return sum(_lookup(f)(seeded_cells(seed, range(trials), f.depth)))
+def _refinement(*partitions: Sequence[str]) -> list[str]:
+    """The cells of the common refinement of canonical partitions, sorted:
+    every prefix that no other one extends.  Extensions of a string follow
+    it at once in sorted order."""
+    ps = sorted(set().union(*partitions))
+    return [p for p, q in zip(ps, ps[1:]) if not q.startswith(p)] + ps[-1:]
+
+
+def _sum_at(f: StepFunction, seed: int, columns: Sequence[int]) -> int:
+    """Sum of f's numerators over the cells of the columns."""
+    if len(f.nums) == 1:
+        return len(columns) * f.nums[0]
+    return sum(map(f.nums.__getitem__, _walk(f.prefixes, seed, columns)))
+
+
+def _name_sum(name: L1Name, trials: int, seed: int, precision: int) -> tuple[int, Dyadic]:
+    """(captured trials, sum of value_at over the others): a trial is
+    captured when it lands in the union of value_at's capture sets, and
+    otherwise reads the term f_m, both constant on each cell of the union's
+    partition refined by the term's."""
+    m, guards = capture_sets(name, precision)
+    f = name.term(m)
+    guard = clopen_union(*guards)
+    cells = _refinement(char_partition(guard)[0], f.prefixes)
+    captured = [guard.covers_prefix(c) for c in cells]
+    nums = [f.nums[bisect_right(f.prefixes, c) - 1] for c in cells]
+    hits = _walk(cells, seed, range(trials))
+    caught = sum(map(captured.__getitem__, hits))
+    total = sum(nums[c] for c in hits if not captured[c])
+    return caught, Dyadic(total, f.exp)
 
 
 def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate:
     """Estimate the integral of a step function, an L1 name, or the measure
     of a complement-free code by averaging over seeded sample points.
 
-    Name targets read values through value_at; trials landing in the bad-set
+    Name targets read values as value_at does; trials landing in the bad-set
     guard are dropped, and more than CAPTURE_GATE_PERCENT of them aborts the
     run rather than returning a silently biased average.  A code is counted
     as the characteristic function of its denotation."""
     if trials <= 0:
         raise ValidationError("trial count must be positive")
     if isinstance(target, StepFunction):
-        value = Dyadic(_sum_at(target, seed, trials), target.exp).div_floor(trials, AVERAGE_BITS)
+        value = Dyadic(_sum_at(target, seed, range(trials)), target.exp).div_floor(trials, AVERAGE_BITS)
         return Estimate(value, trials, seed, "stepfn")
     if isinstance(target, L1Name):
-        total = Dyadic.from_int(0)
-        captured = 0
-        for j in range(trials):
-            v = value_at(target, column(SeededPoint(seed), j), precision)
-            if isinstance(v, Captured):
-                captured += 1
-            else:
-                total = total + v
+        captured, total = _name_sum(target, trials, seed, precision)
         if captured * 100 > trials * CAPTURE_GATE_PERCENT:
             raise StatisticalGateError(
                 f"{captured} of {trials} trials captured by the guard set"
             )
         value = total.div_floor(trials - captured, AVERAGE_BITS)
         return Estimate(value, trials, seed, "name", captured)
-    hits = _sum_at(StepFunction.from_char(denotation(target)), seed, trials)
+    hits = _sum_at(StepFunction.from_char(denotation(target)), seed, range(trials))
     value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
     return Estimate(value, trials, seed, "code")
 
@@ -112,19 +126,18 @@ def sampled_average(f: StepFunction, i: int, trials: int, seed: int) -> StepFunc
 
     All 2^i cells share the same column tails: trial j contributes the point
     p + R[j] to every cell p, so cell estimates differ only through f.  The
-    tails' cells below depth i are drawn and tallied once."""
+    tails are walked once, down the refinement of f's partitions of the
+    cells, and tallied per cell of it."""
     if i < 0:
         raise ValidationError("cell depth must be nonnegative")
     if trials <= 0:
         raise ValidationError("trial count must be positive")
-    d = f.depth
-    rest = max(d - i, 0)  # bits of a tail that f reads
-    tails, counts = zip(*Counter(seeded_cells(seed, range(trials), rest)).items())
-    at = _lookup(f)
+    ps, nums = f.prefixes, f.nums
+    tails = _refinement([""], [q[i:] for q in ps if len(q) > i])
+    counts = Counter(_walk(tails, seed, range(trials))).items()
     cells = []
-    for c in range(1 << i):
-        base = (c >> (i + rest - d)) << rest
-        total = sum(map(mul, counts, at(base + t for t in tails)))
+    for c in map("".join, product("01", repeat=i)):
+        total = sum(n * nums[bisect_right(ps, c + tails[t]) - 1] for t, n in counts)
         cells.append(Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS))
     return StepFunction.from_dyadics(i, cells)
 
@@ -143,11 +156,8 @@ def membership_frequency(code: BorelCode, addr: tuple[int, ...], p: str,
     if addr not in order:
         raise ValidationError(f"no node at address {addr}")
     pos = order.index(addr)
-    f = StepFunction.from_char(denotation(subtree(code, addr)))
-    d, i = f.depth, len(validate_bits(p))
-    rest = max(d - i, 0)  # bits of a column the denotation reads
-    base = (int(p or "0", 2) >> (i + rest - d)) << rest
-    tails = seeded_cells(seed, (cantor_pair(pos, j) for j in range(trials)), rest)
-    hits = sum(_lookup(f)(base + t for t in tails))
+    den = denotation(subtree(code, addr))
+    f = StepFunction.from_char(den).precompose_prefix(validate_bits(p))
+    hits = _sum_at(f, seed, [cantor_pair(pos, j) for j in range(trials)])
     value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
     return Estimate(value, trials, seed, f"freq@{addr}")

@@ -20,7 +20,7 @@ Bits = str
 
 
 def validate_bits(p: str) -> str:
-    if any(ch not in "01" for ch in p):
+    if p.strip("01"):  # whatever is left once the 0s and 1s are gone
         raise ValidationError(f"not a binary string: {p!r}")
     return p
 
@@ -172,6 +172,10 @@ class Point:
     def bit(self, n: int) -> int:
         raise NotImplementedError
 
+    def bits(self, lo: int, hi: int) -> str:
+        """Bits lo..hi-1 as a string over '0'/'1'."""
+        return "".join("1" if self.bit(n) else "0" for n in range(lo, hi))
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -191,6 +195,13 @@ class EventuallyPeriodicPoint(Point):
         if n < len(self.head):
             return int(self.head[n])
         return int(self.period[(n - len(self.head)) % len(self.period)])
+
+    def bits(self, lo: int, hi: int) -> str:
+        h, v = len(self.head), self.period
+        a = max(lo, h)  # the first bit wanted from the periodic part
+        n = max(hi - a, 0)
+        off = (a - h) % len(v)
+        return self.head[lo:hi] + (v[off:] + v * (n // len(v) + 1))[:n]
 
     def describe(self) -> str:
         return f"u={self.head}:v={self.period}"
@@ -240,31 +251,52 @@ def cantor_pair(k: int, n: int) -> int:
     return (k + n) * (k + n + 1) // 2 + n
 
 
-def seeded_cells(seed: int, columns: Iterable[int], d: int) -> list[int]:
-    """For each column index k >= 0, the first d bits of
-    column(SeededPoint(seed), k) read as a binary number, the index of the
-    depth-d cylinder holding it, without building a Point: seeded_bit
-    inlined at stream position cantor_pair(k, n) for bit n of column k."""
+def partition_trie(prefixes: Sequence[str]) -> list[int]:
+    """The binary trie of a canonical partition (sorted prefixes whose
+    cylinders cover the space), flat: the children of the internal node at
+    entry i sit at trie[i] and trie[i + 1], each either the entry of an
+    internal node (even, >= 0) or ~j for the leaf prefixes[j].  The root is
+    entry 0; a one-cell partition [""] has no internal node, so no entries."""
+    trie: list[int] = []
+    todo = [(0, len(prefixes), 0, -1)]  # index range, depth, slot to fill
+    while todo:
+        lo, hi, k, slot = todo.pop()
+        if hi - lo <= 1:
+            if lo == hi:
+                raise ValidationError("prefixes are not a sorted partition")
+            node = ~lo
+        else:
+            node = len(trie)
+            trie += (0, 0)
+            mid = bisect_left(prefixes, "1", lo, hi, key=itemgetter(k))
+            todo += ((lo, mid, k + 1, node), (mid, hi, k + 1, node + 1))
+        if slot >= 0:
+            trie[slot] = node
+    return trie
+
+
+def seeded_leaves(seed: int, columns: Iterable[int], trie: Sequence[int]) -> list[int]:
+    """For each column index k >= 0, the leaf of the partition trie that holds
+    column k of the seeded stream: bit n of column k is seeded_bit(seed,
+    cantor_pair(k, n)), inlined, and drawn only while the walk stands on an
+    internal node, so a column reads exactly as many bits as its leaf is
+    deep (Knuth and Yao's generating tree).  An empty trie reads no bits."""
+    if not trie:
+        return [0 for _ in columns]
     mask, golden = _MASK, _GOLDEN
     out = []
     for k in columns:
-        idx = 0
         z0 = seed + (k * (k + 1) // 2 + 1) * golden  # counter of position cantor_pair(k, 0)
         step = (k + 2) * golden  # cantor_pair(k, n + 1) - cantor_pair(k, n) = k + n + 2
-        for _ in range(d):
+        node = 0
+        while node >= 0:
             z = z0 & mask
             z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            idx = (idx << 1) | ((z ^ (z >> 27)) * 0x94D049BB133111EB >> 63 & 1)
+            node = trie[node + ((z ^ (z >> 27)) * 0x94D049BB133111EB >> 63 & 1)]
             z0 += step
             step += golden
-        out.append(idx)
+        out.append(~node)
     return out
-
-
-def column(x: Point, k: int) -> Point:
-    if k < 0:
-        raise ValidationError("column index must be nonnegative")
-    return ColumnPoint(x, k)
 
 
 def locate(prefixes: Sequence[str], x: Point) -> int | None:
@@ -297,17 +329,25 @@ def read_prefix(strings: Sequence[str], x: Point) -> str:
     """The bits of x read until no string of the sorted distinct list
     extends them further, so that a string of the list is a prefix of x
     exactly when it is a prefix of the result: locate's walk over a list
-    that need not be an antichain.  locate keeps its own walk, because
-    reading the result and then bisecting for the last string at or before
-    it was 1.3-2x slower on 200 points against antichains of 1 to 189
-    strings of 3-12 bits (CPython 3.11), and hit and value_at call locate
-    at every sample point."""
+    that need not be an antichain.  Once one string is left, the rest of
+    it is compared with one slice of x's bits, read up to that string's
+    length.  locate keeps its own walk, because reading the result and then
+    bisecting for the last string at or before it was 1.3-2x slower on 200
+    points against antichains of 1 to 189 strings of 3-12 bits (CPython
+    3.11), and hit and value_at call locate at every sample point."""
     lo, hi, bits = 0, len(strings), []
     while lo < hi:
         k = len(bits)
-        if len(strings[lo]) == k:  # the string equal to the bits read
+        s = strings[lo]
+        if len(s) == k:  # the string equal to the bits read
             lo += 1
             continue
+        if hi - lo == 1:  # one string left: read up to its end at once
+            got = x.bits(k, len(s))
+            # the first differing bit is the highest bit of the numbers' xor
+            j = len(got) - (int(got, 2) ^ int(s[k:], 2)).bit_length()
+            bits.append(got[:j + 1])
+            break
         bit = x.bit(k)
         bits.append("1" if bit else "0")
         mid = bisect_left(strings, "1", lo, hi, key=itemgetter(k))

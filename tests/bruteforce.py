@@ -7,17 +7,21 @@ package objects, so agreement with the package is meaningful evidence.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 
 from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, bfs_addresses, child_items,
                                   eval_map_violations, normalize_demorgan, relocate, subtree)
 from cantor_measure.decoration import PreservationReport, decorate
 from cantor_measure.dsl import _KEYWORDS, _tokenize
 from cantor_measure.dyadic import Dyadic
-from cantor_measure.errors import ParseError
+from cantor_measure.errors import ParseError, StatisticalGateError, ValidationError
+from cantor_measure.names import Captured, L1Name, value_at
 from cantor_measure.ordinals import ONE_ORD
-from cantor_measure.sampling import AVERAGE_BITS, Estimate
-from cantor_measure.space import ClopenSet, SeededPoint, TailPoint, cantor_pair, column
+from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT, Estimate
+from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint, TailPoint,
+                                  cantor_pair)
 from cantor_measure.stepfn import StepFunction
 
 
@@ -293,10 +297,11 @@ def canonical_bf(f) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-trial Monte Carlo loops the package replaced with the batched
-# seeded_cells kernel; they read bits through the package's Point classes,
+# per-trial Monte Carlo loops the package replaced with the lazy
+# seeded_leaves kernel; they read bits through the package's Point classes,
 # whose bits the kernel must reproduce, and decide membership by the tree
-# walk above
+# walk above.  seeded_cells and lookup are the fixed-depth kernel and its
+# cell lookup that came between the two.
 
 def membership_table_bf(code, d: int | None = None) -> list[int]:
     """Depth-d membership table, one tree walk per cell."""
@@ -314,14 +319,70 @@ def cell_index_bf(x, d: int) -> int:
     return int(_bits(x, d) or "0", 2)
 
 
-def mc_integral_bf(target, trials: int, seed: int):
-    """Per-trial Monte Carlo estimate of a step function's integral or a
-    code's measure: trial j reads column j of SeededPoint(seed)."""
+def column(x, k: int):
+    if k < 0:
+        raise ValidationError("column index must be nonnegative")
+    return ColumnPoint(x, k)
+
+
+def seeded_cells(seed: int, columns, d: int) -> list[int]:
+    """For each column index k >= 0, the first d bits of
+    column(SeededPoint(seed), k) read as a binary number, the index of the
+    depth-d cylinder holding it, without building a Point: seeded_bit
+    inlined at stream position cantor_pair(k, n) for bit n of column k."""
+    mask, golden = _MASK, _GOLDEN
+    out = []
+    for k in columns:
+        idx = 0
+        z0 = seed + (k * (k + 1) // 2 + 1) * golden  # counter of position cantor_pair(k, 0)
+        step = (k + 2) * golden  # cantor_pair(k, n + 1) - cantor_pair(k, n) = k + n + 2
+        for _ in range(d):
+            z = z0 & mask
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            idx = (idx << 1) | ((z ^ (z >> 27)) * 0x94D049BB133111EB >> 63 & 1)
+            z0 += step
+            step += golden
+        out.append(idx)
+    return out
+
+
+def lookup(f):
+    """Maps depth-f.depth cell indices to f's numerators on them: an index
+    lies in the last run of equal-valued cells starting at or before it."""
+    d = f.depth
+    starts: list[int] = []
+    nums = [0]  # never read: bisect_right >= 1, since every index is >= starts[0] = 0
+    for p, v in zip(f.prefixes, f.nums):
+        if not starts or v != nums[-1]:
+            starts.append(int(p or "0", 2) << (d - len(p)))
+            nums.append(v)
+    return lambda cells: map(nums.__getitem__, map(bisect_right, repeat(starts), cells))
+
+
+def mc_integral_bf(target, trials: int, seed: int, precision: int = 20):
+    """Per-trial Monte Carlo estimate of a step function's integral, a
+    name's limit or a code's measure: trial j reads column j of
+    SeededPoint(seed), and a name's trial calls value_at on it."""
     points = [column(SeededPoint(seed), j) for j in range(trials)]
     if isinstance(target, StepFunction):
         total = sum(target.values[cell_index_bf(x, target.depth)] for x in points)
         return Estimate(Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS),
                         trials, seed, "stepfn")
+    if isinstance(target, L1Name):
+        total = Dyadic.from_int(0)
+        captured = 0
+        for x in points:
+            v = value_at(target, x, precision)
+            if isinstance(v, Captured):
+                captured += 1
+            else:
+                total = total + v
+        if captured * 100 > trials * CAPTURE_GATE_PERCENT:
+            raise StatisticalGateError(
+                f"{captured} of {trials} trials captured by the guard set"
+            )
+        value = total.div_floor(trials - captured, AVERAGE_BITS)
+        return Estimate(value, trials, seed, "name", captured)
     d = support_depth_bf(target)
     table = membership_table_bf(target, d)
     hits = sum(table[cell_index_bf(x, d)] for x in points)

@@ -12,6 +12,7 @@ from cantor_measure.names import (
     L1Name,
     bad_set,
     bad_set_family,
+    capture_sets,
     char_name,
     constant_name,
     convergence_test,
@@ -122,6 +123,24 @@ def test_bad_set_stages_shared_and_name_freed_without_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_capture_sets_build_each_delta_once(monkeypatch):
+    nm = chi_tail_name()  # its certificate checks take differences too
+    built = []
+    abs_diff = StepFunction.abs_diff
+
+    def counted(f, g):
+        built.append(None)
+        return abs_diff(f, g)
+
+    monkeypatch.setattr(StepFunction, "abs_diff", counted)
+    m, guards = capture_sets(nm, 5)
+    # stage 13 at levels 0..5 sums the deltas 2j+1..13: 13 distinct ones
+    assert (m, len(guards), len(built)) == (11, 6, 13)
+    assert guards == [bad_set(nm, j).stage(13) for j in range(6)]
+    value_at(nm, EventuallyPeriodicPoint("", "1"), precision=5)
+    assert len(built) == 13
 
 
 def test_value_at_reads_limit_or_captures():

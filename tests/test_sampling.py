@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure.dyadic import Dyadic
-from cantor_measure.errors import StatisticalGateError, ValidationError
+from cantor_measure.errors import CertificateError, StatisticalGateError, ValidationError
 from cantor_measure.measure import measure_of_code
 from cantor_measure.names import L1Name, char_name, constant_name
 from cantor_measure.sampling import (
+    AVERAGE_BITS,
     Estimate,
     conditional_average,
     mc_integral,
@@ -15,17 +16,20 @@ from cantor_measure.sampling import (
     sampled_average,
 )
 from cantor_measure.codes import bfs_addresses
-from cantor_measure.space import ClopenSet, SeededPoint, column, seeded_cells
+from cantor_measure.space import ClopenSet, SeededPoint, partition_trie, seeded_leaves
 from cantor_measure.stepfn import StepFunction, l1_norm
 
 from bruteforce import (
     cell_index_bf,
+    column,
     integral_fraction,
+    lookup,
     mc_integral_bf,
     membership_frequency_bf,
     sampled_average_bf,
+    seeded_cells,
 )
-from gen import random_bits, random_code, random_stepfn
+from gen import perturbed_name, random_bits, random_code, random_deep_stepfn, random_stepfn
 
 # stream seeds: negative ones and ones at or past 2^64 wrap like any other
 SEEDS = st.integers(min_value=-(1 << 80), max_value=1 << 80)
@@ -192,3 +196,135 @@ def test_membership_frequency_matches_per_trial_loop(gen_seed, trials, seed):
     p = random_bits(rng, 8)
     assert (membership_frequency(c, addr, p, trials, seed)
             == membership_frequency_bf(c, addr, p, trials, seed))
+
+
+# ---------------------------------------------------------------------------
+# L1 names: one walk down the capture sets' union and the term, against the
+# per-trial value_at loop
+
+def _outcome(fn, *args):
+    """An estimate, or the type and message of what the call raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # every error must match, type and message
+        return type(e), str(e)
+
+
+def _path_name(path: str, base: StepFunction, head: str = "") -> L1Name:
+    """base + chi of the cylinder [head + the first i+1 bits of path^omega]
+    at index i: converges to base, and points near head + path^omega are
+    captured."""
+    def rule(i):
+        return base + StepFunction.from_char(ClopenSet.cylinder(head + (path * (i + 1))[:i + 1]))
+    return L1Name([], rule=rule, label="path")
+
+
+def _broken_at(k: int) -> L1Name:
+    """Shrinking until index k, then the constant 1: the certificate breaks
+    at the pair (k - 1, k)."""
+    def rule(i):
+        return StepFunction.from_char(ClopenSet.full() if i >= k else ClopenSet.cylinder("0" * (i + 1)))
+    return L1Name([], rule=rule, label="broken")
+
+
+def _name(kind: str, rng: random.Random, precision: int) -> L1Name:
+    if kind == "shrink":
+        return _path_name("0", StepFunction.constant(Dyadic(0, 0)))
+    if kind == "path":
+        return _path_name(random_bits(rng, 3, min_len=1), random_stepfn(rng, max_depth=3),
+                          random_bits(rng, 8))
+    if kind == "negative":  # deep cells, numerators down to -6
+        return perturbed_name(rng, base=random_deep_stepfn(rng, min_depth=5, max_depth=40))
+    if kind == "negative-path":
+        return _path_name(random_bits(rng, 2, min_len=1),
+                          StepFunction.constant(Dyadic(-rng.randint(1, 3), rng.randint(0, 2))),
+                          random_bits(rng, 8))
+    return _broken_at(2 * precision + 2)  # breaks at m + 1
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(["shrink", "path", "negative", "negative-path", "broken"]),
+       st.integers(min_value=0, max_value=10**6), st.integers(min_value=-2, max_value=6),
+       st.integers(min_value=1, max_value=300), SEEDS)
+@example("shrink", 0, 5, 200, 0)  # the benchmark's capture gate
+@example("shrink", 0, 3, 1, -5)
+@example("negative-path", 1, 2, 7, (1 << 64) + 3)
+@example("path", 2, 4, 1, 1 << 64)
+@example("broken", 0, 2, 9, 3)
+@example("negative", 3, -1, 5, 0)
+@example("shrink", 0, -2, 5, 0)
+def test_name_estimate_matches_per_trial_value_at(kind, gen_seed, precision, trials, seed):
+    # both sides get their own copy of the name: names materialize lazily
+    batched = _name(kind, random.Random(gen_seed), precision)
+    per_trial = _name(kind, random.Random(gen_seed), precision)
+    got = _outcome(mc_integral, batched, trials, seed, precision)
+    assert got == _outcome(mc_integral_bf, per_trial, trials, seed, precision)
+    if kind == "broken" and precision >= 0:
+        assert got[0] is CertificateError
+    if precision < 0:
+        assert got[0] is ValidationError
+
+
+def test_name_estimate_counts_captures_and_keeps_negative_values():
+    # -1 is a real numerator here, next to captured cells
+    def name():
+        return _path_name("0", StepFunction.constant(Dyadic(-1, 0)), "10101")
+
+    est = mc_integral(name(), trials=2000, seed=1, precision=3)
+    assert 0 < est.captured <= 20 and est.value == Dyadic(-1, 0)
+    assert est == mc_integral_bf(name(), 2000, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the lazy kernel
+
+@st.composite
+def partitions(draw, max_depth: int = 64):
+    """A canonical partition: cells split along random paths down to at most
+    max_depth bits."""
+    cells = {""}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        p = draw(st.sampled_from(sorted(cells)))
+        path = draw(st.text(alphabet="01", max_size=max_depth - len(p)))
+        cells.remove(p)
+        for b in path:
+            cells.add(p + ("1" if b == "0" else "0"))
+            p += b
+        cells.add(p)
+    return sorted(cells)
+
+
+class _CountedTrie(list):
+    """A trie that counts its lookups: the kernel looks up one child per
+    bit it draws."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@settings(deadline=None, max_examples=150)
+@given(partitions(), SEEDS, st.lists(st.integers(min_value=0, max_value=10**4), max_size=8))
+@example(["0", "1"], -1, [0, 1, 7])
+@example(sorted(["0" * 64] + ["0" * k + "1" for k in range(64)]), 1 << 64, [0, 5])
+def test_kernel_leaf_is_the_cell_of_the_column(cells, seed, ks):
+    d = max(map(len, cells))
+    trie = _CountedTrie(partition_trie(cells))
+    leaves = seeded_leaves(seed, ks, trie)
+    for k, leaf in zip(ks, leaves, strict=True):
+        bits = format(cell_index_bf(column(SeededPoint(seed), k), d), f"0{d}b") if d else ""
+        assert bits.startswith(cells[leaf])
+    # no bit drawn past a leaf: one lookup per bit of the leaf's prefix
+    assert trie.reads == sum(len(cells[leaf]) for leaf in leaves)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=400), SEEDS)
+def test_deep_estimates_match_fixed_depth_kernel(gen_seed, trials, seed):
+    # too deep for a per-trial table: the fixed-depth kernel is the oracle
+    f = random_deep_stepfn(random.Random(gen_seed))
+    total = sum(lookup(f)(seeded_cells(seed, range(trials), f.depth)))
+    assert mc_integral(f, trials, seed) == Estimate(
+        Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS), trials, seed, "stepfn")

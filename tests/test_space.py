@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure.errors import ValidationError
 from cantor_measure.space import (
     ClopenSet,
     ColumnPoint,
     EventuallyPeriodicPoint,
+    Point,
     SeededPoint,
     StagedOpenSet,
     TailPoint,
@@ -16,16 +17,17 @@ from cantor_measure.space import (
     clopen_intersection,
     clopen_subset,
     clopen_union,
-    column,
     enumerate_eventually_periodic,
     locate,
     mu_I,
     point_in,
     prefix_free_normalize,
     read_prefix,
+    validate_bits,
 )
 from bruteforce import (
     all_prefixes,
+    column,
     complement_bf,
     dyadic_fraction,
     intersection_bf,
@@ -260,3 +262,64 @@ def test_staged_open_set_monotone_enforced():
 def test_staged_open_set_constant():
     s = StagedOpenSet.constant(ClopenSet(("1",)))
     assert s.stage(0) == s.stage(5) == ClopenSet(("1",))
+
+
+def _validate_bits_by_chars(p: str) -> str:
+    """validate_bits as a generator over characters."""
+    if any(ch not in "01" for ch in p):
+        raise ValidationError(f"not a binary string: {p!r}")
+    return p
+
+
+@settings(max_examples=200)
+@given(st.text() | st.text(alphabet="01 \t\n٠١𝟎𝟏", max_size=8))
+@example("")
+@example("0101")
+@example(" 01")
+@example("01\n")
+@example("٠")
+@example("0١")
+def test_validate_bits_matches_the_character_scan(p):
+    def outcome(fn):
+        try:
+            return fn(p)
+        except ValidationError as e:
+            return str(e)
+
+    assert outcome(validate_bits) == outcome(_validate_bits_by_chars)
+
+
+@settings(max_examples=300)
+@given(bits, st.text(alphabet="01", min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
+def test_eventually_periodic_bits_match_bit_by_bit(head, period, lo, n):
+    x = EventuallyPeriodicPoint(head, period)
+    assert x.bits(lo, lo + n) == Point.bits(x, lo, lo + n) == _bits_of(x, lo + n)[lo:]
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=-(1 << 70), max_value=1 << 70),
+       st.lists(st.text(alphabet="01", max_size=12), max_size=6))
+def test_read_prefix_on_points_read_bit_by_bit(seed, strings):
+    x = TailPoint("01", SeededPoint(seed))
+    strings = sorted(set(strings))
+    got = read_prefix(strings, x)
+    assert got == _bits_of(x, len(got))
+    for s in strings:
+        assert got.startswith(s) == (s == _bits_of(x, len(s)))
+
+
+def test_read_prefix_reads_one_slice_along_a_long_string():
+    n = 1_000_000
+    reads = []
+
+    class Counted(EventuallyPeriodicPoint):
+        def bit(self, i):
+            reads.append(i)
+            return super().bit(i)
+
+    gens = ["0" * n + "1", "1"]
+    assert read_prefix(gens, Counted("", "0")) == "0" * (n + 1)
+    assert read_prefix(gens, Counted("0" * n, "1")) == gens[0]
+    assert read_prefix(gens, Counted("001", "0")) == "001"
+    assert reads == [0, 0, 0]  # the first bit splits the list; one string is left
