@@ -6,7 +6,9 @@ A name's certificate is the strict bound |f_i - f_{i+1}|_1 < 2^-i for every
 adjacent pair ever materialized; ties reject.  Bad sets follow the partial
 sum construction: level n collects the cylinders where
 sum_{i=2n+1}^{N} |f_i - f_{i+1}| exceeds 2^-n, which Markov keeps below
-measure 2^-n for certified names.
+measure 2^-n for certified names.  The certificate and the bad sets share
+each |f_i - f_{i+1}|, built once; value_at's capture sets come from one
+suffix-sum pass over them, whose nonnegativity makes the stages monotone.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ class L1Name:
         self.label = label
         self._bad_sets: dict[int, list[ClopenSet]] = {}
         self._deltas: dict[int, StepFunction] = {}
+        self._captures: dict[int, tuple[int, tuple[ClopenSet, ...]]] = {}
         for i in range(len(self._terms) - 1):
             self._check_pair(i)
         if rule is not None and not self._terms:
             self._terms.append(rule(0))
 
     def _check_pair(self, i: int) -> None:
-        norm = l1_norm(self._terms[i], self._terms[i + 1])
+        norm = l1_norm(self.delta(i))
         if not norm < Dyadic.pow2(-i):
             raise CertificateError(
                 f"{self.label}: |f_{i} - f_{i + 1}|_1 = {norm} not < 2^-{i}"
@@ -61,10 +64,11 @@ class L1Name:
         return self._terms[-1]
 
     def delta(self, i: int) -> StepFunction:
-        """|f_i - f_{i+1}|, built once per index."""
+        """|f_i - f_{i+1}|, built once: term i+1's certificate check keeps it."""
+        g = self.term(i + 1)
         d = self._deltas.get(i)
         if d is None:
-            d = self._deltas[i] = self.term(i).abs_diff(self.term(i + 1))
+            d = self._deltas[i] = self.term(i).abs_diff(g)
         return d
 
     @property
@@ -101,22 +105,20 @@ def char_name(s: ClopenSet, label: str = "char") -> L1Name:
 def exceedance_stages(delta: Callable[[int], StepFunction], start: int,
                       threshold: Dyadic) -> StagedOpenSet:
     """Stage N: the clopen set where sum_{i=start}^{N} delta(i) strictly
-    exceeds the threshold, delta(i) being |t_i - t_{i+1}| for a sequence t.
-    Monotone because the sums only grow; cylinders enter at the first depth
-    where the bound holds on all of them (canonical normalization merges as
-    deep sums coarsen)."""
+    exceeds the threshold, delta(i) being |t_i - t_{i+1}| for a sequence t;
+    empty below start.  Monotone because the sums only grow; cylinders
+    enter at the first depth where the bound holds on all of them (canonical
+    normalization merges as deep sums coarsen)."""
 
     sums: list[StepFunction] = []
 
     def stage_rule(s: int) -> ClopenSet:
-        while len(sums) <= s:
-            n = len(sums)
-            if n < start:
-                sums.append(StepFunction.constant(ZERO))
-            else:
-                sums.append(delta(n) if n == start else sums[-1] + delta(n))
-        f = sums[s]
-        return f.strictly_above(threshold.num, 1 << threshold.exp)
+        if s < start:
+            return ClopenSet.empty()
+        while len(sums) <= s - start:
+            d = delta(start + len(sums))
+            sums.append(sums[-1] + d if sums else d)
+        return sums[s - start].strictly_above(threshold.num, 1 << threshold.exp)
 
     return StagedOpenSet(stages=stage_rule)
 
@@ -124,7 +126,8 @@ def exceedance_stages(delta: Callable[[int], StepFunction], start: int,
 def bad_set(name: L1Name, level: int) -> StagedOpenSet:
     """Level-level bad set of the name: partial sums start at index
     2*level+1 against the threshold 2^-level.  Certified names keep every
-    stage at measure <= 2^-level (checked via the RapidGDelta wrapper).
+    stage at measure <= 2^-level (checked via the RapidGDelta wrapper);
+    capture_sets builds the one stage value_at reads without these views.
 
     The stages built so far are kept on the name as plain clopen sets, so
     no reference leads from the name back to itself and a dropped name is
@@ -166,16 +169,31 @@ class Captured:
     cylinder: str
 
 
-def capture_sets(name: L1Name, precision: int) -> tuple[int, list[ClopenSet]]:
+def capture_sets(name: L1Name, precision: int) -> tuple[int, tuple[ClopenSet, ...]]:
     """What value_at reads off the name for a precision, whatever the point:
     the term index m = 2*precision+1 and, for levels 0..precision (the range
     the correctness bound uses), the bad set's stage that is exhaustive for
-    constant-tail names."""
+    constant-tail names, bad_set(name, j).stage(N).  One pass down from N
+    sums the deltas, taking level j's set at index 2j+1; the skipped stages
+    nest because every delta is nonnegative, which the pass checks.
+    Memoized on the name per precision."""
     m = 2 * precision + 1
     name.term(m + 1)
-    const = name.constant_tail_from()
-    stage = max(m + 2, (const if const is not None else 0) + 1)
-    return m, [bad_set(name, j).stage(stage) for j in range(precision + 1)]
+    got = name._captures.get(precision)
+    if got is None:
+        const = name.constant_tail_from()
+        stage = max(m + 2, (const if const is not None else 0) + 1)
+        guards: list[ClopenSet] = []
+        total = None
+        for i in range(stage if precision >= 0 else 0, 0, -1):
+            d = name.delta(i)
+            if min(d.nums) < 0:
+                raise AssertionError(f"{name.label}: delta {i} is negative")
+            total = d if total is None else total + d
+            if i % 2 and i <= m:
+                guards.append(total.strictly_above(1, 1 << (i // 2)))
+        got = name._captures[precision] = (m, tuple(reversed(guards)))
+    return got
 
 
 def value_at(name: L1Name, x: Point, precision: int) -> Dyadic | Captured:

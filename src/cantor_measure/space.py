@@ -148,7 +148,8 @@ def clopen_complement(a: ClopenSet) -> ClopenSet:
 
 
 def clopen_subset(a: ClopenSet, b: ClopenSet) -> bool:
-    return clopen_intersection(a, b) == a
+    """a inside b: every generator's cylinder is covered by b."""
+    return all(map(b.covers_prefix, a.generators))
 
 
 # ---------------------------------------------------------------------------

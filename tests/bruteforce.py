@@ -17,11 +17,11 @@ from cantor_measure.decoration import PreservationReport, decorate
 from cantor_measure.dsl import _KEYWORDS, _tokenize
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ParseError, StatisticalGateError, ValidationError
-from cantor_measure.names import Captured, L1Name, value_at
+from cantor_measure.names import Captured, L1Name, bad_set, value_at
 from cantor_measure.ordinals import ONE_ORD
 from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT, Estimate
 from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint, TailPoint,
-                                  cantor_pair)
+                                  cantor_pair, clopen_intersection)
 from cantor_measure.stepfn import StepFunction
 
 
@@ -148,6 +148,11 @@ def intersection_bf(a, b) -> tuple[str, ...]:
             elif p.startswith(q):
                 out.append(p)
     return normalize_bf(out)
+
+
+def clopen_subset_bf(a, b) -> bool:
+    """a inside b: intersecting with b leaves a unchanged."""
+    return clopen_intersection(a, b) == a
 
 
 def complement_bf(a) -> tuple[str, ...]:
@@ -387,6 +392,16 @@ def mc_integral_bf(target, trials: int, seed: int, precision: int = 20):
     table = membership_table_bf(target, d)
     hits = sum(table[cell_index_bf(x, d)] for x in points)
     return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed, "code")
+
+
+def capture_sets_bf(name, precision: int):
+    """The staged path to value_at's capture sets: term m+1, then stage N of
+    every level's bad set, each stage checked to extend the one before."""
+    m = 2 * precision + 1
+    name.term(m + 1)
+    const = name.constant_tail_from()
+    stage = max(m + 2, (const if const is not None else 0) + 1)
+    return m, [bad_set(name, j).stage(stage) for j in range(precision + 1)]
 
 
 def sampled_average_bf(f, i: int, trials: int, seed: int):

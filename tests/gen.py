@@ -118,6 +118,23 @@ def char_noise_name(rng: random.Random, support: ClopenSet | None = None,
     return L1Name(seq, label=label)
 
 
+def path_name(path: str, base: StepFunction, head: str = "") -> L1Name:
+    """base + chi of the cylinder [head + the first i+1 bits of path^omega]
+    at index i: converges to base, and points near head + path^omega are
+    captured."""
+    def rule(i):
+        return base + StepFunction.from_char(ClopenSet.cylinder(head + (path * (i + 1))[:i + 1]))
+    return L1Name([], rule=rule, label="path")
+
+
+def broken_name(k: int) -> L1Name:
+    """Shrinking until index k, then the constant 1: the certificate breaks
+    at the pair (k - 1, k)."""
+    def rule(i):
+        return StepFunction.from_char(ClopenSet.full() if i >= k else ClopenSet.cylinder("0" * (i + 1)))
+    return L1Name([], rule=rule, label="broken")
+
+
 def rapid_family_member(rng: random.Random, levels: int = 5,
                         label: str = "gen-test") -> RapidGDelta:
     """Random rapidly null test: level n reveals, one per stage, cylinders

@@ -4,6 +4,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError
@@ -17,6 +18,7 @@ from cantor_measure.names import (
     constant_name,
     convergence_test,
     diagonal_name,
+    exceedance_stages,
     inf_name,
     interleave_terms,
     names_equal,
@@ -26,8 +28,9 @@ from cantor_measure.names import (
 from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, mu_I
 from cantor_measure.stepfn import StepFunction, l1_norm
 
-from bruteforce import dyadic_fraction, l1_fraction
-from gen import constant_family, perturbed_name, random_stepfn
+from bruteforce import capture_sets_bf, dyadic_fraction, l1_fraction
+from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
+                 random_stepfn)
 
 
 def chi_tail_name(terms=12):
@@ -126,7 +129,6 @@ def test_bad_set_stages_shared_and_name_freed_without_cycle_collector():
 
 
 def test_capture_sets_build_each_delta_once(monkeypatch):
-    nm = chi_tail_name()  # its certificate checks take differences too
     built = []
     abs_diff = StepFunction.abs_diff
 
@@ -135,12 +137,95 @@ def test_capture_sets_build_each_delta_once(monkeypatch):
         return abs_diff(f, g)
 
     monkeypatch.setattr(StepFunction, "abs_diff", counted)
+    nm = chi_tail_name()
     m, guards = capture_sets(nm, 5)
-    # stage 13 at levels 0..5 sums the deltas 2j+1..13: 13 distinct ones
-    assert (m, len(guards), len(built)) == (11, 6, 13)
-    assert guards == [bad_set(nm, j).stage(13) for j in range(6)]
+    # the certificate checks build the 11 pair differences 0..10 and keep
+    # them; stage 13 at levels 0..5 sums the deltas 2j+1..13, of which only
+    # 11..13 are new
+    assert (m, len(guards), len(built)) == (11, 6, 14)
+    assert list(guards) == [bad_set(nm, j).stage(13) for j in range(6)]
     value_at(nm, EventuallyPeriodicPoint("", "1"), precision=5)
-    assert len(built) == 13
+    assert len(built) == 14
+    # a rule name materializes term 14 for delta 13, and the certificate
+    # check of that pair builds the delta: again pairs 0..13, 14 differences
+    built.clear()
+    shrink = L1Name([], rule=lambda i: StepFunction.from_char(ClopenSet.cylinder("0" * (i + 1))))
+    capture_sets(shrink, 5)
+    assert len(built) == 14
+
+
+def _outcome(fn, *args):
+    """(m, guards) as a list, or the type and message of what the call
+    raised."""
+    try:
+        m, guards = fn(*args)
+    except Exception as e:  # every error must match, type and message
+        return type(e), str(e)
+    return m, list(guards)
+
+
+def _capture_name(kind: str, seed: int, precision: int) -> L1Name:
+    rng = random.Random(seed)
+    m = 2 * precision + 1
+    if kind == "perturbed":
+        return perturbed_name(rng, terms=rng.randint(1, 8))
+    if kind == "char-noise":
+        return char_noise_name(rng, terms=rng.randint(1, 8))
+    if kind == "shrink":
+        return path_name("0", StepFunction.constant(Dyadic(0, 0)))
+    if kind == "long-tail":  # the constant tail starts after m + 2
+        return chi_tail_name(max(m, 0) + rng.randint(4, 8))
+    return broken_name(m + int(kind[-1]))  # "broken+k": the pair (m+k-1, m+k) fails
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["perturbed", "char-noise", "shrink", "long-tail",
+                        "broken+1", "broken+2", "broken+3", "broken+4"]),
+       st.integers(min_value=0, max_value=10**6), st.integers(min_value=-2, max_value=7))
+@example("shrink", 0, 5)
+@example("long-tail", 0, 7)
+@example("broken+1", 0, 0)
+@example("broken+3", 0, 7)
+@example("perturbed", 1, -1)
+@example("char-noise", 2, -2)
+def test_capture_sets_match_staged_bad_sets(kind, seed, precision):
+    # each side gets its own copy of the name: names materialize lazily
+    got = _outcome(capture_sets, _capture_name(kind, seed, precision), precision)
+    assert got == _outcome(capture_sets_bf, _capture_name(kind, seed, precision), precision)
+    if kind in ("broken+1", "broken+2", "broken+3") and precision >= 0:
+        assert got[0] is CertificateError
+
+
+def test_exceedance_stages_read_no_delta_below_start():
+    asked = []
+
+    def delta(i):
+        asked.append(i)
+        return StepFunction.from_char(ClopenSet.cylinder("0" * i))
+
+    staged = exceedance_stages(delta, 5, Dyadic.pow2(-1))
+    assert all(staged.stage(s).is_empty() for s in range(5))
+    assert asked == []
+    assert staged.stage(8) == ClopenSet.cylinder("00000")
+    assert asked == [5, 6, 7, 8]
+
+
+def test_capture_sets_reject_a_negative_delta(monkeypatch):
+    nm = chi_tail_name()
+    delta = nm.delta
+    minus = StepFunction.constant(Dyadic(-1, 3))
+    monkeypatch.setattr(nm, "delta", lambda i: minus if i == 7 else delta(i))
+    with pytest.raises(AssertionError, match="chi-tail: delta 7 is negative"):
+        capture_sets(nm, 5)
+
+
+def test_capture_sets_memoized_per_precision():
+    nm = chi_tail_name()
+    first = capture_sets(nm, 4)
+    again = capture_sets(nm, 4)
+    assert again is first
+    assert all(a is b for a, b in zip(again[1], first[1]))
+    assert capture_sets(nm, 3) == (7, first[1][:4])
 
 
 def test_value_at_reads_limit_or_captures():

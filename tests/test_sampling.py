@@ -29,7 +29,8 @@ from bruteforce import (
     sampled_average_bf,
     seeded_cells,
 )
-from gen import perturbed_name, random_bits, random_code, random_deep_stepfn, random_stepfn
+from gen import (broken_name, path_name, perturbed_name, random_bits, random_code, random_deep_stepfn,
+                 random_stepfn)
 
 # stream seeds: negative ones and ones at or past 2^64 wrap like any other
 SEEDS = st.integers(min_value=-(1 << 80), max_value=1 << 80)
@@ -210,36 +211,19 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
-def _path_name(path: str, base: StepFunction, head: str = "") -> L1Name:
-    """base + chi of the cylinder [head + the first i+1 bits of path^omega]
-    at index i: converges to base, and points near head + path^omega are
-    captured."""
-    def rule(i):
-        return base + StepFunction.from_char(ClopenSet.cylinder(head + (path * (i + 1))[:i + 1]))
-    return L1Name([], rule=rule, label="path")
-
-
-def _broken_at(k: int) -> L1Name:
-    """Shrinking until index k, then the constant 1: the certificate breaks
-    at the pair (k - 1, k)."""
-    def rule(i):
-        return StepFunction.from_char(ClopenSet.full() if i >= k else ClopenSet.cylinder("0" * (i + 1)))
-    return L1Name([], rule=rule, label="broken")
-
-
 def _name(kind: str, rng: random.Random, precision: int) -> L1Name:
     if kind == "shrink":
-        return _path_name("0", StepFunction.constant(Dyadic(0, 0)))
+        return path_name("0", StepFunction.constant(Dyadic(0, 0)))
     if kind == "path":
-        return _path_name(random_bits(rng, 3, min_len=1), random_stepfn(rng, max_depth=3),
-                          random_bits(rng, 8))
+        return path_name(random_bits(rng, 3, min_len=1), random_stepfn(rng, max_depth=3),
+                         random_bits(rng, 8))
     if kind == "negative":  # deep cells, numerators down to -6
         return perturbed_name(rng, base=random_deep_stepfn(rng, min_depth=5, max_depth=40))
     if kind == "negative-path":
-        return _path_name(random_bits(rng, 2, min_len=1),
-                          StepFunction.constant(Dyadic(-rng.randint(1, 3), rng.randint(0, 2))),
-                          random_bits(rng, 8))
-    return _broken_at(2 * precision + 2)  # breaks at m + 1
+        return path_name(random_bits(rng, 2, min_len=1),
+                         StepFunction.constant(Dyadic(-rng.randint(1, 3), rng.randint(0, 2))),
+                         random_bits(rng, 8))
+    return broken_name(2 * precision + 2)  # breaks at m + 1
 
 
 @settings(deadline=None, max_examples=120)
@@ -268,7 +252,7 @@ def test_name_estimate_matches_per_trial_value_at(kind, gen_seed, precision, tri
 def test_name_estimate_counts_captures_and_keeps_negative_values():
     # -1 is a real numerator here, next to captured cells
     def name():
-        return _path_name("0", StepFunction.constant(Dyadic(-1, 0)), "10101")
+        return path_name("0", StepFunction.constant(Dyadic(-1, 0)), "10101")
 
     est = mc_integral(name(), trials=2000, seed=1, precision=3)
     assert 0 < est.captured <= 20 and est.value == Dyadic(-1, 0)

@@ -27,6 +27,7 @@ from cantor_measure.space import (
 )
 from bruteforce import (
     all_prefixes,
+    clopen_subset_bf,
     column,
     complement_bf,
     dyadic_fraction,
@@ -130,10 +131,37 @@ def test_algebra_matches_set_operations(g1, g2):
         assert c.covers_prefix(p) == (not ina)
 
 
-@given(gen_lists, gen_lists)
-def test_subset_via_intersection(g1, g2):
-    a, b = ClopenSet(tuple(g1)), ClopenSet(tuple(g2))
-    assert clopen_subset(a, b) == (clopen_intersection(a, b) == a)
+@st.composite
+def subset_pairs(draw):
+    """(a, b) where a often lies just inside b or just misses it: a mixes
+    b's generators, their extensions and their siblings with random
+    strings; the empty and the full set come up on either side."""
+    sets = st.one_of(st.just([]), st.just([""]), gen_lists, near_full_cells())
+    b = draw(sets)
+    a = draw(st.sampled_from([[], [""]])) if not b else []
+    for g in draw(st.lists(st.sampled_from(b), max_size=4)) if b else []:
+        kind = draw(st.sampled_from(("same", "extension", "sibling")))
+        if kind == "extension":
+            g += draw(bits)
+        elif kind == "sibling" and g:
+            g = g[:-1] + "10"[int(g[-1])]
+        a.append(g)
+    a += draw(st.lists(bits, max_size=2))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(subset_pairs())
+@example(([], []))
+@example(([""], []))
+@example(([], [""]))
+@example(([""], ["0", "1"]))
+@example((["0"], ["1"]))
+@example((["00", "01"], ["0"]))
+@example((["0"], ["00", "01"]))
+@example((["0"], ["00"]))
+def test_subset_via_intersection(pair):
+    a, b = ClopenSet(tuple(pair[0])), ClopenSet(tuple(pair[1]))
+    assert clopen_subset(a, b) == clopen_subset_bf(a, b)
 
 
 def test_additivity_on_disjoint():
