@@ -307,14 +307,17 @@ _COMMANDS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+def _int_at_least(low: int, kind: str):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return n
+    return parse
 
 
 _FLAGS = {
@@ -322,10 +325,10 @@ _FLAGS = {
                  help="assert the minimal root rank equals this notation"),
     "point": dict(default=None, metavar="SPEC",
                   help="'u=<bits>:v=<bits>' or 'seed=<int>'"),
-    "mc": dict(type=_positive_int, default=None, metavar="N",
+    "mc": dict(type=_int_at_least(1, "positive"), default=None, metavar="N",
                help="Monte Carlo trial count"),
     "seed": dict(type=int, default=0, metavar="S"),
-    "depth": dict(type=int, default=None, metavar="D"),
+    "depth": dict(type=_int_at_least(0, "nonnegative"), default=None, metavar="D"),
     "generator": dict(default=None, metavar="G",
                       help="'empty' or 'split' or 'split:<targets.json>'"),
     "budget": dict(default=None, metavar="CNFS",

@@ -91,6 +91,8 @@ BorelCode = TUnion[Leaf, UnionNode, InterNode, ComplNode]
 
 
 def child_items(node: BorelCode) -> tuple[tuple[int, BorelCode], ...]:
+    if isinstance(node, Leaf):
+        return ()
     slots = node.slots if isinstance(node, _Interior) else None
     return tuple(zip(range(len(node.children)) if slots is None else slots, node.children))
 

@@ -67,8 +67,22 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
 
     def level_rule(j: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
-            parts = [tests[n].stage(n + j + 1, s) for n in range(min(len(tests), s + 1))]
-            return clopen_union(*parts) if parts else ClopenSet.empty()
+            return clopen_union(*[tests[n].stage(n + j + 1, s)
+                                  for n in range(min(len(tests), s + 1))])
+
+        return StagedOpenSet(stages=stage_rule)
+
+    return RapidGDelta(level_rule, label=label)
+
+
+def level_union(bad: Callable[[int], StagedOpenSet], label: str) -> RapidGDelta:
+    """The test whose level k at stage s unions bad(n).stage(s) over n in
+    (k, k+1+s]: a tail of the family bad(n), so when each bad(n) keeps
+    measure <= 2^-n the geometric tail keeps level k within 2^-k."""
+
+    def level_rule(k: int) -> StagedOpenSet:
+        def stage_rule(s: int) -> ClopenSet:
+            return clopen_union(*[bad(n).stage(s) for n in range(k + 1, k + 2 + s)])
 
         return StagedOpenSet(stages=stage_rule)
 

@@ -10,6 +10,7 @@ the root integral is the code's measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .codes import (
@@ -23,13 +24,12 @@ from .codes import (
     nodes,
     require_complement_free,
 )
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic, ONE, ZERO
 from .errors import CertificateError, ValidationError
-from .gdelta import RapidGDelta, combine
+from .gdelta import RapidGDelta, combine, level_union
 from .names import (
     L1Name,
     agreement_test,
-    bad_set,
     char_name,
     constant_name,
     convergence_test,
@@ -49,24 +49,30 @@ MeasureDecomposition = dict[Address, L1Name]
 REGULARITY_CHECK_LEVELS = 8
 
 
+def law_name(node: BorelCode, kids: Sequence[L1Name], label: str) -> L1Name:
+    """The name a node's law asks for, given its children's names: a leaf's
+    characteristic name, the sup of a union's children, the inf of an
+    intersection's, or the constant 0 (union) or 1 (intersection) when the
+    node has no children.  One child's sup or inf is that child's name."""
+    if isinstance(node, Leaf):
+        return char_name(node.label, label=label)
+    union = isinstance(node, UnionNode)
+    if not kids:
+        return constant_name(StepFunction.constant(ZERO if union else ONE), label=label)
+    return (sup_name if union else inf_name)(kids, label=label)
+
+
 def build_decomposition(code: BorelCode) -> MeasureDecomposition:
-    """Bottom-up: leaf characteristic names, exact pointwise max at unions,
-    exact pointwise min at intersections."""
+    """Bottom-up, each address gets law_name of its node over its children's
+    names, labelled leaf@addr or node@addr.  Leaf names are constant, so
+    every sup and inf folds exact limits; a one-child node shares its
+    child's name."""
     require_complement_free(code, "build_decomposition")
     out: MeasureDecomposition = {}
     for addr, node in reversed(nodes(code)):  # children before parents
-        if isinstance(node, Leaf):
-            out[addr] = char_name(node.label, label=f"leaf@{addr}")
-            continue
-        limits = [out[addr + (s,)].exact_limit() for s, _ in child_items(node)]
-        fold = StepFunction.max_with if isinstance(node, UnionNode) else StepFunction.min_with
-        if limits:
-            acc = limits[0]
-            for lim in limits[1:]:
-                acc = fold(acc, lim)
-        else:
-            acc = StepFunction.constant(ZERO if isinstance(node, UnionNode) else Dyadic(1, 0))
-        out[addr] = constant_name(acc, label=f"node@{addr}")
+        kids = [out[addr + (s,)] for s, _ in child_items(node)]
+        kind = "leaf" if isinstance(node, Leaf) else "node"
+        out[addr] = law_name(node, kids, f"{kind}@{addr}")
     return out
 
 
@@ -90,21 +96,13 @@ def verify_decomposition(code: BorelCode, d: MeasureDecomposition,
             return VerifyResult(False, addr, "missing")
     mode = "exact"
     for addr, node in nodes(code):
-        if isinstance(node, Leaf):
-            want = char_name(node.label)
-            law = "leaf"
-        else:
-            kids = [d[addr + (s,)] for s, _ in child_items(node)]
-            if kids:
-                want = (sup_name if isinstance(node, UnionNode) else inf_name)(kids)
-            else:
-                base = ZERO if isinstance(node, UnionNode) else Dyadic(1, 0)
-                want = constant_name(StepFunction.constant(base))
-            law = "union" if isinstance(node, UnionNode) else "intersection"
+        want = law_name(node, [d[addr + (s,)] for s, _ in child_items(node)], "law")
         res = names_equal(d[addr], want, bound=bound)
         if res.mode != "exact":
             mode = "bounded"
         if not res.equal:
+            law = ("leaf" if isinstance(node, Leaf)
+                   else "union" if isinstance(node, UnionNode) else "intersection")
             return VerifyResult(False, addr, law, mode)
     return VerifyResult(True, mode=mode)
 
@@ -158,73 +156,40 @@ def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
     """One rapidly null test outside which the decomposition's pointwise
     values realize the evaluation map of the code.
 
-    Combines, in deterministic address order: each name's convergence test;
-    for each leaf, the agreement test against the leaf's characteristic
-    name; for each interior node, the sup/inf-law test that diagonalizes the
-    partial folds of the children against the node's own name."""
+    Combines, in deterministic address order: each name's convergence test,
+    then each node's law test (fold_law_test)."""
     require_complement_free(code, "assemble_bad_gdelta")
-    parts: list[RapidGDelta] = []
-    for addr in addresses(code):
-        parts.append(convergence_test(d[addr]))
+    parts = [convergence_test(d[addr]) for addr in addresses(code)]
     for addr, node in nodes(code):
-        if isinstance(node, Leaf):
-            parts.append(agreement_test(d[addr], char_name(node.label)))
-        else:
-            kids = [d[addr + (s,)] for s, _ in child_items(node)]
-            parts.append(fold_law_test(kids, d[addr], isinstance(node, UnionNode)))
+        kids = [d[addr + (s,)] for s, _ in child_items(node)]
+        parts.append(fold_law_test(node, kids, d[addr]))
     return combine(parts, label=label)
 
 
-def fold_law_test(children: Sequence[L1Name], parent: L1Name,
-                  use_max: bool) -> RapidGDelta:
-    """Exclusion test for one sup/inf law.
+def fold_law_test(node: BorelCode, children: Sequence[L1Name],
+                  parent: L1Name) -> RapidGDelta:
+    """Exclusion test for one node's law.
 
-    Rebuilds the partial folds of the children, subsamples them into a
-    rapidly converging sequence by exact norm search, runs the diagonal
-    construction, and combines: the diagonal's agreement test against the
-    parent plus the doubly-indexed union over bad sets of the partials."""
-    fold = StepFunction.max_with if use_max else StepFunction.min_with
-    if not children:
-        base = ZERO if use_max else Dyadic(1, 0)
-        return agreement_test(parent, constant_name(StepFunction.constant(base)))
-
+    A leaf, a node without children, or one with a child whose limit is not
+    exact gets the agreement test of the parent against law_name.  Otherwise
+    the partial folds of the children's exact limits are subsampled by
+    exact norm search: pick i is the first partial within 2^-(i+1) of the
+    full fold, for i < max(3, #children) - 1, and the last pick is the full
+    fold, so the diagonal of the picks has the parent's limit.  The test
+    combines the diagonal's agreement test against the parent with the
+    level union, over picks j, of pick j's convergence level j."""
     limits = [c.exact_limit() for c in children]
-    if any(lim is None for lim in limits):
-        # fall back to the agreement test against the fold name; partial
-        # staging needs exact limits
-        return agreement_test(parent, (sup_name if use_max else inf_name)(list(children)))
-
-    partials: list[StepFunction] = []
-    acc = None
-    for lim in limits:
-        acc = lim if acc is None else fold(acc, lim)
-        partials.append(acc)
-    full = partials[-1]
-
-    picks: list[int] = []
-    for i in range(max(3, len(partials))):
-        target = Dyadic.pow2(-i - 1)
-        chosen = next(
-            (j for j, p in enumerate(partials) if l1_norm(p, full) <= target),
-            len(partials) - 1,
-        )
-        picks.append(chosen)
+    if not limits or any(lim is None for lim in limits):
+        return agreement_test(parent, law_name(node, children, "law"))
+    fold = StepFunction.max_with if isinstance(node, UnionNode) else StepFunction.min_with
+    partials = list(accumulate(limits, fold))
+    dists = [l1_norm(p, partials[-1]) for p in partials]
+    picks = [next(j for j, r in enumerate(dists) if r <= Dyadic.pow2(-i - 1))
+             for i in range(max(3, len(partials)) - 1)] + [len(partials) - 1]
     hs = [constant_name(partials[j], label=f"partial{j}") for j in picks]
     diag = diagonal_name(hs, g=None, label="fold-diag")
-
-    def ck_level(k: int) -> StagedOpenSet:
-        def stage_rule(s: int) -> ClopenSet:
-            parts = []
-            for j in range(k + 1, k + 2 + s):
-                if j >= len(hs):
-                    break
-                for n in range(j + 1, j + 2 + s):
-                    parts.append(bad_set(hs[j], n).stage(s))
-            return clopen_union(*parts) if parts else ClopenSet.empty()
-
-        return StagedOpenSet(stages=stage_rule)
-
-    ck_test = RapidGDelta(ck_level, label="fold-Ck")
+    ck_test = level_union(lambda j: convergence_test(hs[j]).level(j) if j < len(hs)
+                          else StagedOpenSet.constant(ClopenSet.empty()), "fold-Ck")
     return combine([agreement_test(diag, parent), ck_test], label="fold-law")
 
 

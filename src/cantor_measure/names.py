@@ -14,12 +14,13 @@ suffix-sum pass over them, whose nonnegativity makes the stages monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .dyadic import Dyadic, DyadicInterval, ZERO
 from .errors import CertificateError, ValidationError
-from .gdelta import RapidGDelta, combine
-from .space import ClopenSet, Point, StagedOpenSet, clopen_union
+from .gdelta import RapidGDelta, combine, level_union
+from .space import ClopenSet, Point, StagedOpenSet
 from .stepfn import StepFunction, l1_norm
 
 
@@ -58,7 +59,12 @@ class L1Name:
             raise ValidationError("term index must be nonnegative")
         while len(self._terms) <= i and self._rule is not None:
             self._terms.append(self._rule(len(self._terms)))
-            self._check_pair(len(self._terms) - 2)
+            try:
+                self._check_pair(len(self._terms) - 2)
+            except CertificateError:  # keep no term, or delta, that failed
+                self._terms.pop()
+                self._deltas.pop(len(self._terms) - 1, None)
+                raise
         if i < len(self._terms):
             return self._terms[i]
         return self._terms[-1]
@@ -147,17 +153,10 @@ def bad_set_family(name: L1Name) -> RapidGDelta:
 
 def convergence_test(name: L1Name) -> RapidGDelta:
     """The rapidly null set off which the name's terms converge pointwise:
-    level k stages through union over n in (k, k+1+s] of bad_set(name, n),
-    with budget 2^-k from the geometric tail."""
-
-    def level_rule(k: int) -> StagedOpenSet:
-        def stage_rule(s: int) -> ClopenSet:
-            parts = [bad_set(name, n).stage(s) for n in range(k + 1, k + 2 + s)]
-            return clopen_union(*parts)
-
-        return StagedOpenSet(stages=stage_rule)
-
-    return RapidGDelta(level_rule, label=f"conv[{name.label}]")
+    the level union of the name's bad sets, so level k stages through the
+    union over n in (k, k+1+s] of bad_set(name, n), with budget 2^-k from
+    the geometric tail."""
+    return level_union(partial(bad_set, name), f"conv[{name.label}]")
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +252,17 @@ def names_equal(n1: L1Name, n2: L1Name, bound: int = 24) -> NamesEqualResult:
 
 def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     """Points avoiding this test see both names converge, to the same value:
-    the convergence tests of each name combined with the convergence-style
-    test of the interleaved sequence."""
+    the convergence tests of each name combined with the level union of the
+    interleaved sequence's bad sets (built afresh at each read)."""
     inter = interleave_terms(n1, n2)
 
     def inter_delta(j: int) -> StepFunction:
         return inter(j).abs_diff(inter(j + 1))
 
-    def inter_level(k: int) -> StagedOpenSet:
-        def stage_rule(s: int) -> ClopenSet:
-            parts = [
-                exceedance_stages(inter_delta, 2 * n + 1, Dyadic.pow2(-n)).stage(s)
-                for n in range(k + 1, k + 2 + s)
-            ]
-            return clopen_union(*parts)
-
-        return StagedOpenSet(stages=stage_rule)
-
-    inter_test = RapidGDelta(inter_level, label=f"conv[{n1.label}~{n2.label}]")
+    inter_test = level_union(
+        lambda n: exceedance_stages(inter_delta, 2 * n + 1, Dyadic.pow2(-n)),
+        f"conv[{n1.label}~{n2.label}]",
+    )
     return combine(
         [convergence_test(n1), convergence_test(n2), inter_test],
         label=f"agree[{n1.label},{n2.label}]",

@@ -377,11 +377,11 @@ def enumerate_eventually_periodic(max_head: int, max_period: int) -> Iterator[Ev
 class StagedOpenSet:
     """Monotone staged enumeration of an open set.
 
-    stage(s) is a clopen set; each stage must cover every earlier one.  Beyond
-    the last entry a list-backed set stays constant.
+    stage(s) is the clopen set the stage rule gives for s; each stage must
+    cover every earlier one.  Stages are built in order and kept.
     """
 
-    stages: Sequence[ClopenSet] | Callable[[int], ClopenSet]
+    stages: Callable[[int], ClopenSet]
     _memo: list[ClopenSet] = field(default_factory=list, repr=False)
 
     def stage(self, s: int) -> ClopenSet:
@@ -389,14 +389,7 @@ class StagedOpenSet:
             raise ValidationError("stage must be nonnegative")
         while len(self._memo) <= s:
             i = len(self._memo)
-            if callable(self.stages):
-                cur = self.stages(i)
-            elif i < len(self.stages):
-                cur = self.stages[i]
-            elif self.stages:
-                cur = self.stages[-1]
-            else:
-                cur = ClopenSet.empty()
+            cur = self.stages(i)
             if self._memo and not clopen_subset(self._memo[-1], cur):
                 raise ValidationError(f"stage {i} does not extend stage {i - 1}")
             self._memo.append(cur)
@@ -404,4 +397,4 @@ class StagedOpenSet:
 
     @classmethod
     def constant(cls, c: ClopenSet) -> "StagedOpenSet":
-        return cls(stages=[c])
+        return cls(stages=lambda s: c)

@@ -11,18 +11,23 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 
-from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, bfs_addresses, child_items,
-                                  eval_map_violations, normalize_demorgan, relocate, subtree)
+from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, addresses, bfs_addresses,
+                                  child_items, eval_map_violations, nodes, normalize_demorgan,
+                                  relocate, subtree)
 from cantor_measure.decoration import PreservationReport, decorate
 from cantor_measure.dsl import _KEYWORDS, _tokenize
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ParseError, StatisticalGateError, ValidationError
-from cantor_measure.names import Captured, L1Name, bad_set, value_at
+from cantor_measure.gdelta import RapidGDelta
+from cantor_measure.names import (Captured, L1Name, bad_set, char_name, constant_name,
+                                  diagonal_name, exceedance_stages, inf_name, interleave_terms,
+                                  sup_name, value_at)
 from cantor_measure.ordinals import ONE_ORD
 from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT, Estimate
-from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint, TailPoint,
-                                  cantor_pair, clopen_intersection)
-from cantor_measure.stepfn import StepFunction
+from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint,
+                                  StagedOpenSet, TailPoint, cantor_pair, clopen_intersection,
+                                  clopen_union)
+from cantor_measure.stepfn import StepFunction, l1_norm
 
 
 def support_depth_bf(code) -> int:
@@ -424,6 +429,120 @@ def membership_frequency_bf(code, addr, p: str, trials: int, seed: int):
         node, _bits(TailPoint(p, column(SeededPoint(seed), cantor_pair(pos, j))), d)))
     return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed,
                     f"freq@{addr}")
+
+
+# ---------------------------------------------------------------------------
+# G-delta staging with a level and stage closure per test, as the package
+# built it before the one level union; the fold-law diagonal's last pick is
+# the full fold, and every law target is labelled "law" as the package's is
+
+def combine_bf(tests, label: str = "combined"):
+    tests = list(tests)
+
+    def level_rule(j: int) -> StagedOpenSet:
+        def stage_rule(s: int) -> ClopenSet:
+            parts = [tests[n].stage(n + j + 1, s) for n in range(min(len(tests), s + 1))]
+            return clopen_union(*parts) if parts else ClopenSet.empty()
+
+        return StagedOpenSet(stages=stage_rule)
+
+    return RapidGDelta(level_rule, label=label)
+
+
+def convergence_test_bf(name):
+    def level_rule(k: int) -> StagedOpenSet:
+        def stage_rule(s: int) -> ClopenSet:
+            parts = [bad_set(name, n).stage(s) for n in range(k + 1, k + 2 + s)]
+            return clopen_union(*parts)
+
+        return StagedOpenSet(stages=stage_rule)
+
+    return RapidGDelta(level_rule, label=f"conv[{name.label}]")
+
+
+def agreement_test_bf(n1, n2):
+    inter = interleave_terms(n1, n2)
+
+    def inter_delta(j: int) -> StepFunction:
+        return inter(j).abs_diff(inter(j + 1))
+
+    def inter_level(k: int) -> StagedOpenSet:
+        def stage_rule(s: int) -> ClopenSet:
+            parts = [
+                exceedance_stages(inter_delta, 2 * n + 1, Dyadic.pow2(-n)).stage(s)
+                for n in range(k + 1, k + 2 + s)
+            ]
+            return clopen_union(*parts)
+
+        return StagedOpenSet(stages=stage_rule)
+
+    inter_test = RapidGDelta(inter_level, label=f"conv[{n1.label}~{n2.label}]")
+    return combine_bf(
+        [convergence_test_bf(n1), convergence_test_bf(n2), inter_test],
+        label=f"agree[{n1.label},{n2.label}]",
+    )
+
+
+def fold_law_test_bf(children, parent, use_max: bool):
+    fold = StepFunction.max_with if use_max else StepFunction.min_with
+    if not children:
+        base = Dyadic(0, 0) if use_max else Dyadic(1, 0)
+        return agreement_test_bf(parent, constant_name(StepFunction.constant(base), label="law"))
+
+    limits = [c.exact_limit() for c in children]
+    if any(lim is None for lim in limits):
+        return agreement_test_bf(parent, (sup_name if use_max else inf_name)(list(children),
+                                                                             label="law"))
+
+    partials: list[StepFunction] = []
+    acc = None
+    for lim in limits:
+        acc = lim if acc is None else fold(acc, lim)
+        partials.append(acc)
+    full = partials[-1]
+
+    picks: list[int] = []
+    for i in range(max(3, len(partials))):
+        target = Dyadic.pow2(-i - 1)
+        chosen = next(
+            (j for j, p in enumerate(partials) if l1_norm(p, full) <= target),
+            len(partials) - 1,
+        )
+        picks.append(chosen)
+    picks[-1] = len(partials) - 1
+    hs = [constant_name(partials[j], label=f"partial{j}") for j in picks]
+    diag = diagonal_name(hs, g=None, label="fold-diag")
+
+    def ck_level(k: int) -> StagedOpenSet:
+        def stage_rule(s: int) -> ClopenSet:
+            parts = []
+            for j in range(k + 1, k + 2 + s):
+                if j >= len(hs):
+                    break
+                for n in range(j + 1, j + 2 + s):
+                    parts.append(bad_set(hs[j], n).stage(s))
+            return clopen_union(*parts) if parts else ClopenSet.empty()
+
+        return StagedOpenSet(stages=stage_rule)
+
+    ck_test = RapidGDelta(ck_level, label="fold-Ck")
+    return combine_bf([agreement_test_bf(diag, parent), ck_test], label="fold-law")
+
+
+def node_law_test_bf(node, children, parent):
+    """The law test of one node: a leaf's agreement with its characteristic
+    name, an interior node's fold-law test."""
+    if isinstance(node, Leaf):
+        return agreement_test_bf(parent, char_name(node.label, label="law"))
+    return fold_law_test_bf(children, parent, isinstance(node, UnionNode))
+
+
+def assemble_bad_gdelta_bf(code, d, label: str = "assembled"):
+    parts = [convergence_test_bf(d[addr]) for addr in addresses(code)]
+    for addr, node in nodes(code):
+        parts.append(node_law_test_bf(node, [d[addr + (s,)] for s, _ in child_items(node)],
+                                      d[addr]))
+    return combine_bf(parts, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,31 @@ def test_usage_errors_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("verb", ["tests-combine", "decorate"])
+def test_negative_depth_is_a_usage_error(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "cyl(0)", "--depth", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a nonnegative integer, got '-1'" in err
+    rc, out, _ = run_main(capsys, verb, "cyl(0)", "--depth", "0")
+    assert rc == 0 and json.loads(out)["assertions"][0]["pass"]
+
+
+@pytest.mark.parametrize("expr,depth", [
+    ("union(cyl(0),cyl(10),cyl(111))", 21),
+    ("inter(cyl(0),cyl(01),cyl(011))", 21),
+    ("union(cyl(0),cyl(10),cyl(110),cyl(1110))", 23),
+])
+def test_fold_law_tests_stay_in_budget_past_their_start(expr, depth, capsys):
+    """These exited 4 once the fold-law diagonal's wrong limit reached the
+    inspected stages; every entry of a finite code's table is empty."""
+    rc, out, err = run_main(capsys, "tests-combine", expr, "--depth", str(depth))
+    assert rc == 0, err
+    table = json.loads(out)["stage_measures"]
+    assert len(table) == depth + 1 and {m for row in table for m in row} == {"0/2^0"}
+
+
 def test_report_aggregates(capsys):
     rc, out, _ = run_main(capsys, "report", "inter(cyl(0),cyl(01))", "--mc", "500")
     assert rc == 0
@@ -309,12 +334,24 @@ def _verb_output(python: str) -> bytes:
     return proc.stdout
 
 
+def _python(version: str) -> str | None:
+    """A working python<version>: the one on PATH, else (a pyenv shim that
+    does not start, say) one installed under the pyenv root's versions."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = [shutil.which(f"python{version}")]
+    found += sorted(map(str, root.glob(f"versions/{version}.*/bin/python{version}")))
+    for python in filter(None, found):
+        probe = subprocess.run(
+            [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return python
+    return None
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_reports_byte_identical_across_interpreters(version):
-    python = shutil.which(f"python{version}")
-    probe = python and subprocess.run(
-        [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60)
-    if not probe or probe.returncode != 0 or probe.stdout.strip() != version:
-        pytest.skip(f"no working python{version} on PATH")
+    python = _python(version)
+    if python is None:
+        pytest.skip(f"no working python{version} on PATH or under the pyenv root")
     assert _verb_output(python) == _verb_output(sys.executable)

@@ -1,10 +1,13 @@
 import gc
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cantor_measure.codes import Leaf, UnionNode, addresses, denotation, subtree, tilde
+from cantor_measure import measure
+from cantor_measure.codes import (InterNode, Leaf, UnionNode, addresses, child_items, denotation,
+                                  nodes, subtree, tilde)
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError, ValidationError
 from cantor_measure.gdelta import budget_report
@@ -19,7 +22,8 @@ from cantor_measure.measure import (
     sup_open_set,
     verify_decomposition,
 )
-from cantor_measure.names import L1Name, char_name, constant_name, names_equal
+from cantor_measure.names import (L1Name, agreement_test, char_name, constant_name, convergence_test,
+                                  diagonal_name, names_equal)
 from cantor_measure.space import (
     ClopenSet,
     EventuallyPeriodicPoint,
@@ -29,8 +33,10 @@ from cantor_measure.space import (
 )
 from cantor_measure.stepfn import StepFunction
 
-from bruteforce import counting_measure, dyadic_fraction
-from gen import char_noise_name, random_code
+from bruteforce import (agreement_test_bf, assemble_bad_gdelta_bf, convergence_test_bf,
+                        counting_measure, dyadic_fraction, node_law_test_bf)
+from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
+                 random_bits, random_code)
 
 
 def test_measure_matches_counting_oracle():
@@ -155,6 +161,100 @@ def test_assembled_test_budgets():
         for n in range(3):
             for s in range(3):
                 assert budget_report(t, n, s) <= Dyadic.pow2(-n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6))
+@example(11)  # a code with a diagonal whose picks all stopped short of the full fold
+def test_fold_law_diagonals_have_their_parents_limit(seed):
+    """The diagonal of the picked partial folds converges to the full fold,
+    the parent's limit; a diagonal whose picks all stopped short of the
+    full fold held the agreement test at a fixed positive measure."""
+    code = random_code(random.Random(seed))
+    d = build_decomposition(code)
+    diags: list[L1Name] = []
+
+    def recording(*args, **kw):
+        diags.append(diagonal_name(*args, **kw))
+        return diags[-1]
+
+    with mock.patch.object(measure, "diagonal_name", recording):
+        for addr, node in nodes(code):
+            kids = [d[addr + (s,)] for s, _ in child_items(node)]
+            if kids:
+                measure.fold_law_test(node, kids, d[addr])
+                assert diags.pop().exact_limit() == d[addr].exact_limit()
+
+
+def _stage_table(t) -> list:
+    """Stages 0..15 of levels 0..6, read level by level, each the set or the
+    type and message of what the read raised.  Level m's bad sets start at
+    stage 2m+1, and a combined test reads its parts some levels up, so
+    stages past 6 are where most of them first hold anything."""
+    out = []
+    for n in range(7):
+        for s in range(16):
+            try:
+                out.append(t.stage(n, s))
+            except Exception as e:  # every error must match, type and message
+                out.append((type(e), str(e)))
+    return out
+
+
+def _staging_case(kind: str, seed: int, oracle: bool) -> list:
+    """The stage tables of one case, built through the package or through
+    the closure oracle; each side builds its own names from the seed."""
+    rng = random.Random(seed)
+    conv = convergence_test_bf if oracle else convergence_test
+    agree = agreement_test_bf if oracle else agreement_test
+    if kind == "perturbed":
+        return [_stage_table(conv(perturbed_name(rng, terms=rng.randint(1, 8))))]
+    if kind == "constant":
+        return [_stage_table(conv(nm)) for nm in constant_family(rng, 2)]
+    if kind == "path":
+        base = StepFunction.constant(Dyadic(rng.randint(0, 3), 2))
+        return [_stage_table(conv(path_name(random_bits(rng, 3, min_len=1), base)))]
+    if kind == "broken":
+        return [_stage_table(conv(broken_name(rng.randint(1, 9))))]
+    if kind in ("agree-equal", "agree-unequal"):
+        a = perturbed_name(rng, terms=rng.randint(1, 6))
+        b = perturbed_name(rng, base=a.exact_limit() if kind == "agree-equal" else None)
+        return [_stage_table(agree(a, b))]
+    if kind == "fold-inexact":
+        kids = [path_name(random_bits(rng, 3, min_len=1), StepFunction.constant(Dyadic(0, 0))),
+                char_noise_name(rng)]
+        node = rng.choice((UnionNode, InterNode))((Leaf(ClopenSet.empty()),) * 2)
+        law = node_law_test_bf if oracle else measure.fold_law_test
+        return [_stage_table(law(node, kids, char_noise_name(rng)))]
+    # "assembled" / "laws": a random code's decomposition, one address's
+    # name replaced by a wrong one when "wrong" is drawn; an assembled test
+    # reads its late parts many levels up, so its codes are small
+    code = random_code(rng, max_depth=rng.randint(0, 1 if kind == "assembled" else 2),
+                       max_children=3, max_gen_len=4)
+    d = build_decomposition(code)
+    if rng.random() < 0.5:
+        addr = rng.choice(sorted(d))
+        d[addr] = constant_name(d[addr].exact_limit() + StepFunction.constant(Dyadic(1, 2)),
+                                label="wrong")
+    if kind == "assembled":
+        return [_stage_table((assemble_bad_gdelta_bf if oracle else assemble_bad_gdelta)(code, d))]
+    law = node_law_test_bf if oracle else measure.fold_law_test
+    return [_stage_table(law(node, [d[addr + (s,)] for s, _ in child_items(node)], d[addr]))
+            for addr, node in nodes(code)]
+
+
+@settings(deadline=None, max_examples=45)
+@given(st.sampled_from(["perturbed", "constant", "path", "broken", "agree-equal",
+                        "agree-unequal", "fold-inexact", "assembled", "laws"]),
+       st.integers(min_value=0, max_value=10**6))
+@example("broken", 3)
+@example("agree-unequal", 0)
+@example("laws", 1)
+def test_level_unions_stage_as_the_closure_oracle(kind, seed):
+    """Whole stage tables of the convergence, agreement, fold-law and
+    assembled tests equal the per-test closures they replaced: the same
+    set at every level and stage, or the same error."""
+    assert _staging_case(kind, seed, False) == _staging_case(kind, seed, True)
 
 
 def test_decomposition_eval_map_reads_membership():

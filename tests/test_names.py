@@ -196,6 +196,19 @@ def test_capture_sets_match_staged_bad_sets(kind, seed, precision):
         assert got[0] is CertificateError
 
 
+def test_a_failed_certificate_keeps_no_term():
+    """The pair (3, 4) breaks the certificate: every read past term 3
+    raises, the same error each time, and no term or delta of it stays."""
+    nm = broken_name(4)
+    errors = []
+    for read in (lambda: capture_sets(nm, 1), lambda: capture_sets(nm, 1), lambda: nm.term(4)):
+        with pytest.raises(CertificateError) as exc:
+            read()
+        errors.append(str(exc.value))
+    assert errors == ["broken: |f_3 - f_4|_1 = 15/2^4 not < 2^-3"] * 3
+    assert nm.materialized == 4 and 3 not in nm._deltas
+
+
 def test_exceedance_stages_read_no_delta_below_start():
     asked = []
 

@@ -282,7 +282,7 @@ def test_enumerate_eventually_periodic_counts():
 
 
 def test_staged_open_set_monotone_enforced():
-    shrink = StagedOpenSet(stages=[ClopenSet(("0",)), ClopenSet(("00",))])
+    shrink = StagedOpenSet(stages=lambda s: ClopenSet(("0" * (s + 1),)))
     with pytest.raises(ValidationError):
         shrink.stage(1)
 
