@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 from .dyadic import Dyadic
 from .errors import BudgetError, ValidationError
-from .space import ClopenSet, Point, StagedOpenSet, clopen_union, mu_I
+from .space import (ClopenSet, EventuallyPeriodicPoint, Point, StagedOpenSet,
+                    clopen_complement, clopen_union, mu_I)
 
 
 @dataclass(frozen=True)
@@ -75,20 +76,6 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
     return RapidGDelta(level_rule, label=label)
 
 
-def level_union(bad: Callable[[int], StagedOpenSet], label: str) -> RapidGDelta:
-    """The test whose level k at stage s unions bad(n).stage(s) over n in
-    (k, k+1+s]: a tail of the family bad(n), so when each bad(n) keeps
-    measure <= 2^-n the geometric tail keeps level k within 2^-k."""
-
-    def level_rule(k: int) -> StagedOpenSet:
-        def stage_rule(s: int) -> ClopenSet:
-            return clopen_union(*[bad(n).stage(s) for n in range(k + 1, k + 2 + s)])
-
-        return StagedOpenSet(stages=stage_rule)
-
-    return RapidGDelta(level_rule, label=label)
-
-
 def avoids(x: Point, t: RapidGDelta, level: int, stage: int) -> AvoidsSoFar | CapturedAt:
     """Three-valued by stage: capture is final, avoidance only provisional."""
     g = t.stage(level, stage).hit(x)
@@ -112,8 +99,6 @@ def covered_cell_count(stage_set: ClopenSet, k: int) -> int:
 
 def eventually_periodic_avoider(stage_set: ClopenSet):
     """An explicit eventually periodic point outside a non-full clopen stage."""
-    from .space import EventuallyPeriodicPoint, clopen_complement
-
     comp = clopen_complement(stage_set)
     if comp.is_empty():
         raise ValidationError("stage covers the whole space; no avoider exists")

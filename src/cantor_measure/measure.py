@@ -23,11 +23,13 @@ from .codes import (
     denotation,
     nodes,
     require_complement_free,
+    tilde,
 )
 from .dyadic import Dyadic, ONE, ZERO
 from .errors import CertificateError, ValidationError
-from .gdelta import RapidGDelta, combine, level_union
+from .gdelta import RapidGDelta, combine
 from .names import (
+    Captured,
     L1Name,
     agreement_test,
     char_name,
@@ -121,8 +123,6 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
     X -> f(0^m 1 X), index-shifted by m+1 to keep the strict certificate
     (precomposition scales L1 norms by 2^(m+1))."""
     require_complement_free(code, "decomposition_from_membership")
-    from .codes import tilde
-
     stacked = tilde(code, h)
     lim = f.exact_limit()
     if lim is not None:
@@ -176,8 +176,8 @@ def fold_law_test(node: BorelCode, children: Sequence[L1Name],
     exact norm search: pick i is the first partial within 2^-(i+1) of the
     full fold, for i < max(3, #children) - 1, and the last pick is the full
     fold, so the diagonal of the picks has the parent's limit.  The test
-    combines the diagonal's agreement test against the parent with the
-    level union, over picks j, of pick j's convergence level j."""
+    is the diagonal's agreement test against the parent, combined alone so
+    it keeps combine's level shift."""
     limits = [c.exact_limit() for c in children]
     if not limits or any(lim is None for lim in limits):
         return agreement_test(parent, law_name(node, children, "law"))
@@ -188,17 +188,13 @@ def fold_law_test(node: BorelCode, children: Sequence[L1Name],
              for i in range(max(3, len(partials)) - 1)] + [len(partials) - 1]
     hs = [constant_name(partials[j], label=f"partial{j}") for j in picks]
     diag = diagonal_name(hs, g=None, label="fold-diag")
-    ck_test = level_union(lambda j: convergence_test(hs[j]).level(j) if j < len(hs)
-                          else StagedOpenSet.constant(ClopenSet.empty()), "fold-Ck")
-    return combine([agreement_test(diag, parent), ck_test], label="fold-law")
+    return combine([agreement_test(diag, parent)], label="fold-law")
 
 
 def decomposition_eval_map(code: BorelCode, d: MeasureDecomposition, x: Point,
                            precision: int = 8):
     """Address-wise value_at readings, rounded to {0,1} when within
     tolerance; None where capture blocks a reading."""
-    from .names import Captured
-
     out = {}
     tol = Dyadic.pow2(-precision + 1)
     for addr in addresses(code):

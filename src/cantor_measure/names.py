@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 from .dyadic import Dyadic, DyadicInterval, ZERO
 from .errors import CertificateError, ValidationError
-from .gdelta import RapidGDelta, combine, level_union
-from .space import ClopenSet, Point, StagedOpenSet
+from .gdelta import RapidGDelta, combine
+from .space import ClopenSet, Point, StagedOpenSet, clopen_union
 from .stepfn import StepFunction, l1_norm
 
 
@@ -151,11 +151,26 @@ def bad_set_family(name: L1Name) -> RapidGDelta:
     return RapidGDelta(lambda n: bad_set(name, n), label=f"bad[{name.label}]")
 
 
+def level_union(bad: Callable[[int], StagedOpenSet], label: str) -> RapidGDelta:
+    """The test whose level k at stage s unions bad(n).stage(s) over n > k:
+    a tail of the family bad(n), so when each bad(n) keeps measure <= 2^-n
+    the geometric tail keeps level k within 2^-k.  Every bad(n) is a level-n
+    bad set, empty before stage 2n+1 (exceedance_stages from index 2n+1),
+    so stage s reads only n <= (s-1)/2."""
+
+    def level_rule(k: int) -> StagedOpenSet:
+        def stage_rule(s: int) -> ClopenSet:
+            return clopen_union(*[bad(n).stage(s) for n in range(k + 1, (s + 1) // 2)])
+
+        return StagedOpenSet(stages=stage_rule)
+
+    return RapidGDelta(level_rule, label=label)
+
+
 def convergence_test(name: L1Name) -> RapidGDelta:
     """The rapidly null set off which the name's terms converge pointwise:
-    the level union of the name's bad sets, so level k stages through the
-    union over n in (k, k+1+s] of bad_set(name, n), with budget 2^-k from
-    the geometric tail."""
+    the level union of the name's bad sets, with budget 2^-k at level k
+    from the geometric tail."""
     return level_union(partial(bad_set, name), f"conv[{name.label}]")
 
 

@@ -187,13 +187,13 @@ def test_fold_law_diagonals_have_their_parents_limit(seed):
 
 
 def _stage_table(t) -> list:
-    """Stages 0..15 of levels 0..6, read level by level, each the set or the
-    type and message of what the read raised.  Level m's bad sets start at
-    stage 2m+1, and a combined test reads its parts some levels up, so
+    """Stages 0..25 of levels 0..12, read level by level, each the set or
+    the type and message of what the read raised.  Level m's bad sets start
+    at stage 2m+1, and a combined test reads its parts some levels up, so
     stages past 6 are where most of them first hold anything."""
     out = []
-    for n in range(7):
-        for s in range(16):
+    for n in range(13):
+        for s in range(26):
             try:
                 out.append(t.stage(n, s))
             except Exception as e:  # every error must match, type and message

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cantor_measure import measure, names
+from cantor_measure.codes import Leaf, UnionNode, child_items
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError
 from cantor_measure.names import (
@@ -21,11 +23,12 @@ from cantor_measure.names import (
     exceedance_stages,
     inf_name,
     interleave_terms,
+    level_union,
     names_equal,
     sup_name,
     value_at,
 )
-from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, mu_I
+from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, StagedOpenSet, mu_I
 from cantor_measure.stepfn import StepFunction, l1_norm
 
 from bruteforce import capture_sets_bf, dyadic_fraction, l1_fraction
@@ -335,6 +338,45 @@ def test_convergence_test_budgets():
         for k in range(4):
             for s in range(4):
                 assert mu_I(t.stage(k, s)) <= Dyadic.pow2(-k)
+
+
+def test_level_union_reads_only_bad_sets_past_their_start():
+    """Level k at stage s reads bad(n) exactly for k < n <= (s-1)/2: a
+    level-n bad set is empty before stage 2n+1, so no other part can add
+    to the union."""
+    calls = []
+
+    def bad(n):
+        calls.append(n)
+        return StagedOpenSet.constant(ClopenSet.empty())
+
+    t = level_union(bad, "recording")
+    for k in range(6):
+        for s in range(16):
+            calls.clear()
+            t.stage(k, s)
+            assert calls == list(range(k + 1, (s - 1) // 2 + 1)), (k, s)
+
+
+def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
+    """Children with exact limits give constant picks, whose bad sets are
+    empty at every stage; the law test stages only the diagonal's and the
+    parent's."""
+    labels = []
+    real = names.bad_set
+
+    def recording(name, level):
+        labels.append(name.label)
+        return real(name, level)
+
+    monkeypatch.setattr(names, "bad_set", recording)
+    code = UnionNode(tuple(Leaf(ClopenSet.cylinder(p)) for p in ("0", "10", "110", "1110")))
+    d = measure.build_decomposition(code)
+    t = measure.fold_law_test(code, [d[(s,)] for s, _ in child_items(code)], d[()])
+    for k in range(4):
+        for s in range(12):
+            t.stage(k, s)
+    assert labels and not [lb for lb in labels if lb.startswith("partial")]
 
 
 def test_diagonal_name_bounds_exact():
