@@ -4,7 +4,7 @@ budget mu_I(level n, any stage) <= 2^-n, enforced at materialization.
 Combining countably many tests into one uses the level shift n + j + 1: the
 output's level j unions input n's level n+j+1, so the budget telescopes to
 2^-j.  The countable union is kept finite per stage by the diagonal schedule
-(inputs n <= stage index enter)."""
+(inputs n <= stage index enter); levels from a known height on are empty."""
 
 from __future__ import annotations
 
@@ -35,12 +35,15 @@ class CapturedAt:
 class RapidGDelta:
     """levels(n) yields the staged open set U_n; every stage access is
     budget-checked, so no materialization path can observe a stage whose
-    measure exceeds 2^-n without raising BudgetError."""
+    measure exceeds 2^-n without raising BudgetError.  From level height on
+    (None: not known) every stage is the empty set, and no level is built."""
 
-    def __init__(self, levels: Callable[[int], StagedOpenSet], label: str = "test"):
+    def __init__(self, levels: Callable[[int], StagedOpenSet], label: str = "test",
+                 height: int | None = None):
         self._rule = levels
         self._memo: dict[int, StagedOpenSet] = {}
         self.label = label
+        self.height = height
 
     def level(self, n: int) -> StagedOpenSet:
         if n < 0:
@@ -50,6 +53,8 @@ class RapidGDelta:
         return self._memo[n]
 
     def stage(self, n: int, s: int) -> ClopenSet:
+        if self.height is not None and n >= self.height:
+            return ClopenSet.empty()
         c = self.level(n).stage(s)
         m = mu_I(c)
         if m > Dyadic.pow2(-n):
@@ -63,8 +68,11 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
     """One test whose G-delta contains every input's.
 
     Output level j at stage s unions input n's level n+j+1 at stage s over
-    all n <= s present in the input list."""
+    all n <= s in the input list.  Input n of height h_n is empty from output
+    level h_n - n - 1 on: the height is the largest, or 0 (None if any is)."""
     tests = list(tests)
+    heights = [t.height for t in tests]
+    height = None if None in heights else max([0] + [h - n - 1 for n, h in enumerate(heights)])
 
     def level_rule(j: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
@@ -73,7 +81,7 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
 
         return StagedOpenSet(stages=stage_rule)
 
-    return RapidGDelta(level_rule, label=label)
+    return RapidGDelta(level_rule, label=label, height=height)
 
 
 def avoids(x: Point, t: RapidGDelta, level: int, stage: int) -> AvoidsSoFar | CapturedAt:

@@ -14,7 +14,6 @@ suffix-sum pass over them, whose nonnegativity makes the stages monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 from .dyadic import Dyadic, DyadicInterval, ZERO
@@ -27,8 +26,8 @@ from .stepfn import StepFunction, l1_norm
 class L1Name:
     """Lazy certified sequence of step functions.
 
-    Terms come from an explicit list, optionally extended by a rule; with no
-    rule the tail is constant (the common case here: names of finite codes
+    Terms come from an explicit list, optionally extended by a rule called as
+    terms are read; with no rule the tail is constant (names of finite codes
     are eventually constant, making their limits exactly available)."""
 
     def __init__(self, terms: Sequence[StepFunction],
@@ -42,10 +41,9 @@ class L1Name:
         self._bad_sets: dict[int, list[ClopenSet]] = {}
         self._deltas: dict[int, StepFunction] = {}
         self._captures: dict[int, tuple[int, tuple[ClopenSet, ...]]] = {}
+        self._tail = len(self._terms) - 1 if rule is None else None
         for i in range(len(self._terms) - 1):
             self._check_pair(i)
-        if rule is not None and not self._terms:
-            self._terms.append(rule(0))
 
     def _check_pair(self, i: int) -> None:
         norm = l1_norm(self.delta(i))
@@ -60,7 +58,8 @@ class L1Name:
         while len(self._terms) <= i and self._rule is not None:
             self._terms.append(self._rule(len(self._terms)))
             try:
-                self._check_pair(len(self._terms) - 2)
+                if len(self._terms) > 1:  # a first term has no pair to check
+                    self._check_pair(len(self._terms) - 2)
             except CertificateError:  # keep no term, or delta, that failed
                 self._terms.pop()
                 self._deltas.pop(len(self._terms) - 1, None)
@@ -86,13 +85,13 @@ class L1Name:
         return self._terms[-1] if self._rule is None else None
 
     def constant_tail_from(self) -> int | None:
-        return len(self._terms) - 1 if self._rule is None else None
+        return self._tail
 
     def integral(self) -> DyadicInterval:
         """[int f_i - 2^-i+1, int f_i + 2^-i+1] at the deepest materialized
         index; always contains the limit's integral."""
-        i = len(self._terms) - 1
-        mid = self._terms[i].integral()
+        i = max(self.materialized, 1) - 1
+        mid = self.term(i).integral()
         pad = Dyadic.pow2(-i + 1)
         return DyadicInterval(mid - pad, mid + pad)
 
@@ -151,27 +150,24 @@ def bad_set_family(name: L1Name) -> RapidGDelta:
     return RapidGDelta(lambda n: bad_set(name, n), label=f"bad[{name.label}]")
 
 
-def level_union(bad: Callable[[int], StagedOpenSet], label: str) -> RapidGDelta:
-    """The test whose level k at stage s unions bad(n).stage(s) over n > k:
-    a tail of the family bad(n), so when each bad(n) keeps measure <= 2^-n
-    the geometric tail keeps level k within 2^-k.  Every bad(n) is a level-n
-    bad set, empty before stage 2n+1 (exceedance_stages from index 2n+1),
-    so stage s reads only n <= (s-1)/2."""
+def convergence_test(name: L1Name) -> RapidGDelta:
+    """The rapidly null set off which the name's terms converge pointwise:
+    level k at stage s unions bad_set(name, n).stage(s) over n > k, within
+    2^-k by the geometric tail.  Bad set n is empty before stage 2n+1 and,
+    when the name is constant from index c (its deltas from c on are zero),
+    at every stage once 2n+1 >= c; so stage s reads only n <= (s-1)/2 with
+    n < c//2, and the height is max(c//2 - 1, 0), or None with no tail."""
+    tail = name.constant_tail_from()
 
     def level_rule(k: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
-            return clopen_union(*[bad(n).stage(s) for n in range(k + 1, (s + 1) // 2)])
+            end = (s + 1) // 2 if tail is None else min((s + 1) // 2, tail // 2)
+            return clopen_union(*[bad_set(name, n).stage(s) for n in range(k + 1, end)])
 
         return StagedOpenSet(stages=stage_rule)
 
-    return RapidGDelta(level_rule, label=label)
-
-
-def convergence_test(name: L1Name) -> RapidGDelta:
-    """The rapidly null set off which the name's terms converge pointwise:
-    the level union of the name's bad sets, with budget 2^-k at level k
-    from the geometric tail."""
-    return level_union(partial(bad_set, name), f"conv[{name.label}]")
+    return RapidGDelta(level_rule, label=f"conv[{name.label}]",
+                       height=None if tail is None else max(tail // 2 - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +261,26 @@ def names_equal(n1: L1Name, n2: L1Name, bound: int = 24) -> NamesEqualResult:
     return NamesEqualResult(r <= Dyadic.pow2(-bound + 2), r, bound, "bounded")
 
 
+class _Interleaved(L1Name):
+    """interleave_terms(n1, n2), uncertified, with a name's memoized terms,
+    deltas and bad-set stages; exact equal limits give it the later tail, less 2."""
+
+    def __init__(self, n1: L1Name, n2: L1Name):
+        super().__init__([], rule=interleave_terms(n1, n2), label=f"{n1.label}~{n2.label}")
+        c1, c2 = n1.constant_tail_from(), n2.constant_tail_from()
+        if c1 is not None and n1.exact_limit() == n2.exact_limit():
+            self._tail = max(c1, c2, 2) - 2
+
+    def _check_pair(self, i: int) -> None:
+        pass
+
+
 def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     """Points avoiding this test see both names converge, to the same value:
-    the convergence tests of each name combined with the level union of the
-    interleaved sequence's bad sets (built afresh at each read)."""
-    inter = interleave_terms(n1, n2)
-
-    def inter_delta(j: int) -> StepFunction:
-        return inter(j).abs_diff(inter(j + 1))
-
-    inter_test = level_union(
-        lambda n: exceedance_stages(inter_delta, 2 * n + 1, Dyadic.pow2(-n)),
-        f"conv[{n1.label}~{n2.label}]",
-    )
-    return combine(
-        [convergence_test(n1), convergence_test(n2), inter_test],
-        label=f"agree[{n1.label},{n2.label}]",
-    )
+    the convergence tests of each name and of their interleave, combined.
+    Building it evaluates no term; only exact equal limits bound the staging."""
+    return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))],
+                   label=f"agree[{n1.label},{n2.label}]")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
 def limit_distance_refuted(h1: L1Name, h2: L1Name, bound: Dyadic) -> Dyadic | None:
     """Exact refutation check of the claim |lim h1 - lim h2|_1 <= bound:
     returns the offending lower bound if the claim is impossible, else None."""
-    a, b = h1.materialized - 1, h2.materialized - 1
+    a, b = max(h1.materialized, 1) - 1, max(h2.materialized, 1) - 1
     norm = l1_norm(h1.term(a), h2.term(b))
     slack = ZERO
     if h1.exact_limit() is None:

@@ -58,7 +58,7 @@ class ClopenSet:
 
     @classmethod
     def empty(cls) -> "ClopenSet":
-        return cls(())
+        return _EMPTY
 
     @classmethod
     def full(cls) -> "ClopenSet":
@@ -93,6 +93,9 @@ class ClopenSet:
         """The generator that is a prefix of x, or None."""
         i = locate(self.generators, x)
         return None if i is None else self.generators[i]
+
+
+_EMPTY = ClopenSet()  # frozen, so one instance serves every caller
 
 
 def mu_I(s: ClopenSet) -> Dyadic:

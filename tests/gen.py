@@ -135,6 +135,14 @@ def broken_name(k: int) -> L1Name:
     return L1Name([], rule=rule, label="broken")
 
 
+def shrinking_name(c: int) -> L1Name:
+    """chi of [0^(i+1)] at index i < c, then 0 from index c: exact, and its
+    level-n bad set holds points from stage 2n+1 on exactly when
+    0 < n < c//2."""
+    seq = [StepFunction.from_char(ClopenSet.cylinder("0" * (i + 1))) for i in range(c)]
+    return L1Name(seq + [StepFunction.constant(Dyadic.from_int(0))], label="shrinking")
+
+
 def rapid_family_member(rng: random.Random, levels: int = 5,
                         label: str = "gen-test") -> RapidGDelta:
     """Random rapidly null test: level n reveals, one per stage, cylinders

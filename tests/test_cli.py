@@ -269,6 +269,7 @@ def test_negative_depth_is_a_usage_error(verb, capsys):
     ("inter(cyl(0),cyl(01),cyl(011))", 21),
     ("union(cyl(0),cyl(10),cyl(110),cyl(1110))", 23),
     ("union(cyl(0),cyl(10),cyl(111))", 40),
+    ("union(cyl(0),cyl(10),cyl(111))", 300),
 ])
 def test_fold_law_tests_stay_in_budget_past_their_start(expr, depth, capsys):
     """These exited 4 once the fold-law diagonal's wrong limit reached the

@@ -36,7 +36,7 @@ from cantor_measure.stepfn import StepFunction
 from bruteforce import (agreement_test_bf, assemble_bad_gdelta_bf, convergence_test_bf,
                         counting_measure, dyadic_fraction, node_law_test_bf)
 from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
-                 random_bits, random_code)
+                 random_bits, random_code, shrinking_name)
 
 
 def test_measure_matches_counting_oracle():
@@ -216,10 +216,23 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
         return [_stage_table(conv(path_name(random_bits(rng, 3, min_len=1), base)))]
     if kind == "broken":
         return [_stage_table(conv(broken_name(rng.randint(1, 9))))]
-    if kind in ("agree-equal", "agree-unequal"):
-        a = perturbed_name(rng, terms=rng.randint(1, 6))
-        b = perturbed_name(rng, base=a.exact_limit() if kind == "agree-equal" else None)
+    if kind == "agree-equal":  # tails up to 14, so the tail bound acts by stage 25
+        a = perturbed_name(rng, terms=rng.randint(1, 14))
+        b = perturbed_name(rng, base=a.exact_limit(), terms=rng.randint(1, 14))
         return [_stage_table(agree(a, b))]
+    if kind == "agree-unequal":
+        a = perturbed_name(rng, terms=rng.randint(1, 6))
+        return [_stage_table(agree(a, perturbed_name(rng)))]
+    if kind == "agree-shrinking":  # exact, equal limits, bad sets up to the tail
+        a, b = shrinking_name(rng.randint(0, 14)), shrinking_name(rng.randint(0, 14))
+        return [_stage_table(conv(a)), _stage_table(agree(a, b))]
+    if kind == "agree-broken":  # building the test is part of the outcome
+        pair = [broken_name(rng.randint(1, 9)), perturbed_name(rng, terms=rng.randint(1, 6))]
+        rng.shuffle(pair)
+        try:
+            return [_stage_table(agree(*pair))]
+        except Exception as e:
+            return [(type(e), str(e))]
     if kind == "fold-inexact":
         kids = [path_name(random_bits(rng, 3, min_len=1), StepFunction.constant(Dyadic(0, 0))),
                 char_noise_name(rng)]
@@ -245,16 +258,36 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
 
 @settings(deadline=None, max_examples=45)
 @given(st.sampled_from(["perturbed", "constant", "path", "broken", "agree-equal",
-                        "agree-unequal", "fold-inexact", "assembled", "laws"]),
+                        "agree-unequal", "agree-shrinking", "agree-broken", "fold-inexact",
+                        "assembled", "laws"]),
        st.integers(min_value=0, max_value=10**6))
 @example("broken", 3)
 @example("agree-unequal", 0)
+@example("agree-shrinking", 0)
+@example("agree-broken", 37)
 @example("laws", 1)
 def test_level_unions_stage_as_the_closure_oracle(kind, seed):
     """Whole stage tables of the convergence, agreement, fold-law and
     assembled tests equal the per-test closures they replaced: the same
     set at every level and stage, or the same error."""
     assert _staging_case(kind, seed, False) == _staging_case(kind, seed, True)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_finite_codes_assemble_tests_of_known_height(seed):
+    """Every name of a finite code's decomposition is constant from some
+    index, so its assembled test has a height, and the oracle's test is
+    empty from there on.  Exact names with unequal limits have no tail."""
+    code = random_code(random.Random(seed), max_depth=1, max_children=4, max_gen_len=4)
+    height = assemble_bad_gdelta(code, build_decomposition(code)).height
+    assert isinstance(height, int)
+    oracle = assemble_bad_gdelta_bf(code, build_decomposition(code))
+    assert all(oracle.stage(n, s).is_empty()
+               for n in range(height, height + 4) for s in range(31))
+    a = constant_name(StepFunction.constant(Dyadic(seed % 4, 2)))
+    b = constant_name(StepFunction.constant(Dyadic(seed % 4 + 1, 2)))
+    assert agreement_test(a, b).height is None
 
 
 def test_decomposition_eval_map_reads_membership():

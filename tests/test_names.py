@@ -23,7 +23,6 @@ from cantor_measure.names import (
     exceedance_stages,
     inf_name,
     interleave_terms,
-    level_union,
     names_equal,
     sup_name,
     value_at,
@@ -340,28 +339,37 @@ def test_convergence_test_budgets():
                 assert mu_I(t.stage(k, s)) <= Dyadic.pow2(-k)
 
 
-def test_level_union_reads_only_bad_sets_past_their_start():
-    """Level k at stage s reads bad(n) exactly for k < n <= (s-1)/2: a
-    level-n bad set is empty before stage 2n+1, so no other part can add
-    to the union."""
+def test_level_union_reads_only_bad_sets_past_their_start(monkeypatch):
+    """A convergence test's level k at stage s reads bad set n exactly for
+    k < n <= (s-1)/2, since a level-n bad set is empty before stage 2n+1;
+    for a name constant from index c also only n < c//2, since bad set n
+    is empty once 2n+1 >= c, so nothing at levels >= max(c//2 - 1, 0)."""
     calls = []
 
-    def bad(n):
+    def bad(name, n):
         calls.append(n)
         return StagedOpenSet.constant(ClopenSet.empty())
 
-    t = level_union(bad, "recording")
-    for k in range(6):
-        for s in range(16):
-            calls.clear()
-            t.stage(k, s)
-            assert calls == list(range(k + 1, (s - 1) // 2 + 1)), (k, s)
+    monkeypatch.setattr(names, "bad_set", bad)
+    zero = StepFunction.constant(Dyadic.from_int(0))
+    ruled = L1Name([], rule=lambda i: zero, label="ruled")
+    cases = [(ruled, None)] + [(L1Name([zero] * (c + 1)), c) for c in range(10)]
+    for nm, c in cases:
+        t = convergence_test(nm)
+        assert t.height == (None if c is None else max(c // 2 - 1, 0))
+        for k in range(6):
+            for s in range(16):
+                calls.clear()
+                t.stage(k, s)
+                end = (s + 1) // 2 if c is None else min((s + 1) // 2, c // 2)
+                assert calls == list(range(k + 1, end)), (c, k, s)
+        assert sorted(t._memo) == list(range(6 if c is None else min(6, t.height)))
 
 
 def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
-    """Children with exact limits give constant picks, whose bad sets are
-    empty at every stage; the law test stages only the diagonal's and the
-    parent's."""
+    """Children with exact limits give constant picks, a diagonal with the
+    parent's exact limit, and an interleave constant from a known index:
+    every bad set the law test could read is known empty, so none is built."""
     labels = []
     real = names.bad_set
 
@@ -376,7 +384,7 @@ def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
     for k in range(4):
         for s in range(12):
             t.stage(k, s)
-    assert labels and not [lb for lb in labels if lb.startswith("partial")]
+    assert labels == []
 
 
 def test_diagonal_name_bounds_exact():
