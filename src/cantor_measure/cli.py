@@ -25,7 +25,6 @@ from .codes import (
     fold,
     is_complement_free,
     make_alternating,
-    member,
     normalize_demorgan,
     support_depth,
 )
@@ -158,7 +157,7 @@ def _cmd_eval(args) -> dict:
     emap = evaluate(shaped, x)
     return {
         "point": x.describe(),
-        "member": bool(member(shaped, x)),
+        "member": bool(emap[()]),
         "eval_map": {_addr_str(a): v for a, v in sorted(emap.items())},
     }
 

@@ -38,8 +38,7 @@ from .codes import (
 from .dyadic import Dyadic
 from .errors import ValidationError
 from .ordinals import OrdinalNotation, descending_chain, notations_up_to
-from .space import (ClopenSet, Point, clopen_intersection, clopen_subset, clopen_union, mu_I,
-                    read_prefix)
+from .space import ClopenSet, Point, clopen_intersection, clopen_subset, clopen_union, locate, mu_I
 
 
 def _insert_ok(code: BorelCode, budget: OrdinalNotation, side: str) -> None:
@@ -226,10 +225,13 @@ def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequen
     pads), and den(code) <= den(decorated) | F and den(decorated) <=
     den(code) | F prove that over the whole space.
 
-    Each sample point's bits are read once, until no generator of a
-    denotation or of F extends them, and points that read the same bits
-    share one cell: both codes' memberships are read off the denotations
-    there.  Points inside F are captured; any other is preserved when both
+    Each sample point's cell is the longest string, "" included, of the
+    sorted generators of F and of every denotation that is a prefix of it
+    (locate's walk), and both codes' memberships are read off the
+    denotations there.  That is exact: each generator of a denotation D
+    that is a prefix of x is in the list, so it is a prefix of x's cell
+    too, and x is in D exactly when D covers the whole cell; likewise for
+    F.  Points inside F are captured; any other is preserved when both
     memberships agree, and a violation (its index, ()) when they differ.
     Every distinct interior node's denotation must also agree with its
     clause over its children's at each cell, or the clopen algebra is at
@@ -241,9 +243,9 @@ def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequen
     after, before = denotation(decorated, dens), denotation(code, dens)
     whole = (clopen_subset(before, clopen_union(after, fp))
              and clopen_subset(after, clopen_union(before, fp)))
-    gens = sorted(set(fp.generators).union(*(den.generators for den in dens.values())))
-    reads = [read_prefix(gens, x) for x in points]
-    cells = {c: j for j, c in enumerate(dict.fromkeys(reads))}
+    gens = sorted(set(fp.generators).union(("",), *(den.generators for den in dens.values())))
+    located = [gens[locate(gens, x)] for x in points]
+    cells = {c: j for j, c in enumerate(dict.fromkeys(located))}
     masks: dict[tuple[int, bool], int] = {}
     for tree in (decorated, code):
         clashes: list[BorelCode] = []
@@ -253,7 +255,7 @@ def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequen
             raise AssertionError(f"denotation disagrees with its clause at {where}")
     changed = masks[id(decorated), False] ^ masks[id(code), False]
     captured, violations = [], []
-    for i, c in enumerate(reads):
+    for i, c in enumerate(located):
         if fp.covers_prefix(c):
             captured.append(i)
         elif changed >> cells[c] & 1:

@@ -201,6 +201,8 @@ class EventuallyPeriodicPoint(Point):
         return int(self.period[(n - len(self.head)) % len(self.period)])
 
     def bits(self, lo: int, hi: int) -> str:
+        if hi <= len(self.head):  # all inside the head
+            return self.head[lo:hi]
         h, v = len(self.head), self.period
         a = max(lo, h)  # the first bit wanted from the periodic part
         n = max(hi - a, 0)
@@ -303,60 +305,30 @@ def seeded_leaves(seed: int, columns: Iterable[int], trie: Sequence[int]) -> lis
     return out
 
 
-def locate(prefixes: Sequence[str], x: Point) -> int | None:
-    """Index of the string of a sorted antichain that is a prefix of x, or
-    None.  Reads each bit of x once and stops as soon as no string extends
-    the bits read: the strings extending the first k bits are a contiguous
-    run of the sorted antichain, which bit k splits at the first string
-    whose character k is '1', found by bisection on that character alone,
-    so the walk is linear in the length of the string it finds."""
-    lo, hi, k = 0, len(prefixes), 0
+def locate(strings: Sequence[str], x: Point) -> int | None:
+    """Index of the longest string of a sorted, distinct list that is a
+    prefix of x, or None; on an antichain, the only one.  The strings
+    extending the first k bits of x are a contiguous run of the list,
+    which bit k splits at the first string whose character k is '1', found
+    by bisection on that character alone.  A string equal to the bits read
+    heads the run: it is remembered and skipped.  Once one string is left,
+    the rest of it is compared with one slice of x's bits, so the walk reads
+    each bit once and no further than the last string it could find."""
+    lo, hi, k, found = 0, len(strings), 0, None
     while lo < hi:
-        p = prefixes[lo]
-        if len(p) == k:
-            return lo
-        if hi - lo == 1:  # one candidate left: match the rest of it
-            for j in range(k, len(p)):
-                if x.bit(j) != (p[j] == "1"):
-                    return None
-            return lo
-        mid = bisect_left(prefixes, "1", lo, hi, key=itemgetter(k))
-        if x.bit(k):
-            lo = mid
-        else:
-            hi = mid
-        k += 1
-    return None
-
-
-def read_prefix(strings: Sequence[str], x: Point) -> str:
-    """The bits of x read until no string of the sorted distinct list
-    extends them further, so that a string of the list is a prefix of x
-    exactly when it is a prefix of the result: locate's walk over a list
-    that need not be an antichain.  Once one string is left, the rest of
-    it is compared with one slice of x's bits, read up to that string's
-    length.  locate keeps its own walk, because reading the result and then
-    bisecting for the last string at or before it was 1.3-2x slower on 200
-    points against antichains of 1 to 189 strings of 3-12 bits (CPython
-    3.11), and hit and value_at call locate at every sample point."""
-    lo, hi, bits = 0, len(strings), []
-    while lo < hi:
-        k = len(bits)
         s = strings[lo]
-        if len(s) == k:  # the string equal to the bits read
-            lo += 1
-            continue
-        if hi - lo == 1:  # one string left: read up to its end at once
-            got = x.bits(k, len(s))
-            # the first differing bit is the highest bit of the numbers' xor
-            j = len(got) - (int(got, 2) ^ int(s[k:], 2)).bit_length()
-            bits.append(got[:j + 1])
-            break
-        bit = x.bit(k)
-        bits.append("1" if bit else "0")
-        mid = bisect_left(strings, "1", lo, hi, key=itemgetter(k))
-        lo, hi = (mid, hi) if bit else (lo, mid)
-    return "".join(bits)
+        if len(s) == k:
+            found, lo = lo, lo + 1
+        elif hi - lo == 1:
+            return lo if x.bits(k, len(s)) == s[k:] else found
+        else:
+            mid = bisect_left(strings, "1", lo, hi, key=itemgetter(k))
+            if x.bit(k):
+                lo = mid
+            else:
+                hi = mid
+            k += 1
+    return found
 
 
 def point_in(x: Point, s: ClopenSet) -> bool:

@@ -128,8 +128,9 @@ def path_name(path: str, base: StepFunction, head: str = "") -> L1Name:
 
 
 def broken_name(k: int) -> L1Name:
-    """Shrinking until index k, then the constant 1: the certificate breaks
-    at the pair (k - 1, k)."""
+    """Shrinking until index k, then the constant 1: for k >= 2 the
+    certificate breaks at the pair (k - 1, k); broken_name(1) is certified,
+    since |chi[0] - 1|_1 = 1/2 < 2^0."""
     def rule(i):
         return StepFunction.from_char(ClopenSet.full() if i >= k else ClopenSet.cylinder("0" * (i + 1)))
     return L1Name([], rule=rule, label="broken")

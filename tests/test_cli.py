@@ -307,10 +307,13 @@ _VERB_RUNS = [
     ["parse", "union(cyl(0),compl(inter(cyl(1),cyl(10))))", "--alternating"],
     ["parse", "bigunion(i,0,2,reloc($i,cyl(1)))", "--rank", "2"],
     ["eval", "union(cyl(0),inter(cyl(1),cyl(11)))", "--point", "u=110:v=01"],
+    ["eval", "reloc(2000,cyl(01))", "--point", "seed=9"],
     ["measure", "inter(cyl(0),compl(cyl(011)))", "--mc", "300", "--seed", "5"],
     ["decompose", "union(cyl(00),inter(cyl(1),cyl(10)))"],
     ["tests-combine", "union(cyl(0),cyl(10))", "--depth", "2"],
     ["decorate", "union(cyl(0),inter(cyl(1),cyl(11)))", "--generator", "split", "--budget", "1,2"],
+    ["decorate", "union(cyl(00),inter(cyl(10),cyl(1)))", "--depth", "4", "--generator", "split",
+     "--budget", "1,2"],
     ["report", "inter(cyl(0),union(cyl(01),cyl(001)))", "--mc", "200"],
     ["parse", "union(cyl(0)"],
 ]

@@ -30,7 +30,7 @@ from cantor_measure.decoration import (
 from cantor_measure.dsl import parse_dsl
 from cantor_measure.errors import ValidationError
 from cantor_measure.ordinals import OrdinalNotation, ONE_ORD
-from cantor_measure.space import ClopenSet, enumerate_eventually_periodic, point_in
+from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, enumerate_eventually_periodic, point_in
 
 from bruteforce import check_preservation_bf, contains_prefix
 from gen import random_ranked_alternating
@@ -221,10 +221,21 @@ GENERATORS = {
 def test_check_preservation_matches_per_point_oracle(seed, gen):
     code = random_ranked_alternating(random.Random(seed))
     g = GENERATORS[gen]
-    want = check_preservation_bf(code, g, POINTS)
-    assert check_preservation(code, g, POINTS) == want
-    assert check_preservation(code, g, POINTS, decorate(code, g)) == want
+    decorated = decorate(code, g)
+    points = POINTS + _leaving_points(decorated)
+    want = check_preservation_bf(code, g, points)
+    assert check_preservation(code, g, points) == want
+    assert check_preservation(code, g, points, decorated) == want
     assert want.ok
+
+
+def _leaving_points(code):
+    """Points that follow a leaf generator for j bits and leave it at bit j,
+    for every j: they leave the generator trie at different depths below
+    the string they locate to, and share its cell."""
+    heads = {s[:j] + "10"[int(s[j])] for _, node in codes.nodes(code) if isinstance(node, Leaf)
+             for s in node.label.generators for j in range(len(s))}
+    return [EventuallyPeriodicPoint(h, v) for h in sorted(heads) for v in "01"]
 
 
 def _shaped(text):

@@ -215,7 +215,7 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
         base = StepFunction.constant(Dyadic(rng.randint(0, 3), 2))
         return [_stage_table(conv(path_name(random_bits(rng, 3, min_len=1), base)))]
     if kind == "broken":
-        return [_stage_table(conv(broken_name(rng.randint(1, 9))))]
+        return [_stage_table(conv(broken_name(rng.randint(2, 9))))]
     if kind == "agree-equal":  # tails up to 14, so the tail bound acts by stage 25
         a = perturbed_name(rng, terms=rng.randint(1, 14))
         b = perturbed_name(rng, base=a.exact_limit(), terms=rng.randint(1, 14))
@@ -227,7 +227,7 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
         a, b = shrinking_name(rng.randint(0, 14)), shrinking_name(rng.randint(0, 14))
         return [_stage_table(conv(a)), _stage_table(agree(a, b))]
     if kind == "agree-broken":  # building the test is part of the outcome
-        pair = [broken_name(rng.randint(1, 9)), perturbed_name(rng, terms=rng.randint(1, 6))]
+        pair = [broken_name(rng.randint(2, 9)), perturbed_name(rng, terms=rng.randint(1, 6))]
         rng.shuffle(pair)
         try:
             return [_stage_table(agree(*pair))]
@@ -264,6 +264,7 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
 @example("broken", 3)
 @example("agree-unequal", 0)
 @example("agree-shrinking", 0)
+@example("agree-broken", 2)
 @example("agree-broken", 37)
 @example("laws", 1)
 def test_level_unions_stage_as_the_closure_oracle(kind, seed):

@@ -22,7 +22,6 @@ from cantor_measure.space import (
     mu_I,
     point_in,
     prefix_free_normalize,
-    read_prefix,
     validate_bits,
 )
 from bruteforce import (
@@ -248,21 +247,21 @@ def test_locate_matches_prefix_oracle(walk):
     assert locate(prefixes, x) == locate_bf(prefixes, x)
 
 
+def _longest_prefix(strings, x):
+    on_x = [i for i, s in enumerate(strings) if _bits_of(x, len(s)) == s]
+    return max(on_x, key=lambda i: len(strings[i]), default=None)
+
+
 @settings(max_examples=300)
 @given(walks())
-def test_read_prefix_decides_every_string(walk):
+def test_locate_finds_the_longest_prefix_in_any_sorted_list(walk):
     x, strings = walk
     strings = sorted(set(strings))
-    got = read_prefix(strings, x)
-    assert got == _bits_of(x, len(got))
-    for s in strings:
-        assert got.startswith(s) == (s == _bits_of(x, len(s)))
-    # no bit more than needed: some string extends the bits before the last
-    assert not got or any(s.startswith(got[:-1]) and len(s) >= len(got) for s in strings)
+    assert locate(strings, x) == _longest_prefix(strings, x)
 
 
-def test_locate_reads_each_bit_once_along_a_long_generator():
-    n = 100_000
+def test_locate_reads_one_slice_along_a_long_string():
+    n = 1_000_000
     reads = []
 
     class Counted(EventuallyPeriodicPoint):
@@ -270,9 +269,12 @@ def test_locate_reads_each_bit_once_along_a_long_generator():
             reads.append(i)
             return super().bit(i)
 
-    assert locate(ClopenSet(("0" * n + "1", "1")).generators, Counted("", "0")) is None
-    assert reads == list(range(n + 1))
-    assert locate(ClopenSet(("0" * n, "1")).generators, Counted("", "0")) == 0
+    gens = ["0" * n + "1", "1"]
+    assert locate(gens, Counted("", "0")) is None
+    assert locate(gens, Counted("0" * n, "1")) == 0
+    assert locate(gens, Counted("001", "0")) is None
+    assert locate(["0" * n, "1"], Counted("", "0")) == 0
+    assert reads == [0, 0, 0, 0]  # the first bit splits the list; one string is left
 
 
 def test_enumerate_eventually_periodic_counts():
@@ -328,26 +330,7 @@ def test_eventually_periodic_bits_match_bit_by_bit(head, period, lo, n):
 @settings(max_examples=100)
 @given(st.integers(min_value=-(1 << 70), max_value=1 << 70),
        st.lists(st.text(alphabet="01", max_size=12), max_size=6))
-def test_read_prefix_on_points_read_bit_by_bit(seed, strings):
+def test_locate_on_points_read_bit_by_bit(seed, strings):
     x = TailPoint("01", SeededPoint(seed))
     strings = sorted(set(strings))
-    got = read_prefix(strings, x)
-    assert got == _bits_of(x, len(got))
-    for s in strings:
-        assert got.startswith(s) == (s == _bits_of(x, len(s)))
-
-
-def test_read_prefix_reads_one_slice_along_a_long_string():
-    n = 1_000_000
-    reads = []
-
-    class Counted(EventuallyPeriodicPoint):
-        def bit(self, i):
-            reads.append(i)
-            return super().bit(i)
-
-    gens = ["0" * n + "1", "1"]
-    assert read_prefix(gens, Counted("", "0")) == "0" * (n + 1)
-    assert read_prefix(gens, Counted("0" * n, "1")) == gens[0]
-    assert read_prefix(gens, Counted("001", "0")) == "001"
-    assert reads == [0, 0, 0]  # the first bit splits the list; one string is left
+    assert locate(strings, x) == _longest_prefix(strings, x)
