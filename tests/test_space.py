@@ -260,7 +260,9 @@ def test_locate_finds_the_longest_prefix_in_any_sorted_list(walk):
     assert locate(strings, x) == _longest_prefix(strings, x)
 
 
-def test_locate_reads_one_slice_along_a_long_string():
+def test_read_prefix_reads_one_slice_along_a_long_string():
+    """locate reads the prefix of x that the last candidate needs in one
+    Point.bits slice: through bit, only the bit that splits the list."""
     n = 1_000_000
     reads = []
 
@@ -275,6 +277,24 @@ def test_locate_reads_one_slice_along_a_long_string():
     assert locate(gens, Counted("001", "0")) is None
     assert locate(["0" * n, "1"], Counted("", "0")) == 0
     assert reads == [0, 0, 0, 0]  # the first bit splits the list; one string is left
+
+
+def test_locate_reads_each_bit_once_along_a_long_generator():
+    """Through the default Point.bits, which reads bit by bit, locate still
+    reads each bit of the last candidate once and none twice."""
+    n = 100_000
+    reads = []
+
+    class Counted(EventuallyPeriodicPoint):
+        bits = Point.bits
+
+        def bit(self, i):
+            reads.append(i)
+            return super().bit(i)
+
+    assert locate(ClopenSet(("0" * n + "1", "1")).generators, Counted("", "0")) is None
+    assert reads == list(range(n + 1))
+    assert locate(ClopenSet(("0" * n, "1")).generators, Counted("", "0")) == 0
 
 
 def test_enumerate_eventually_periodic_counts():
