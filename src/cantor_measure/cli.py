@@ -77,21 +77,19 @@ def _addr_str(addr) -> str:
 
 
 def _prepared(args):
-    """Parse and apply the shared shaping flags."""
+    """Parse and apply the shared shaping flags; the shaped code."""
     code = parse_dsl(args.expr)
-    shaped = code
     if args.normalize or args.alternating:
-        shaped = normalize_demorgan(shaped)
+        code = normalize_demorgan(code)
     if args.alternating:
-        shaped = make_alternating(annotate_min_ranks(shaped))
-    return code, shaped
+        code = make_alternating(annotate_min_ranks(code))
+    return code
 
 
 def _report(args, verb: str, payload: dict) -> dict:
     inputs = {"expr": args.expr}
-    for k in ("point", "mc", "seed", "depth", "rank", "generator", "budget",
-              "normalize", "alternating"):
-        v = getattr(args, k, None)
+    for k in ("normalize", "alternating") + _VERB_FLAGS[verb]:
+        v = getattr(args, k)
         if v not in (None, False):
             inputs[k] = v
     digest = hashlib.sha256(
@@ -119,7 +117,7 @@ def _tree_depth(node, depths: list[int], flip: bool) -> int:
 
 
 def _cmd_parse(args) -> dict:
-    code, shaped = _prepared(args)
+    shaped = _prepared(args)
     depth = fold(shaped, _tree_depth)
     if depth > MAX_REPORT_TREE_DEPTH:
         raise ValidationError(
@@ -151,8 +149,7 @@ def _cmd_parse(args) -> dict:
 def _cmd_eval(args) -> dict:
     if args.point is None:
         raise ValidationError("eval needs --point")
-    _, shaped = _prepared(args)
-    shaped = _require_normalized(shaped)
+    shaped = _require_normalized(_prepared(args))
     x = _parse_point(args.point)
     emap = evaluate(shaped, x)
     return {
@@ -163,7 +160,7 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_measure(args) -> dict:
-    _, shaped = _prepared(args)
+    shaped = _prepared(args)
     den = denotation(_require_normalized(shaped))
     exact = mu_I(den)
     payload = {"measure": str(exact)}
@@ -177,8 +174,7 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    _, shaped = _prepared(args)
-    shaped = _require_normalized(shaped)
+    shaped = _require_normalized(_prepared(args))
     d = build_decomposition(shaped)
     res = verify_decomposition(shaped, d)
     if not res:
@@ -197,8 +193,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_tests_combine(args) -> dict:
-    _, shaped = _prepared(args)
-    shaped = _require_normalized(shaped)
+    shaped = _require_normalized(_prepared(args))
     d = build_decomposition(shaped)
     t = assemble_bad_gdelta(shaped, d)
     size = args.depth if args.depth is not None else 3
@@ -248,7 +243,7 @@ def _load_generator(args, root_rank):
 
 
 def _cmd_decorate(args) -> dict:
-    _, shaped = _prepared(args)
+    shaped = _prepared(args)
     shaped = make_alternating(annotate_min_ranks(_require_normalized(shaped)))
     gen = _load_generator(args, shaped.rank)
     out = decorate(shaped, gen)
@@ -270,8 +265,7 @@ def _cmd_decorate(args) -> dict:
 
 
 def _cmd_report(args) -> dict:
-    _, shaped = _prepared(args)
-    shaped = _require_normalized(shaped)
+    shaped = _require_normalized(_prepared(args))
     den = denotation(shaped)
     payload = {
         "expr": print_dsl(shaped),

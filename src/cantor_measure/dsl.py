@@ -11,8 +11,9 @@ Grammar (LL(1), one token of lookahead):
 reloc and bigunion are surface syntax only: both expand while parsing, so
 the resulting code contains just leaves, unions, intersections, and
 complements.  Inside a bigunion body, $ident substitutes the running index
-wherever a nat is expected; the bounds are inclusive.  Digit runs are read
-as bits after cyl and as decimal numbers in nat positions.
+wherever a nat is expected; the bounds are inclusive.  ASCII digit runs
+(0-9) are read as bits after cyl and as decimal numbers in nat positions;
+any other digit is an unexpected character.
 
 The printer emits one canonical spelling per code: empty and full labels by
 name, one cyl per cylinder, multi-cylinder leaves as unions of cyls, and
@@ -39,6 +40,7 @@ from .ordinals import OrdinalNotation
 from .space import ClopenSet
 
 _KEYWORDS = {"cyl", "empty", "full", "union", "inter", "compl", "reloc", "bigunion"}
+_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Token("digits", text[i:j], line, col))
             col += j - i

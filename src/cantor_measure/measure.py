@@ -10,7 +10,6 @@ the root integral is the code's measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from .codes import (
@@ -35,7 +34,6 @@ from .names import (
     char_name,
     constant_name,
     convergence_test,
-    diagonal_name,
     inf_name,
     names_equal,
     sup_name,
@@ -43,7 +41,7 @@ from .names import (
 )
 from .space import (ClopenSet, Point, StagedOpenSet, clopen_complement, clopen_intersection,
                     clopen_union, mu_I)
-from .stepfn import StepFunction, l1_norm
+from .stepfn import StepFunction
 
 MeasureDecomposition = dict[Address, L1Name]
 
@@ -168,27 +166,11 @@ def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
 
 def fold_law_test(node: BorelCode, children: Sequence[L1Name],
                   parent: L1Name) -> RapidGDelta:
-    """Exclusion test for one node's law.
-
-    A leaf, a node without children, or one with a child whose limit is not
-    exact gets the agreement test of the parent against law_name.  Otherwise
-    the partial folds of the children's exact limits are subsampled by
-    exact norm search: pick i is the first partial within 2^-(i+1) of the
-    full fold, for i < max(3, #children) - 1, and the last pick is the full
-    fold, so the diagonal of the picks has the parent's limit.  The test
-    is the diagonal's agreement test against the parent, combined alone so
-    it keeps combine's level shift."""
-    limits = [c.exact_limit() for c in children]
-    if not limits or any(lim is None for lim in limits):
-        return agreement_test(parent, law_name(node, children, "law"))
-    fold = StepFunction.max_with if isinstance(node, UnionNode) else StepFunction.min_with
-    partials = list(accumulate(limits, fold))
-    dists = [l1_norm(p, partials[-1]) for p in partials]
-    picks = [next(j for j, r in enumerate(dists) if r <= Dyadic.pow2(-i - 1))
-             for i in range(max(3, len(partials)) - 1)] + [len(partials) - 1]
-    hs = [constant_name(partials[j], label=f"partial{j}") for j in picks]
-    diag = diagonal_name(hs, g=None, label="fold-diag")
-    return combine([agreement_test(diag, parent)], label="fold-law")
+    """Exclusion test for one node's law: the parent's agreement test with
+    law_name over the children.  Off its rapidly null set the parent
+    converges to the leaf's characteristic function, or to the sup or inf of
+    the children's limits: with finitely many children, the law itself."""
+    return agreement_test(parent, law_name(node, children, "law"))
 
 
 def decomposition_eval_map(code: BorelCode, d: MeasureDecomposition, x: Point,

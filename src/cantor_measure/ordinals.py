@@ -2,8 +2,10 @@
 
 A notation is a tuple of (exponent, coefficient) pairs with strictly
 decreasing exponents and positive coefficients; the empty tuple is zero.
-Comparison is the usual term-by-term CNF order.  Text form: "w^2*3+w+1"
-style, with "w" for omega.
+Comparison is the usual term-by-term CNF order, which is the tuple order
+of the terms: exponents strictly decrease, pairs compare by exponent and
+then coefficient, and on a common prefix the longer notation is larger.
+Text form: "w^2*3+w+1" style, with "w" for omega.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class OrdinalNotation:
     terms: tuple[tuple[int, int], ...] = ()
 
@@ -41,28 +43,6 @@ class OrdinalNotation:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _cmp(self, other: "OrdinalNotation") -> int:
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            if c1 != c2:
-                return 1 if c1 > c2 else -1
-        if len(self.terms) != len(other.terms):
-            return 1 if len(self.terms) > len(other.terms) else -1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def successor(self) -> "OrdinalNotation":
         if self.terms and self.terms[-1][0] == 0:

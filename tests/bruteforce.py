@@ -20,14 +20,14 @@ from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ParseError, StatisticalGateError, ValidationError
 from cantor_measure.gdelta import RapidGDelta
 from cantor_measure.names import (Captured, L1Name, bad_set, char_name, constant_name,
-                                  diagonal_name, exceedance_stages, inf_name, interleave_terms,
-                                  sup_name, value_at)
+                                  exceedance_stages, inf_name, interleave_terms, sup_name,
+                                  value_at)
 from cantor_measure.ordinals import ONE_ORD
 from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT, Estimate
 from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint,
                                   StagedOpenSet, TailPoint, cantor_pair, clopen_intersection,
                                   clopen_union)
-from cantor_measure.stepfn import StepFunction, l1_norm
+from cantor_measure.stepfn import StepFunction
 
 
 def support_depth_bf(code) -> int:
@@ -116,6 +116,19 @@ def l1_fraction(f, g) -> Fraction:
 
 def dyadic_fraction(x) -> Fraction:
     return Fraction(x.num, 1 << x.exp)
+
+
+def ordinal_cmp_bf(self, other) -> int:
+    """Term-by-term CNF comparison of two ordinal notations, -1, 0 or 1, as
+    the package compared them before notations compared as tuples."""
+    for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
+        if e1 != e2:
+            return 1 if e1 > e2 else -1
+        if c1 != c2:
+            return 1 if c1 > c2 else -1
+    if len(self.terms) != len(other.terms):
+        return 1 if len(self.terms) > len(other.terms) else -1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +446,8 @@ def membership_frequency_bf(code, addr, p: str, trials: int, seed: int):
 
 # ---------------------------------------------------------------------------
 # G-delta staging with a level and stage closure per test, as the package
-# built it before the one level union; the fold-law diagonal's last pick is
-# the full fold, and every law target is labelled "law" as the package's is
+# built it before the one level union; every law target is labelled "law" as
+# the package's is
 
 def combine_bf(tests, label: str = "combined"):
     tests = list(tests)
@@ -484,49 +497,11 @@ def agreement_test_bf(n1, n2):
 
 
 def fold_law_test_bf(children, parent, use_max: bool):
-    fold = StepFunction.max_with if use_max else StepFunction.min_with
     if not children:
         base = Dyadic(0, 0) if use_max else Dyadic(1, 0)
         return agreement_test_bf(parent, constant_name(StepFunction.constant(base), label="law"))
-
-    limits = [c.exact_limit() for c in children]
-    if any(lim is None for lim in limits):
-        return agreement_test_bf(parent, (sup_name if use_max else inf_name)(list(children),
-                                                                             label="law"))
-
-    partials: list[StepFunction] = []
-    acc = None
-    for lim in limits:
-        acc = lim if acc is None else fold(acc, lim)
-        partials.append(acc)
-    full = partials[-1]
-
-    picks: list[int] = []
-    for i in range(max(3, len(partials))):
-        target = Dyadic.pow2(-i - 1)
-        chosen = next(
-            (j for j, p in enumerate(partials) if l1_norm(p, full) <= target),
-            len(partials) - 1,
-        )
-        picks.append(chosen)
-    picks[-1] = len(partials) - 1
-    hs = [constant_name(partials[j], label=f"partial{j}") for j in picks]
-    diag = diagonal_name(hs, g=None, label="fold-diag")
-
-    def ck_level(k: int) -> StagedOpenSet:
-        def stage_rule(s: int) -> ClopenSet:
-            parts = []
-            for j in range(k + 1, k + 2 + s):
-                if j >= len(hs):
-                    break
-                for n in range(j + 1, j + 2 + s):
-                    parts.append(bad_set(hs[j], n).stage(s))
-            return clopen_union(*parts) if parts else ClopenSet.empty()
-
-        return StagedOpenSet(stages=stage_rule)
-
-    ck_test = RapidGDelta(ck_level, label="fold-Ck")
-    return combine_bf([agreement_test_bf(diag, parent), ck_test], label="fold-law")
+    return agreement_test_bf(parent, (sup_name if use_max else inf_name)(list(children),
+                                                                         label="law"))
 
 
 def node_law_test_bf(node, children, parent):

@@ -56,6 +56,13 @@ def test_parse_error_exit_2(capsys):
     assert "expecting" in err
 
 
+@pytest.mark.parametrize("expr", ["reloc(²,cyl(0))", "reloc(٣,cyl(0))", "cyl(٠١)"])
+def test_non_ascii_digit_is_a_parse_error(expr, capsys):
+    rc, out, err = run_main(capsys, "measure", expr)
+    assert rc == 2 and out == ""
+    assert "unexpected character" in err and "Traceback" not in err
+
+
 def test_bad_point_spec_exit_3(capsys):
     rc, _, err = run_main(capsys, "eval", "cyl(0)", "--point", "w=01")
     assert rc == 3

@@ -69,6 +69,26 @@ def test_digit_context_typing():
     assert sum(table) == 1
 
 
+@pytest.mark.parametrize("text,ch,line,col", [
+    ("reloc(²,cyl(0))", "²", 1, 7),
+    ("reloc(٣,cyl(0))", "٣", 1, 7),
+    ("reloc(1٠١,cyl(0))", "٠", 1, 8),
+    ("bigunion(i,²,3,cyl(0))", "²", 1, 12),
+    ("bigunion(i,0,\n٣,cyl(0))", "٣", 2, 1),
+    ("bigunion(i,٠١,1,cyl(0))", "٠", 1, 12),
+    ("cyl(²)", "²", 1, 5),
+    ("cyl(0٣)", "٣", 1, 6),
+    ("union(cyl(0),\n  cyl(٠١))", "٠", 2, 7),
+])
+def test_only_ascii_digits_are_digits(text, ch, line, col):
+    """Other Unicode digits are neither nats nor bits: each is an
+    unexpected character where it stands."""
+    with pytest.raises(ParseError) as e:
+        parse_dsl(text)
+    assert str(e.value) == f"unexpected character {ch!r} (line {line}, col {col})"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_bigunion_inclusive_bounds():
     c = parse_dsl("bigunion(n,0,3,reloc($n,cyl()))")
     assert counting_measure(c) == counting_measure(

@@ -1,6 +1,5 @@
 import gc
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from cantor_measure import measure
 from cantor_measure.codes import (InterNode, Leaf, UnionNode, addresses, child_items, denotation,
                                   nodes, subtree, tilde)
+from cantor_measure.dsl import parse_dsl
 from cantor_measure.dyadic import Dyadic
-from cantor_measure.errors import CertificateError, ValidationError
+from cantor_measure.errors import BudgetError, CertificateError, ValidationError
 from cantor_measure.gdelta import budget_report
 from cantor_measure.measure import (
     assemble_bad_gdelta,
@@ -23,7 +23,7 @@ from cantor_measure.measure import (
     verify_decomposition,
 )
 from cantor_measure.names import (L1Name, agreement_test, char_name, constant_name, convergence_test,
-                                  diagonal_name, names_equal)
+                                  names_equal)
 from cantor_measure.space import (
     ClopenSet,
     EventuallyPeriodicPoint,
@@ -163,27 +163,22 @@ def test_assembled_test_budgets():
                 assert budget_report(t, n, s) <= Dyadic.pow2(-n)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.integers(min_value=0, max_value=10**6))
-@example(11)  # a code with a diagonal whose picks all stopped short of the full fold
-def test_fold_law_diagonals_have_their_parents_limit(seed):
-    """The diagonal of the picked partial folds converges to the full fold,
-    the parent's limit; a diagonal whose picks all stopped short of the
-    full fold held the agreement test at a fixed positive measure."""
-    code = random_code(random.Random(seed))
+@pytest.mark.parametrize("expr", ["union(cyl(0),cyl(10))", "inter(cyl(0),cyl(01),cyl(011))",
+                                  "union(cyl(0),cyl(10),cyl(110),cyl(1110))"])
+def test_wrong_exact_root_breaks_its_assembled_test(expr):
+    """A root named by the empty set's characteristic function has an exact
+    limit other than its law's: the root's law test has no height, and the
+    assembled test overruns its budget at a low level within 30 stages."""
+    code = parse_dsl(expr)
     d = build_decomposition(code)
-    diags: list[L1Name] = []
-
-    def recording(*args, **kw):
-        diags.append(diagonal_name(*args, **kw))
-        return diags[-1]
-
-    with mock.patch.object(measure, "diagonal_name", recording):
-        for addr, node in nodes(code):
-            kids = [d[addr + (s,)] for s, _ in child_items(node)]
-            if kids:
-                measure.fold_law_test(node, kids, d[addr])
-                assert diags.pop().exact_limit() == d[addr].exact_limit()
+    d[()] = char_name(ClopenSet.empty(), label="wrong")
+    assert not verify_decomposition(code, d)
+    t = assemble_bad_gdelta(code, d)
+    assert t.height is None
+    with pytest.raises(BudgetError):
+        for n in range(4):
+            for s in range(30):
+                t.stage(n, s)
 
 
 def _stage_table(t) -> list:
@@ -279,10 +274,12 @@ def test_level_unions_stage_as_the_closure_oracle(kind, seed):
 def test_finite_codes_assemble_tests_of_known_height(seed):
     """Every name of a finite code's decomposition is constant from some
     index, so its assembled test has a height, and the oracle's test is
-    empty from there on.  Exact names with unequal limits have no tail."""
+    empty from there on.  Every built name is constant from index 0, so
+    the height is 0: tests-combine and report print all-zero tables.  Exact
+    names with unequal limits have no tail."""
     code = random_code(random.Random(seed), max_depth=1, max_children=4, max_gen_len=4)
     height = assemble_bad_gdelta(code, build_decomposition(code)).height
-    assert isinstance(height, int)
+    assert height == 0
     oracle = assemble_bad_gdelta_bf(code, build_decomposition(code))
     assert all(oracle.stage(n, s).is_empty()
                for n in range(height, height + 4) for s in range(31))

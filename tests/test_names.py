@@ -367,9 +367,10 @@ def test_level_union_reads_only_bad_sets_past_their_start(monkeypatch):
 
 
 def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
-    """Children with exact limits give constant picks, a diagonal with the
-    parent's exact limit, and an interleave constant from a known index:
-    every bad set the law test could read is known empty, so none is built."""
+    """The law test of children with exact limits compares the parent with
+    the constant name of their fold: both names, and their interleave, are
+    constant from index 0, so every bad set the test could read is known
+    empty and none is built."""
     labels = []
     real = names.bad_set
 

@@ -9,6 +9,8 @@ from cantor_measure.ordinals import (
     notations_up_to,
 )
 
+from bruteforce import ordinal_cmp_bf
+
 # CNF below w^w: strictly descending exponents, positive coefficients
 cnfs = st.lists(
     st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=5)),
@@ -43,6 +45,12 @@ def test_order_is_total_and_transitive(a, b, c):
     if a < b and b < c:
         assert a < c
     assert not (a < a)
+
+
+@given(cnfs, cnfs)
+def test_order_is_term_by_term_cnf_order(a, b):
+    c = ordinal_cmp_bf(a, b)
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (c < 0, c <= 0, c > 0, c >= 0, c == 0)
 
 
 @given(cnfs)

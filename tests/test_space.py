@@ -22,6 +22,7 @@ from cantor_measure.space import (
     mu_I,
     point_in,
     prefix_free_normalize,
+    seeded_bit,
     validate_bits,
 )
 from bruteforce import (
@@ -186,6 +187,17 @@ def test_seeded_point_deterministic():
     assert [x.bit(i) for i in range(64)] == [y.bit(i) for i in range(64)]
     z = SeededPoint(100)
     assert [x.bit(i) for i in range(64)] != [z.bit(i) for i in range(64)]
+
+
+@given(st.integers(min_value=-(1 << 70), max_value=1 << 70),
+       st.integers(min_value=0, max_value=300), st.integers(min_value=-5, max_value=80))
+@example(0, 0, 0)
+@example(7, 10, -3)
+def test_seeded_slices_are_seeded_bits(seed, lo, width):
+    """A slice is seeded_bit at each position; empty and reversed ranges
+    are empty."""
+    want = "".join(str(seeded_bit(seed, n)) for n in range(lo, lo + width))
+    assert SeededPoint(seed).bits(lo, lo + width) == want
 
 
 def test_cantor_pair_injective_on_grid():
