@@ -11,9 +11,10 @@ Grammar (LL(1), one token of lookahead):
 reloc and bigunion are surface syntax only: both expand while parsing, so
 the resulting code contains just leaves, unions, intersections, and
 complements.  Inside a bigunion body, $ident substitutes the running index
-wherever a nat is expected; the bounds are inclusive.  ASCII digit runs
-(0-9) are read as bits after cyl and as decimal numbers in nat positions;
-any other digit is an unexpected character.
+wherever a nat is expected; the bounds are inclusive.  A reloc index above
+MAX_RELOC_INDEX is a validation error, raised before its prefix is built.
+ASCII digit runs (0-9) are read as bits after cyl and as decimal numbers in
+nat positions; any other digit is an unexpected character.
 
 The printer emits one canonical spelling per code: empty and full labels by
 name, one cyl per cylinder, multi-cylinder leaves as unions of cyls, and
@@ -41,6 +42,8 @@ from .space import ClopenSet
 
 _KEYWORDS = {"cyl", "empty", "full", "union", "inter", "compl", "reloc", "bigunion"}
 _DIGITS = "0123456789"
+# reloc(n, ...) prefixes every generator with n + 1 bits
+MAX_RELOC_INDEX = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,11 @@ class _Parser:
         """What a form reads before its first child, and that child's env:
         reloc's index; bigunion's index name, bounds and body position."""
         if kw == "reloc":
+            t = self.peek()
             n = self.nat(env)
+            if n > MAX_RELOC_INDEX:
+                raise ValidationError(f"reloc index {n} exceeds MAX_RELOC_INDEX = {MAX_RELOC_INDEX}"
+                                      f" (line {t.line}, col {t.col})")
             self.expect(",")
             return n, env
         if kw == "bigunion":

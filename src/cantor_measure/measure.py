@@ -119,16 +119,12 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
     """Recover a decomposition of the code from a name for the stacked union:
     the address sigma listed first at position m in h gets the name
     X -> f(0^m 1 X), index-shifted by m+1 to keep the strict certificate
-    (precomposition scales L1 norms by 2^(m+1))."""
+    (precomposition scales L1 norms by 2^(m+1)).  When f is constant from
+    index c, that name is constant from max(c - m - 1, 0)."""
     require_complement_free(code, "decomposition_from_membership")
     stacked = tilde(code, h)
-    lim = f.exact_limit()
-    if lim is not None:
-        want = StepFunction.from_char(denotation(stacked))
-        if lim != want:
-            raise ValidationError(
-                "name limit is not the characteristic function of the stacked union"
-            )
+    if f.tail is not None and f.exact_limit() != StepFunction.from_char(denotation(stacked)):
+        raise ValidationError("name limit is not the characteristic function of the stacked union")
     first: dict[Address, int] = {}
     for n, addr in enumerate(h):
         first.setdefault(addr, n)
@@ -140,7 +136,8 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
         def rule(i: int, _p=prefix, _m=m) -> StepFunction:
             return f.term(i + _m + 1).precompose_prefix(_p)
 
-        out[addr] = L1Name([], rule=rule, label=f"recovered@{addr}")
+        tail = None if f.tail is None else max(f.tail - m - 1, 0)
+        out[addr] = L1Name([], rule=rule, label=f"recovered@{addr}", tail=tail)
     res = verify_decomposition(code, out)
     if not res:
         raise CertificateError(
@@ -203,10 +200,12 @@ class RegularityApprox:
     A and C are plain staged sequences (no per-level budget: A must cover
     nearly everything when B is small); the rapid-null budget belongs to the
     overlap, exposed by overlap_test with the level shift that makes
-    3 * 2^-(n+4)+1 fit under 2^-n."""
+    3 * 2^-(n+4)+1 fit under 2^-n.  tail, set only by char_to_regularity,
+    is the level from which A_n and C_n are one fixed pair of clopen sets."""
 
     a_levels: Callable[[int], StagedOpenSet]
     c_levels: Callable[[int], StagedOpenSet]
+    tail: int | None = None
 
     OVERLAP_SHIFT = 4
 
@@ -238,7 +237,7 @@ def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> Regu
         return memo[(kind, n)]
 
     approx = RegularityApprox(
-        a_levels=lambda n: level("a", n), c_levels=lambda n: level("c", n)
+        a_levels=lambda n: level("a", n), c_levels=lambda n: level("c", n), tail=name.tail
     )
     if reference is not None:
         for n in range(REGULARITY_CHECK_LEVELS):
@@ -260,7 +259,10 @@ def regularity_to_char(approx: RegularityApprox,
     A and C at that stage) has measure < 2^-(n+1).
 
     The sequence satisfies |f_n - f_m|_1 <= 2^-n + 2^-m; the output
-    resubsamples (term i = f_{i+2}) for a strict certificate."""
+    resubsamples (term i = f_{i+2}) for a strict certificate.  A known
+    approx.tail t fixes f_n once n + 1 >= t, so the output is constant from
+    max(t - 3, 0), and those levels must leak exactly 0, for the promise
+    tightens with n."""
     fs: dict[int, StepFunction] = {}
 
     def f(n: int) -> StepFunction:
@@ -270,14 +272,16 @@ def regularity_to_char(approx: RegularityApprox,
             c = approx.c_levels(n + 1).stage(s)
             d = clopen_complement(clopen_union(a, c))
             leak = mu_I(d)
-            if not leak < Dyadic.pow2(-(n + 1)):
+            fixed = approx.tail is not None and n + 1 >= approx.tail
+            if not (leak == ZERO if fixed else leak < Dyadic.pow2(-(n + 1))):
                 raise CertificateError(
                     f"stage oracle leaves measure {leak} uncommitted at level {n + 1}"
                 )
             fs[n] = StepFunction.from_char(c)
         return fs[n]
 
-    return L1Name([], rule=lambda i: f(i + 2), label=label)
+    tail = None if approx.tail is None else max(approx.tail - 3, 0)
+    return L1Name([], rule=lambda i: f(i + 2), label=label, tail=tail)
 
 
 def sup_open_set(seq: Sequence[Dyadic] | Callable[[int], Dyadic]) -> StagedOpenSet:

@@ -27,21 +27,25 @@ class L1Name:
     """Lazy certified sequence of step functions.
 
     Terms come from an explicit list, optionally extended by a rule called as
-    terms are read; with no rule the tail is constant (names of finite codes
-    are eventually constant, making their limits exactly available)."""
+    terms are read.  From index tail on, when known, the terms are constant
+    and term(tail) is the exact limit: with no rule the tail is constant (names
+    of finite codes are eventually constant); a rule name's tail= comes only
+    from the library's own constructors, and no term past it is computed."""
 
     def __init__(self, terms: Sequence[StepFunction],
                  rule: Callable[[int], StepFunction] | None = None,
-                 label: str = "name"):
+                 label: str = "name", tail: int | None = None):
         if not terms and rule is None:
             raise ValidationError("a name needs at least one term or a rule")
+        if tail is not None and tail < 0:
+            raise ValidationError("tail must be nonnegative")
         self._terms: list[StepFunction] = list(terms)
         self._rule = rule
         self.label = label
+        self.tail = len(self._terms) - 1 if rule is None else tail
         self._bad_sets: dict[int, list[ClopenSet]] = {}
         self._deltas: dict[int, StepFunction] = {}
         self._captures: dict[int, tuple[int, tuple[ClopenSet, ...]]] = {}
-        self._tail = len(self._terms) - 1 if rule is None else None
         for i in range(len(self._terms) - 1):
             self._check_pair(i)
 
@@ -55,7 +59,9 @@ class L1Name:
     def term(self, i: int) -> StepFunction:
         if i < 0:
             raise ValidationError("term index must be nonnegative")
-        while len(self._terms) <= i and self._rule is not None:
+        if self.tail is not None:
+            i = min(i, self.tail)
+        while len(self._terms) <= i:
             self._terms.append(self._rule(len(self._terms)))
             try:
                 if len(self._terms) > 1:  # a first term has no pair to check
@@ -64,9 +70,7 @@ class L1Name:
                 self._terms.pop()
                 self._deltas.pop(len(self._terms) - 1, None)
                 raise
-        if i < len(self._terms):
-            return self._terms[i]
-        return self._terms[-1]
+        return self._terms[i]
 
     def delta(self, i: int) -> StepFunction:
         """|f_i - f_{i+1}|, built once: term i+1's certificate check keeps it."""
@@ -81,11 +85,8 @@ class L1Name:
         return len(self._terms)
 
     def exact_limit(self) -> StepFunction | None:
-        """The limit when the tail is known constant, else None."""
-        return self._terms[-1] if self._rule is None else None
-
-    def constant_tail_from(self) -> int | None:
-        return self._tail
+        """The limit, term(tail), when the tail is known, else None."""
+        return None if self.tail is None else self.term(self.tail)
 
     def integral(self) -> DyadicInterval:
         """[int f_i - 2^-i+1, int f_i + 2^-i+1] at the deepest materialized
@@ -157,7 +158,7 @@ def convergence_test(name: L1Name) -> RapidGDelta:
     when the name is constant from index c (its deltas from c on are zero),
     at every stage once 2n+1 >= c; so stage s reads only n <= (s-1)/2 with
     n < c//2, and the height is max(c//2 - 1, 0), or None with no tail."""
-    tail = name.constant_tail_from()
+    tail = name.tail
 
     def level_rule(k: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
@@ -191,8 +192,7 @@ def capture_sets(name: L1Name, precision: int) -> tuple[int, tuple[ClopenSet, ..
     name.term(m + 1)
     got = name._captures.get(precision)
     if got is None:
-        const = name.constant_tail_from()
-        stage = max(m + 2, (const if const is not None else 0) + 1)
+        stage = max(m + 2, (name.tail or 0) + 1)
         guards: list[ClopenSet] = []
         total = None
         for i in range(stage if precision >= 0 else 0, 0, -1):
@@ -247,10 +247,11 @@ def interleave_terms(n1: L1Name, n2: L1Name) -> Callable[[int], StepFunction]:
 
 
 def names_equal(n1: L1Name, n2: L1Name, bound: int = 24) -> NamesEqualResult:
-    """When both names have exact limits: equal iff the limits coincide,
-    with residual their exact L1 distance.  Otherwise the combined tail
-    bound |f_i - g_i|_1 <= 2^-i+2 at i = bound decides; it holds whenever
-    the limits agree, but also accepts limits closer than about 2^-bound+3."""
+    """When both names know their tails: equal iff the limits term(tail)
+    coincide, with residual their exact L1 distance; a rule name's terms are
+    evaluated up to its declared tail.  Otherwise the combined tail bound
+    |f_i - g_i|_1 <= 2^-i+2 at i = bound decides; it holds whenever the
+    limits agree, but also accepts limits closer than about 2^-bound+3."""
     if bound < 1:
         raise ValidationError("bound must be positive")
     a, b = n1.exact_limit(), n2.exact_limit()
@@ -266,10 +267,10 @@ class _Interleaved(L1Name):
     deltas and bad-set stages; exact equal limits give it the later tail, less 2."""
 
     def __init__(self, n1: L1Name, n2: L1Name):
-        super().__init__([], rule=interleave_terms(n1, n2), label=f"{n1.label}~{n2.label}")
-        c1, c2 = n1.constant_tail_from(), n2.constant_tail_from()
-        if c1 is not None and n1.exact_limit() == n2.exact_limit():
-            self._tail = max(c1, c2, 2) - 2
+        known = n1.tail is not None and n2.tail is not None
+        tail = max(n1.tail, n2.tail, 2) - 2 if known and n1.exact_limit() == n2.exact_limit() else None
+        super().__init__([], rule=interleave_terms(n1, n2), label=f"{n1.label}~{n2.label}",
+                         tail=tail)
 
     def _check_pair(self, i: int) -> None:
         pass
@@ -278,7 +279,8 @@ class _Interleaved(L1Name):
 def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     """Points avoiding this test see both names converge, to the same value:
     the convergence tests of each name and of their interleave, combined.
-    Building it evaluates no term; only exact equal limits bound the staging."""
+    Building it evaluates terms only up to declared tails, to compare the
+    limits; only equal limits bound the staging."""
     return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))],
                    label=f"agree[{n1.label},{n2.label}]")
 
@@ -288,15 +290,15 @@ def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
 
 def limit_distance_refuted(h1: L1Name, h2: L1Name, bound: Dyadic) -> Dyadic | None:
     """Exact refutation check of the claim |lim h1 - lim h2|_1 <= bound:
-    returns the offending lower bound if the claim is impossible, else None."""
-    a, b = max(h1.materialized, 1) - 1, max(h2.materialized, 1) - 1
-    norm = l1_norm(h1.term(a), h2.term(b))
-    slack = ZERO
-    if h1.exact_limit() is None:
-        slack = slack + Dyadic.pow2(-a + 1)
-    if h2.exact_limit() is None:
-        slack = slack + Dyadic.pow2(-b + 1)
-    lower = norm - slack
+    returns the offending lower bound if the claim is impossible, else None.
+    A name is read at its limit term(tail) when the tail is known, else at
+    its deepest materialized index i, whose term is within 2^-i+1 of it."""
+    a, b = (max(h.materialized, 1) - 1 if h.tail is None else h.tail for h in (h1, h2))
+    lower = l1_norm(h1.term(a), h2.term(b))
+    if h1.tail is None:
+        lower = lower - Dyadic.pow2(-a + 1)
+    if h2.tail is None:
+        lower = lower - Dyadic.pow2(-b + 1)
     return lower if lower > bound else None
 
 
@@ -328,21 +330,13 @@ def diagonal_name(hs: Sequence[L1Name], g: L1Name | None = None,
                 f"{label}: |f^{i} - f^{i + 1}|_1 = {got} > 2^-{2 * i} + 2^-{i} + 2^-{2 * i}"
             )
     if g is not None:
-        glim = g.exact_limit()
         for i, f in enumerate(diag):
-            allowed = Dyadic.pow2(-2 * i) + Dyadic.pow2(-i + 1)
-            if glim is not None:
-                got = l1_norm(f, glim)
-                if got > allowed:
-                    raise CertificateError(
-                        f"{label}: |f^{i} - g|_1 = {got} > 2^-{2 * i} + 2^-{i + 1}"
-                    )
-            else:
-                bad = limit_distance_refuted(constant_name(f), g, allowed)
-                if bad is not None:
-                    raise CertificateError(
-                        f"{label}: |f^{i} - lim g|_1 >= {bad} > 2^-{2 * i} + 2^-{i + 1}"
-                    )
+            bad = limit_distance_refuted(constant_name(f), g,
+                                         Dyadic.pow2(-2 * i) + Dyadic.pow2(-i + 1))
+            if bad is not None:
+                raise CertificateError(
+                    f"{label}: |f^{i} - lim g|_1 >= {bad} > 2^-{2 * i} + 2^{1 - i}"
+                )
     return L1Name(diag[2:], label=label)
 
 
@@ -357,13 +351,12 @@ def _pointwise_fold(members: Sequence[L1Name], use_max: bool, label: str) -> L1N
         return members[0]
 
     fold = StepFunction.max_with if use_max else StepFunction.min_with
-    limits = [m.exact_limit() for m in members]
-    if all(lim is not None for lim in limits):
-        exact = limits[0]
-        for lim in limits[1:]:
-            exact = fold(exact, lim)
+    if all(m.tail is not None for m in members):
+        exact = members[0].exact_limit()
+        for m in members[1:]:
+            exact = fold(exact, m.exact_limit())
         return constant_name(exact, label=label)
-    # no exact limits: fold term-by-term with the index shift that restores
+    # some tail unknown: fold term-by-term with the index shift that restores
     # a strict certificate
     shift = max(1, (len(members) - 1).bit_length())
 

@@ -417,9 +417,16 @@ def capture_sets_bf(name, precision: int):
     every level's bad set, each stage checked to extend the one before."""
     m = 2 * precision + 1
     name.term(m + 1)
-    const = name.constant_tail_from()
-    stage = max(m + 2, (const if const is not None else 0) + 1)
+    stage = max(m + 2, (name.tail if name.tail is not None else 0) + 1)
     return m, [bad_set(name, j).stage(stage) for j in range(precision + 1)]
+
+
+def tail_mismatches_bf(name, extra: int = 8) -> list[int]:
+    """The indices tail..tail+extra at which a rule name's raw rule, called
+    past the clamp that term applies, differs from term(tail): none when the
+    declared tail is where the terms stop changing."""
+    want = name.term(name.tail)
+    return [i for i in range(name.tail, name.tail + extra + 1) if name._rule(i) != want]
 
 
 def sampled_average_bf(f, i: int, trials: int, seed: int):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cantor_measure import cli
+from cantor_measure.dsl import MAX_RELOC_INDEX
 from cantor_measure.errors import CertificateError, StatisticalGateError
 
 
@@ -61,6 +62,13 @@ def test_non_ascii_digit_is_a_parse_error(expr, capsys):
     rc, out, err = run_main(capsys, "measure", expr)
     assert rc == 2 and out == ""
     assert "unexpected character" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index", [MAX_RELOC_INDEX + 1, 99999999999999999999])
+def test_reloc_index_over_its_limit_exit_3(index, capsys):
+    rc, out, err = run_main(capsys, "measure", f"reloc({index},cyl(0))")
+    assert rc == 3 and out == ""
+    assert f"exceeds MAX_RELOC_INDEX = {MAX_RELOC_INDEX}" in err and "Traceback" not in err
 
 
 def test_bad_point_spec_exit_3(capsys):

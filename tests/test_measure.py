@@ -1,5 +1,6 @@
 import gc
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,7 +35,7 @@ from cantor_measure.space import (
 from cantor_measure.stepfn import StepFunction
 
 from bruteforce import (agreement_test_bf, assemble_bad_gdelta_bf, convergence_test_bf,
-                        counting_measure, dyadic_fraction, node_law_test_bf)
+                        counting_measure, dyadic_fraction, node_law_test_bf, tail_mismatches_bf)
 from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
                  random_bits, random_code, shrinking_name)
 
@@ -123,9 +124,13 @@ def test_decomposition_laws_verify_and_detect_tampering():
 def test_verify_mode_exact_iff_every_comparison_exact():
     d = build_decomposition(ROOT_01_11)
     assert verify_decomposition(ROOT_01_11, d).mode == "exact"
-    # a leaf named by a rule has no exact limit, so its law is decided by
-    # the tail bound, and so is the union law that reads it
+    # a leaf named by a rule with a declared tail has its limit at the tail
     leaf = StepFunction.from_char(ClopenSet.cylinder("0"))
+    d[(0,)] = L1Name([], rule=lambda i: leaf, label="tailed", tail=2)
+    res = verify_decomposition(ROOT_01_11, d)
+    assert res.ok and res.mode == "exact"
+    # a leaf named by a rule with no tail has no exact limit, so its law is
+    # decided by the tail bound, and so is the union law that reads it
     d[(0,)] = L1Name([], rule=lambda i: leaf, label="ruled")
     res = verify_decomposition(ROOT_01_11, d)
     assert res.ok and res.mode == "bounded"
@@ -312,7 +317,8 @@ def test_membership_recovery_round_trip():
         h = h + [h[0]]
         f = char_name(denotation(tilde(c, h)), label="stack")
         d = decomposition_from_membership(f, c, h)
-        assert verify_decomposition(c, d)
+        res = verify_decomposition(c, d)
+        assert res and res.mode == "exact"
         ref = build_decomposition(c)
         for addr in addresses(c):
             assert names_equal(d[addr], ref[addr]).equal
@@ -392,6 +398,45 @@ def test_regularity_stage_oracle_leak_checked():
     )
     with pytest.raises(CertificateError):
         regularity_to_char(lazy, stage_oracle=lambda n: 0).term(0)
+    # a leak of 2^-12 keeps every promise up to level 11, but a declared
+    # tail asks for no leak at all from it on
+    leaky = RegularityApprox(
+        a_levels=lambda n: StagedOpenSet.constant(clopen_complement(ClopenSet.cylinder("0" * 12))),
+        c_levels=lambda n: StagedOpenSet.constant(ClopenSet.empty()),
+    )
+    regularity_to_char(leaky, stage_oracle=lambda n: 0).term(8)
+    with pytest.raises(CertificateError):
+        regularity_to_char(replace(leaky, tail=4), stage_oracle=lambda n: 0).exact_limit()
+
+
+def test_declared_tails_are_where_rule_terms_stop_changing():
+    """The rule names of decomposition_from_membership and
+    regularity_to_char declare their tails; the oracle reads each raw rule
+    past its tail.  Every input changes its terms at index tail - 1, so a
+    tail declared one index early would fail."""
+    rng = random.Random(63)
+    for _ in range(8):
+        c = random_code(rng, max_depth=2, max_gen_len=2, max_children=2)
+        h = list(addresses(c))
+        rng.shuffle(h)
+        k = len(h) + 2
+        # bump f on [0^n 1 0^k] for every position n until index k
+        base = StepFunction.from_char(denotation(tilde(c, h)))
+        bumps = StepFunction.from_char(ClopenSet(tuple("0" * n + "1" + "0" * k
+                                                       for n in range(len(h)))))
+        f = L1Name([base + bumps] * (k + 1) + [base], label="bumped")
+        d = decomposition_from_membership(f, c, h)
+        for addr, nm in d.items():
+            assert nm.tail == k - h.index(addr)
+            assert tail_mismatches_bf(nm) == []
+            assert nm._rule(nm.tail - 1) != nm.term(nm.tail)
+    for c in range(4, 10):
+        back = regularity_to_char(char_to_regularity(shrinking_name(c)), stage_oracle=lambda n: 0)
+        again = regularity_to_char(char_to_regularity(back), stage_oracle=lambda n: 0)
+        assert (back.tail, again.tail) == (c - 3, max(c - 6, 0))
+        for nm in (back, again) if c >= 7 else (back,):
+            assert tail_mismatches_bf(nm) == []
+            assert nm._rule(nm.tail - 1) != nm.term(nm.tail)
 
 
 def test_sup_open_set_measures_approach_sup():

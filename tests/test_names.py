@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cantor_measure import measure, names
 from cantor_measure.codes import Leaf, UnionNode, child_items
 from cantor_measure.dyadic import Dyadic
-from cantor_measure.errors import CertificateError
+from cantor_measure.errors import CertificateError, ValidationError
 from cantor_measure.names import (
     Captured,
     L1Name,
@@ -30,9 +30,9 @@ from cantor_measure.names import (
 from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, StagedOpenSet, mu_I
 from cantor_measure.stepfn import StepFunction, l1_norm
 
-from bruteforce import capture_sets_bf, dyadic_fraction, l1_fraction
+from bruteforce import capture_sets_bf, dyadic_fraction, l1_fraction, tail_mismatches_bf
 from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
-                 random_stepfn)
+                 random_stepfn, shrinking_name)
 
 
 def chi_tail_name(terms=12):
@@ -69,6 +69,12 @@ def test_constant_tail_gives_exact_limit():
     nm = constant_name(f)
     assert nm.exact_limit() == f
     assert nm.term(40) == f
+
+
+def test_negative_tail_is_rejected():
+    zero = StepFunction.constant(Dyadic.from_int(0))
+    with pytest.raises(ValidationError):
+        L1Name([], rule=lambda i: zero, label="negative", tail=-1)
 
 
 def test_integral_interval_contains_limit():
@@ -293,9 +299,13 @@ def test_names_equal_mode_exact_iff_both_limits_known():
     base = random_stepfn(random.Random(27))
     a = constant_name(base)
     ruled = L1Name([], rule=lambda i: base, label="ruled")
+    tailed = L1Name([], rule=lambda i: base, label="tailed", tail=3)
     assert names_equal(a, a).mode == "exact"
     r = names_equal(a, ruled)
     assert r.equal and r.mode == "bounded"
+    r = names_equal(tailed, a)
+    assert r.equal and r.mode == "exact"
+    assert names_equal(tailed, ruled).mode == "bounded"
 
 
 def test_interleave_terms_exposes_raw_sequence():
@@ -353,7 +363,8 @@ def test_level_union_reads_only_bad_sets_past_their_start(monkeypatch):
     monkeypatch.setattr(names, "bad_set", bad)
     zero = StepFunction.constant(Dyadic.from_int(0))
     ruled = L1Name([], rule=lambda i: zero, label="ruled")
-    cases = [(ruled, None)] + [(L1Name([zero] * (c + 1)), c) for c in range(10)]
+    tailed = L1Name([], rule=lambda i: zero, label="tailed", tail=7)
+    cases = [(ruled, None), (tailed, 7)] + [(L1Name([zero] * (c + 1)), c) for c in range(10)]
     for nm, c in cases:
         t = convergence_test(nm)
         assert t.height == (None if c is None else max(c // 2 - 1, 0))
@@ -364,6 +375,18 @@ def test_level_union_reads_only_bad_sets_past_their_start(monkeypatch):
                 end = (s + 1) // 2 if c is None else min((s + 1) // 2, c // 2)
                 assert calls == list(range(k + 1, end)), (c, k, s)
         assert sorted(t._memo) == list(range(6 if c is None else min(6, t.height)))
+
+
+def test_interleave_tail_is_where_its_rule_stops_changing():
+    """Interleaving two names with equal limits, constant from c1 and c2,
+    declares the tail max(c1, c2) - 2.  The oracle reads the raw rule past
+    it; each pair has the later tail at the parity that index tail - 1
+    reads, so one index earlier the rule still changes."""
+    for c1, c2 in [(3, 3), (2, 4), (5, 5), (7, 3), (3, 6), (8, 8)]:
+        inter = names._Interleaved(shrinking_name(c1), shrinking_name(c2))
+        assert inter.tail == max(c1, c2) - 2
+        assert tail_mismatches_bf(inter) == []
+        assert inter._rule(inter.tail - 1) != inter.term(inter.tail)
 
 
 def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
