@@ -66,6 +66,7 @@ from .measure import (
     build_decomposition,
     char_to_regularity,
     decomposition_from_membership,
+    law_names,
     measure_of_code,
     regularity_to_char,
     sup_open_set,

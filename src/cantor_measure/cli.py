@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .gdelta import budget_report
-from .measure import assemble_bad_gdelta, build_decomposition, verify_decomposition
+from .measure import assemble_bad_gdelta, build_decomposition, law_names, verify_decomposition
 from .ordinals import OrdinalNotation
 from .sampling import mc_integral
 from .space import (ClopenSet, EventuallyPeriodicPoint, SeededPoint, enumerate_eventually_periodic,
@@ -56,6 +56,10 @@ SCHEMA = "cantor-measure/1"
 # the deepest code, in edges from root to leaf, whose JSON tree a parse
 # report embeds: the report encoder recurses about twice per level
 MAX_REPORT_TREE_DEPTH = 400
+
+# the largest tests-combine --depth: its table has (depth + 1)^2 entries, and
+# at this depth takes about 60 MB to build and writes about 4 MB
+MAX_TESTS_COMBINE_DEPTH = 512
 
 
 def _parse_point(spec: str):
@@ -173,14 +177,22 @@ def _cmd_measure(args) -> dict:
     return payload
 
 
-def _cmd_decompose(args) -> dict:
-    shaped = _require_normalized(_prepared(args))
+def _verified_decomposition(shaped):
+    """build_decomposition and its law_names, once verify_decomposition has
+    checked every address against them; a failed law is a certificate error."""
     d = build_decomposition(shaped)
-    res = verify_decomposition(shaped, d)
+    laws = law_names(shaped, d)
+    res = verify_decomposition(shaped, d, laws=laws)
     if not res:
         raise CertificateError(
             f"decomposition fails the {res.law} law at address {res.address}"
         )
+    return d, laws
+
+
+def _cmd_decompose(args) -> dict:
+    shaped = _require_normalized(_prepared(args))
+    d, _ = _verified_decomposition(shaped)
     rows = []
     for addr in sorted(d):
         lim = d[addr].exact_limit()
@@ -193,10 +205,15 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_tests_combine(args) -> dict:
-    shaped = _require_normalized(_prepared(args))
-    d = build_decomposition(shaped)
-    t = assemble_bad_gdelta(shaped, d)
     size = args.depth if args.depth is not None else 3
+    if size > MAX_TESTS_COMBINE_DEPTH:
+        raise ValidationError(
+            f"--depth {size} exceeds MAX_TESTS_COMBINE_DEPTH = {MAX_TESTS_COMBINE_DEPTH}, "
+            "the largest stage table tests-combine prints"
+        )
+    shaped = _require_normalized(_prepared(args))
+    d, laws = _verified_decomposition(shaped)
+    t = assemble_bad_gdelta(shaped, d, laws=laws)
     table = []
     for n in range(size + 1):
         row = []
@@ -272,10 +289,9 @@ def _cmd_report(args) -> dict:
         "support_depth": support_depth(shaped),
         "measure": str(mu_I(den)),
     }
-    d = build_decomposition(shaped)
-    res = verify_decomposition(shaped, d)
-    assertions = [{"name": "decomposition laws", "pass": bool(res)}]
-    t = assemble_bad_gdelta(shaped, d)
+    d, laws = _verified_decomposition(shaped)
+    assertions = [{"name": "decomposition laws", "pass": True}]
+    t = assemble_bad_gdelta(shaped, d, laws=laws)
     for n in range(3):
         for s in range(3):
             budget_report(t, n, s)

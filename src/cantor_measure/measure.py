@@ -87,17 +87,30 @@ class VerifyResult:
         return self.ok
 
 
-def verify_decomposition(code: BorelCode, d: MeasureDecomposition,
-                         bound: int = 24) -> VerifyResult:
-    """Check each address's law via names_equal; reports the first failure."""
-    require_complement_free(code, "verify_decomposition")
-    for addr in addresses(code):
+def law_names(code: BorelCode, d: MeasureDecomposition) -> dict[Address, L1Name]:
+    """law_name over d's names of each node's children, labelled "law", from
+    one nodes walk; a KeyError holds the first address (preorder) d lacks."""
+    require_complement_free(code, "law_names")
+    walk = nodes(code)
+    for addr, _ in walk:
         if addr not in d:
-            return VerifyResult(False, addr, "missing")
+            raise KeyError(addr)
+    return {addr: law_name(node, [d[addr + (s,)] for s, _ in child_items(node)], "law")
+            for addr, node in walk}
+
+
+def verify_decomposition(code: BorelCode, d: MeasureDecomposition, bound: int = 24,
+                         laws: dict[Address, L1Name] | None = None) -> VerifyResult:
+    """Check each address's name against its law from law_names (or laws,
+    when the caller has them) via names_equal; reports the first failure."""
+    require_complement_free(code, "verify_decomposition")
+    try:
+        laws = law_names(code, d) if laws is None else laws
+    except KeyError as e:
+        return VerifyResult(False, e.args[0], "missing")
     mode = "exact"
     for addr, node in nodes(code):
-        want = law_name(node, [d[addr + (s,)] for s, _ in child_items(node)], "law")
-        res = names_equal(d[addr], want, bound=bound)
+        res = names_equal(d[addr], laws[addr], bound=bound)
         if res.mode != "exact":
             mode = "bounded"
         if not res.equal:
@@ -146,28 +159,30 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
     return out
 
 
-def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
-                        label: str = "assembled") -> RapidGDelta:
+def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition, label: str = "assembled",
+                        laws: dict[Address, L1Name] | None = None) -> RapidGDelta:
     """One rapidly null test outside which the decomposition's pointwise
     values realize the evaluation map of the code.
 
     Combines, in deterministic address order: each name's convergence test,
-    then each node's law test (fold_law_test)."""
+    then each node's law test (fold_law_test) against its law from
+    law_names, or laws when the caller has them."""
     require_complement_free(code, "assemble_bad_gdelta")
+    laws = law_names(code, d) if laws is None else laws
     parts = [convergence_test(d[addr]) for addr in addresses(code)]
     for addr, node in nodes(code):
         kids = [d[addr + (s,)] for s, _ in child_items(node)]
-        parts.append(fold_law_test(node, kids, d[addr]))
+        parts.append(fold_law_test(node, kids, d[addr], law=laws[addr]))
     return combine(parts, label=label)
 
 
 def fold_law_test(node: BorelCode, children: Sequence[L1Name],
-                  parent: L1Name) -> RapidGDelta:
+                  parent: L1Name, law: L1Name | None = None) -> RapidGDelta:
     """Exclusion test for one node's law: the parent's agreement test with
-    law_name over the children.  Off its rapidly null set the parent
-    converges to the leaf's characteristic function, or to the sup or inf of
-    the children's limits: with finitely many children, the law itself."""
-    return agreement_test(parent, law_name(node, children, "law"))
+    law_name over the children, or law when given.  Off its rapidly null set
+    the parent converges to the leaf's characteristic function, or to the sup
+    or inf of the children's limits: with finitely many children, the law."""
+    return agreement_test(parent, law_name(node, children, "law") if law is None else law)
 
 
 def decomposition_eval_map(code: BorelCode, d: MeasureDecomposition, x: Point,

@@ -14,6 +14,7 @@ suffix-sum pass over them, whose nonnegativity makes the stages monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from .dyadic import Dyadic, DyadicInterval, ZERO
@@ -280,9 +281,21 @@ def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     """Points avoiding this test see both names converge, to the same value:
     the convergence tests of each name and of their interleave, combined.
     Building it evaluates terms only up to declared tails, to compare the
-    limits; only equal limits bound the staging."""
-    return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))],
-                   label=f"agree[{n1.label},{n2.label}]")
+    limits; only equal limits bound the staging, and then, the height being
+    known, the parts are built on the first read of a level below it."""
+    label = f"agree[{n1.label},{n2.label}]"
+
+    @cache
+    def whole() -> RapidGDelta:
+        return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))], label=label)
+
+    t1, t2 = n1.tail, n2.tail
+    if t1 is None or t2 is None or n1.exact_limit() != n2.exact_limit():
+        return whole()
+    # combine's height over max(t//2 - 1, 0), t each name's tail and the interleave's
+    hs = [max(t // 2 - 1, 0) for t in (t1, t2, max(t1, t2, 2) - 2)]
+    return RapidGDelta(lambda n: whole().level(n), label=label,
+                       height=max([0] + [h - n - 1 for n, h in enumerate(hs)]))
 
 
 # ---------------------------------------------------------------------------

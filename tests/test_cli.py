@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from cantor_measure import cli
-from cantor_measure.dsl import MAX_RELOC_INDEX
+from cantor_measure import cli, measure
+from cantor_measure.codes import nodes
+from cantor_measure.dsl import MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
+from cantor_measure.names import char_name
+from cantor_measure.space import ClopenSet
 
 
 def run_main(capsys, *argv):
@@ -293,6 +296,52 @@ def test_fold_law_tests_stay_in_budget_past_their_start(expr, depth, capsys):
     assert rc == 0, err
     table = json.loads(out)["stage_measures"]
     assert len(table) == depth + 1 and {m for row in table for m in row} == {"0/2^0"}
+
+
+def test_tests_combine_depth_over_its_limit_exit_3(capsys):
+    limit = cli.MAX_TESTS_COMBINE_DEPTH
+    rc, out, err = run_main(capsys, "tests-combine", "cyl(0)", "--depth", str(limit + 1))
+    assert rc == 3 and out == ""
+    assert f"--depth {limit + 1} exceeds MAX_TESTS_COMBINE_DEPTH = {limit}" in err
+    rc, out, _ = run_main(capsys, "tests-combine", "cyl(0)", "--depth", str(limit))
+    assert rc == 0 and len(json.loads(out)["stage_measures"]) == limit + 1
+
+
+@pytest.mark.parametrize("argv", [["report", "union(cyl(0),cyl(10))"],
+                                  ["tests-combine", "union(cyl(0),cyl(10))", "--depth", "6"]])
+def test_failed_law_exits_4_before_staging(argv, capsys, monkeypatch):
+    """A decomposition whose root names the empty set fails the union law:
+    the verbs that stage its assembled test check every law first, and
+    print no report."""
+    real = cli.build_decomposition
+
+    def wrong_root(code):
+        d = real(code)
+        d[()] = char_name(ClopenSet.empty())
+        return d
+
+    monkeypatch.setattr(cli, "build_decomposition", wrong_root)
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 4 and out == ""
+    assert "decomposition fails the union law at address ()" in err
+
+
+@pytest.mark.parametrize("verb", ["report", "tests-combine"])
+def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
+    """Once in build_decomposition, once in the law pass that verify and the
+    assembled test share."""
+    calls = []
+    real = measure.law_name
+
+    def counting(node, kids, label):
+        calls.append(label)
+        return real(node, kids, label)
+
+    monkeypatch.setattr(measure, "law_name", counting)
+    expr = "union(cyl(0),inter(cyl(1),cyl(10),union(cyl(110),cyl(111))),cyl(0011))"
+    rc, _, err = run_main(capsys, verb, expr)
+    assert rc == 0, err
+    assert 0 < len(calls) <= 2 * len(nodes(parse_dsl(expr)))
 
 
 def test_report_aggregates(capsys):

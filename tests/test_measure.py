@@ -18,10 +18,12 @@ from cantor_measure.measure import (
     char_to_regularity,
     decomposition_eval_map,
     decomposition_from_membership,
+    law_names,
     measure_of_code,
     regularity_to_char,
     sup_open_set,
     verify_decomposition,
+    VerifyResult,
 )
 from cantor_measure.names import (L1Name, agreement_test, char_name, constant_name, convergence_test,
                                   names_equal)
@@ -145,6 +147,14 @@ def test_decomposition_missing_address_reported():
     del d[(0,)]
     res = verify_decomposition(c, d)
     assert not res.ok and res.law == "missing"
+    # a missing address is reported before any law, and the first in preorder
+    c = parse_dsl("union(cyl(0),inter(cyl(1),cyl(10)),cyl(11))")
+    d = build_decomposition(c)
+    d[()] = char_name(ClopenSet.empty())
+    del d[(1, 1)], d[(2,)]
+    assert verify_decomposition(c, d) == VerifyResult(False, (1, 1), "missing")
+    with pytest.raises(KeyError):
+        law_names(c, d)
 
 
 def test_root_name_integral_is_measure():
@@ -201,6 +211,21 @@ def _stage_table(t) -> list:
     return out
 
 
+def _drawn_decomposition(kind: str, rng: random.Random):
+    """The code and decomposition of an "assembled" or "laws" case: a random
+    code's decomposition, one address's name replaced by a wrong one when
+    "wrong" is drawn; an assembled test reads its late parts many levels
+    up, so its codes are small."""
+    code = random_code(rng, max_depth=rng.randint(0, 1 if kind == "assembled" else 2),
+                       max_children=3, max_gen_len=4)
+    d = build_decomposition(code)
+    if rng.random() < 0.5:
+        addr = rng.choice(sorted(d))
+        d[addr] = constant_name(d[addr].exact_limit() + StepFunction.constant(Dyadic(1, 2)),
+                                label="wrong")
+    return code, d
+
+
 def _staging_case(kind: str, seed: int, oracle: bool) -> list:
     """The stage tables of one case, built through the package or through
     the closure oracle; each side builds its own names from the seed."""
@@ -239,16 +264,7 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
         node = rng.choice((UnionNode, InterNode))((Leaf(ClopenSet.empty()),) * 2)
         law = node_law_test_bf if oracle else measure.fold_law_test
         return [_stage_table(law(node, kids, char_noise_name(rng)))]
-    # "assembled" / "laws": a random code's decomposition, one address's
-    # name replaced by a wrong one when "wrong" is drawn; an assembled test
-    # reads its late parts many levels up, so its codes are small
-    code = random_code(rng, max_depth=rng.randint(0, 1 if kind == "assembled" else 2),
-                       max_children=3, max_gen_len=4)
-    d = build_decomposition(code)
-    if rng.random() < 0.5:
-        addr = rng.choice(sorted(d))
-        d[addr] = constant_name(d[addr].exact_limit() + StepFunction.constant(Dyadic(1, 2)),
-                                label="wrong")
+    code, d = _drawn_decomposition(kind, rng)
     if kind == "assembled":
         return [_stage_table((assemble_bad_gdelta_bf if oracle else assemble_bad_gdelta)(code, d))]
     law = node_law_test_bf if oracle else measure.fold_law_test
@@ -272,6 +288,23 @@ def test_level_unions_stage_as_the_closure_oracle(kind, seed):
     assembled tests equal the per-test closures they replaced: the same
     set at every level and stage, or the same error."""
     assert _staging_case(kind, seed, False) == _staging_case(kind, seed, True)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(["assembled", "laws"]), st.integers(min_value=0, max_value=10**6))
+@example("assembled", 1)
+@example("laws", 1)
+def test_shared_law_names_verify_and_assemble_the_same(kind, seed):
+    """Law names computed once and handed to verify_decomposition and
+    assemble_bad_gdelta give the same verdict and the same stage tables,
+    errors included, as each computing its own; each side draws its own
+    names from the seed."""
+    code, d = _drawn_decomposition(kind, random.Random(seed))
+    laws = law_names(code, d)
+    own_code, own = _drawn_decomposition(kind, random.Random(seed))
+    assert verify_decomposition(code, d, laws=laws) == verify_decomposition(own_code, own)
+    assert (_stage_table(assemble_bad_gdelta(code, d, laws=laws))
+            == _stage_table(assemble_bad_gdelta(own_code, own)))
 
 
 @settings(deadline=None, max_examples=15)

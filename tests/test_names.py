@@ -411,6 +411,41 @@ def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
     assert labels == []
 
 
+def test_equal_exact_limits_build_their_agreement_parts_when_read(monkeypatch):
+    """Names with exact, equal limits give an agreement test whose height,
+    the one the eager combination would have, is known before any part
+    exists: no interleave and no convergence test is built while only
+    levels from the height on are read, and the first read below it builds
+    the three convergence tests and the interleave, once."""
+    built = []
+    real_conv, real_inter = names.convergence_test, names._Interleaved
+
+    def conv(name):
+        built.append("conv")
+        return real_conv(name)
+
+    def inter(n1, n2):
+        built.append("inter")
+        return real_inter(n1, n2)
+
+    monkeypatch.setattr(names, "convergence_test", conv)
+    monkeypatch.setattr(names, "_Interleaved", inter)
+    for c1, c2 in [(0, 0), (3, 9), (12, 10), (14, 14)]:
+        a, b = shrinking_name(c1), shrinking_name(c2)
+        t = names.agreement_test(a, b)
+        eager = names.combine([real_conv(n) for n in (a, b, real_inter(a, b))])
+        assert t.height == eager.height
+        for n in range(t.height, t.height + 3):
+            for s in range(30):
+                assert t.stage(n, s).is_empty()
+        assert built == []
+        for n in range(t.height):
+            for s in range(30):
+                assert t.stage(n, s) == eager.stage(n, s)
+        assert sorted(built) == ([] if t.height == 0 else ["conv"] * 3 + ["inter"])
+        built.clear()
+
+
 def test_diagonal_name_bounds_exact():
     # h_j: names drifting toward chi_[0], certified by construction
     base = StepFunction.from_char(ClopenSet.cylinder("0"))
