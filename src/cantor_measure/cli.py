@@ -61,6 +61,9 @@ MAX_REPORT_TREE_DEPTH = 400
 # at this depth takes about 60 MB to build and writes about 4 MB
 MAX_TESTS_COMBINE_DEPTH = 512
 
+# the most --mc trials an estimate draws: 10^6 take about 0.6 s
+MAX_MC_TRIALS = 10**6
+
 
 def _parse_point(spec: str):
     if spec.startswith("seed="):
@@ -283,13 +286,13 @@ def _cmd_decorate(args) -> dict:
 
 def _cmd_report(args) -> dict:
     shaped = _require_normalized(_prepared(args))
-    den = denotation(shaped)
+    d, laws = _verified_decomposition(shaped)
+    root = d[()].exact_limit()
     payload = {
         "expr": print_dsl(shaped),
         "support_depth": support_depth(shaped),
-        "measure": str(mu_I(den)),
+        "measure": str(root.integral()),
     }
-    d, laws = _verified_decomposition(shaped)
     assertions = [{"name": "decomposition laws", "pass": True}]
     t = assemble_bad_gdelta(shaped, d, laws=laws)
     for n in range(3):
@@ -297,7 +300,7 @@ def _cmd_report(args) -> dict:
             budget_report(t, n, s)
     assertions.append({"name": "stage budgets", "pass": True})
     if args.mc is not None:
-        est = mc_integral(StepFunction.from_char(den), args.mc, args.seed)
+        est = mc_integral(root, args.mc, args.seed)
         payload["estimate"] = str(est.value)
         payload["seed"] = est.seed
         payload["trials"] = est.trials
@@ -381,6 +384,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
+        if getattr(args, "mc", None) is not None and args.mc > MAX_MC_TRIALS:
+            raise ValidationError(f"--mc {args.mc} exceeds MAX_MC_TRIALS = {MAX_MC_TRIALS}")
         result = _COMMANDS[args.verb](args)
         rc = 0
         if isinstance(result, tuple):

@@ -12,7 +12,8 @@ reloc and bigunion are surface syntax only: both expand while parsing, so
 the resulting code contains just leaves, unions, intersections, and
 complements.  Inside a bigunion body, $ident substitutes the running index
 wherever a nat is expected; the bounds are inclusive.  A reloc index above
-MAX_RELOC_INDEX is a validation error, raised before its prefix is built.
+MAX_RELOC_INDEX is a validation error, raised before its prefix is built,
+and so is an expression that builds more than MAX_CODE_NODES nodes.
 ASCII digit runs (0-9) are read as bits after cyl and as decimal numbers in
 nat positions; any other digit is an unexpected character.
 
@@ -44,6 +45,8 @@ _KEYWORDS = {"cyl", "empty", "full", "union", "inter", "compl", "reloc", "biguni
 _DIGITS = "0123456789"
 # reloc(n, ...) prefixes every generator with n + 1 bits
 MAX_RELOC_INDEX = 1 << 24
+# the most code nodes one expression may build, bigunion expansions included
+MAX_CODE_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.built = 0  # code nodes built so far
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -146,6 +150,13 @@ class _Parser:
             return env[name.text]
         self.fail("number or '$'")
 
+    def count_node(self) -> None:
+        self.built += 1
+        if self.built > MAX_CODE_NODES:
+            t = self.peek()
+            raise ValidationError(f"code exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes"
+                                  f" (line {t.line}, col {t.col})")
+
     def parse(self) -> BorelCode:
         """One loop over a stack of open forms (keyword, env, argument,
         children): each finished expression goes to the innermost open
@@ -173,6 +184,7 @@ class _Parser:
                     continue
                 code = Leaf(ClopenSet.cylinder(self.bits()))
                 self.expect(")")
+            self.count_node()
             while stack:
                 kw, env, arg, kids = stack[-1]  # a closed child's bindings end with it
                 kids.append(code)
@@ -190,6 +202,7 @@ class _Parser:
                 self.expect(")")
                 stack.pop()
                 code = _closed(kw, arg, kids)
+                self.count_node()
             else:
                 if self.peek().kind != "end":
                     self.fail("end-of-input")

@@ -53,7 +53,8 @@ def law_name(node: BorelCode, kids: Sequence[L1Name], label: str) -> L1Name:
     """The name a node's law asks for, given its children's names: a leaf's
     characteristic name, the sup of a union's children, the inf of an
     intersection's, or the constant 0 (union) or 1 (intersection) when the
-    node has no children.  One child's sup or inf is that child's name."""
+    node has no children.  One child's sup or inf is that child's name.
+    Only law_names applies it; decompositions are built by clopen folds."""
     if isinstance(node, Leaf):
         return char_name(node.label, label=label)
     union = isinstance(node, UnionNode)
@@ -63,17 +64,16 @@ def law_name(node: BorelCode, kids: Sequence[L1Name], label: str) -> L1Name:
 
 
 def build_decomposition(code: BorelCode) -> MeasureDecomposition:
-    """Bottom-up, each address gets law_name of its node over its children's
-    names, labelled leaf@addr or node@addr.  Leaf names are constant, so
-    every sup and inf folds exact limits; a one-child node shares its
-    child's name."""
+    """Each address gets the characteristic name of its node's denotation,
+    labelled leaf@addr or node@addr, from one memoized clopen fold: a node
+    shared by several addresses is folded once.  No law is applied here;
+    verify_decomposition checks every name against its law."""
     require_complement_free(code, "build_decomposition")
-    out: MeasureDecomposition = {}
-    for addr, node in reversed(nodes(code)):  # children before parents
-        kids = [out[addr + (s,)] for s, _ in child_items(node)]
-        kind = "leaf" if isinstance(node, Leaf) else "node"
-        out[addr] = law_name(node, kids, f"{kind}@{addr}")
-    return out
+    memo: dict[tuple[int, bool], ClopenSet] = {}
+    denotation(code, memo)
+    return {addr: char_name(memo[id(node), False],
+                            label=f"{'leaf' if isinstance(node, Leaf) else 'node'}@{addr}")
+            for addr, node in nodes(code)}
 
 
 @dataclass(frozen=True)
@@ -164,25 +164,15 @@ def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition, label: str = "
     """One rapidly null test outside which the decomposition's pointwise
     values realize the evaluation map of the code.
 
-    Combines, in deterministic address order: each name's convergence test,
-    then each node's law test (fold_law_test) against its law from
-    law_names, or laws when the caller has them."""
+    Combines, in the preorder of law_names (or of laws, when the caller has
+    them): each name's convergence test, then its agreement test with its
+    law, off which it converges to its leaf's characteristic function or to
+    the sup or inf of its children's limits."""
     require_complement_free(code, "assemble_bad_gdelta")
     laws = law_names(code, d) if laws is None else laws
-    parts = [convergence_test(d[addr]) for addr in addresses(code)]
-    for addr, node in nodes(code):
-        kids = [d[addr + (s,)] for s, _ in child_items(node)]
-        parts.append(fold_law_test(node, kids, d[addr], law=laws[addr]))
+    parts = [convergence_test(d[addr]) for addr in laws]
+    parts += [agreement_test(d[addr], law) for addr, law in laws.items()]
     return combine(parts, label=label)
-
-
-def fold_law_test(node: BorelCode, children: Sequence[L1Name],
-                  parent: L1Name, law: L1Name | None = None) -> RapidGDelta:
-    """Exclusion test for one node's law: the parent's agreement test with
-    law_name over the children, or law when given.  Off its rapidly null set
-    the parent converges to the leaf's characteristic function, or to the sup
-    or inf of the children's limits: with finitely many children, the law."""
-    return agreement_test(parent, law_name(node, children, "law") if law is None else law)
 
 
 def decomposition_eval_map(code: BorelCode, d: MeasureDecomposition, x: Point,

@@ -11,10 +11,11 @@ import pytest
 
 from cantor_measure import cli, measure
 from cantor_measure.codes import nodes
-from cantor_measure.dsl import MAX_RELOC_INDEX, parse_dsl
+from cantor_measure.dsl import MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
 from cantor_measure.names import char_name
 from cantor_measure.space import ClopenSet
+from cantor_measure.stepfn import StepFunction
 
 
 def run_main(capsys, *argv):
@@ -72,6 +73,27 @@ def test_reloc_index_over_its_limit_exit_3(index, capsys):
     rc, out, err = run_main(capsys, "measure", f"reloc({index},cyl(0))")
     assert rc == 3 and out == ""
     assert f"exceeds MAX_RELOC_INDEX = {MAX_RELOC_INDEX}" in err and "Traceback" not in err
+
+
+def test_code_over_its_node_limit_exit_3(capsys):
+    """65536 leaves under one union are one node over the limit, and 256
+    unions of 256 leaves under another are over it too; 65535 leaves under
+    one union are exactly at it."""
+    for expr in ["bigunion(i,1,65536,cyl(0))", "bigunion(i,0,255,bigunion(j,0,255,cyl(0)))"]:
+        rc, out, err = run_main(capsys, "decompose", expr)
+        assert rc == 3 and out == ""
+        assert f"code exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes" in err
+    assert len(parse_dsl("bigunion(i,1,65535,cyl(0))").children) == MAX_CODE_NODES - 1
+
+
+@pytest.mark.parametrize("verb", ["measure", "report"])
+def test_mc_trials_over_their_limit_exit_3(verb, capsys):
+    limit = cli.MAX_MC_TRIALS
+    rc, out, err = run_main(capsys, verb, "cyl(0)", "--mc", str(limit + 1))
+    assert rc == 3 and out == ""
+    assert f"--mc {limit + 1} exceeds MAX_MC_TRIALS = {limit}" in err
+    rc, out, _ = run_main(capsys, verb, "full", "--mc", str(limit))
+    assert rc == 0 and json.loads(out)["trials"] == limit
 
 
 def test_bad_point_spec_exit_3(capsys):
@@ -326,10 +348,10 @@ def test_failed_law_exits_4_before_staging(argv, capsys, monkeypatch):
     assert "decomposition fails the union law at address ()" in err
 
 
-@pytest.mark.parametrize("verb", ["report", "tests-combine"])
+@pytest.mark.parametrize("verb", ["decompose", "report", "tests-combine"])
 def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
-    """Once in build_decomposition, once in the law pass that verify and the
-    assembled test share."""
+    """Exactly once per node: build_decomposition applies no law, and
+    verify and the assembled test share one law pass."""
     calls = []
     real = measure.law_name
 
@@ -341,7 +363,24 @@ def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
     expr = "union(cyl(0),inter(cyl(1),cyl(10),union(cyl(110),cyl(111))),cyl(0011))"
     rc, _, err = run_main(capsys, verb, expr)
     assert rc == 0, err
-    assert 0 < len(calls) <= 2 * len(nodes(parse_dsl(expr)))
+    assert len(calls) == len(nodes(parse_dsl(expr)))
+
+
+def test_swapped_sup_and_inf_fail_the_law_check(capsys, monkeypatch):
+    """The decomposition comes from the clopen fold and its laws from the
+    step-function sup and inf, so a step-function algebra that swaps max
+    and min is caught: every verb that checks the laws exits 4, while
+    measure, which reads only the clopen fold, is unaffected."""
+    real_max, real_min = StepFunction.max_with, StepFunction.min_with
+    monkeypatch.setattr(StepFunction, "max_with", real_min)
+    monkeypatch.setattr(StepFunction, "min_with", real_max)
+    expr = "union(cyl(0),cyl(1))"
+    for verb in ("decompose", "report", "tests-combine"):
+        rc, out, err = run_main(capsys, verb, expr)
+        assert rc == 4 and out == ""
+        assert "decomposition fails the union law at address ()" in err
+    rc, out, _ = run_main(capsys, "measure", expr)
+    assert rc == 0 and json.loads(out)["measure"] == "1/2^0"
 
 
 def test_report_aggregates(capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure import measure
-from cantor_measure.codes import (InterNode, Leaf, UnionNode, addresses, child_items, denotation,
-                                  nodes, subtree, tilde)
+from cantor_measure.codes import (InterNode, Leaf, UnionNode, addresses, annotate_min_ranks,
+                                  child_items, denotation, make_alternating, nodes, subtree, tilde)
+from cantor_measure.decoration import decorate, split_generator
 from cantor_measure.dsl import parse_dsl
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import BudgetError, CertificateError, ValidationError
@@ -27,6 +28,7 @@ from cantor_measure.measure import (
 )
 from cantor_measure.names import (L1Name, agreement_test, char_name, constant_name, convergence_test,
                                   names_equal)
+from cantor_measure.ordinals import ONE_ORD, OrdinalNotation
 from cantor_measure.space import (
     ClopenSet,
     EventuallyPeriodicPoint,
@@ -52,10 +54,33 @@ def test_measure_matches_counting_oracle():
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_clopen_fold_matches_decomposition_root(seed):
+    """The decomposition is built by a clopen fold; the root law that the
+    step-function sup and inf give over its names must agree with it."""
     c = random_code(random.Random(seed), max_depth=3, max_gen_len=5)
-    root = build_decomposition(c)[()].exact_limit()
+    d = build_decomposition(c)
+    root = law_names(c, d)[()].exact_limit()
     assert measure_of_code(c) == root.integral()
     assert denotation(c) == root.char_support()
+    assert verify_decomposition(c, d)
+
+
+def test_decorated_codes_name_each_address_by_its_subtree():
+    """decorate reuses one insert object under many nodes, so the build's
+    memoized fold meets shared nodes; every address still gets the
+    characteristic name of its own subtree, and the laws verify."""
+    gen = split_generator([ONE_ORD, OrdinalNotation.finite(2)])
+    for text in ["union(cyl(0),inter(cyl(1),cyl(10)))",
+                 "inter(union(cyl(0),cyl(11)),union(cyl(1),cyl(00)))",
+                 "union(inter(cyl(0),union(cyl(01),inter(cyl(001),cyl(0011)))),cyl(11))"]:
+        code = decorate(make_alternating(annotate_min_ranks(parse_dsl(text))), gen)
+        walk = nodes(code)
+        assert len({id(node) for _, node in walk}) < len(walk)
+        d = build_decomposition(code)
+        assert sorted(d) == sorted(addr for addr, _ in walk)
+        for addr, _ in walk:
+            want = char_name(denotation(subtree(code, addr))).exact_limit()
+            assert d[addr].exact_limit() == want
+        assert verify_decomposition(code, d)
 
 
 ROOT_01_11 = UnionNode((Leaf(ClopenSet.cylinder("0")), Leaf(ClopenSet.cylinder("11"))))
@@ -226,6 +251,12 @@ def _drawn_decomposition(kind: str, rng: random.Random):
     return code, d
 
 
+def _law_test(node, kids, parent):
+    """The package's law test of one node: the parent's agreement test with
+    the name its law asks for over the children."""
+    return agreement_test(parent, measure.law_name(node, kids, "law"))
+
+
 def _staging_case(kind: str, seed: int, oracle: bool) -> list:
     """The stage tables of one case, built through the package or through
     the closure oracle; each side builds its own names from the seed."""
@@ -262,12 +293,12 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
         kids = [path_name(random_bits(rng, 3, min_len=1), StepFunction.constant(Dyadic(0, 0))),
                 char_noise_name(rng)]
         node = rng.choice((UnionNode, InterNode))((Leaf(ClopenSet.empty()),) * 2)
-        law = node_law_test_bf if oracle else measure.fold_law_test
+        law = node_law_test_bf if oracle else _law_test
         return [_stage_table(law(node, kids, char_noise_name(rng)))]
     code, d = _drawn_decomposition(kind, rng)
     if kind == "assembled":
         return [_stage_table((assemble_bad_gdelta_bf if oracle else assemble_bad_gdelta)(code, d))]
-    law = node_law_test_bf if oracle else measure.fold_law_test
+    law = node_law_test_bf if oracle else _law_test
     return [_stage_table(law(node, [d[addr + (s,)] for s, _ in child_items(node)], d[addr]))
             for addr, node in nodes(code)]
 

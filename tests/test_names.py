@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure import measure, names
-from cantor_measure.codes import Leaf, UnionNode, child_items
+from cantor_measure.codes import Leaf, UnionNode
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError, ValidationError
 from cantor_measure.names import (
@@ -404,7 +404,7 @@ def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
     monkeypatch.setattr(names, "bad_set", recording)
     code = UnionNode(tuple(Leaf(ClopenSet.cylinder(p)) for p in ("0", "10", "110", "1110")))
     d = measure.build_decomposition(code)
-    t = measure.fold_law_test(code, [d[(s,)] for s, _ in child_items(code)], d[()])
+    t = names.agreement_test(d[()], measure.law_names(code, d)[()])
     for k in range(4):
         for s in range(12):
             t.stage(k, s)
