@@ -193,6 +193,16 @@ def _verified_decomposition(shaped):
     return d, laws
 
 
+def _budgeted_stages(shaped, size: int) -> tuple[StepFunction, list[list[str]]]:
+    """The verified root's limit and the assembled test's stage measures at
+    levels and stages 0..size, each within its budget.  The decomposition
+    and the test are released on return: report samples the root alone."""
+    d, laws = _verified_decomposition(shaped)
+    t = assemble_bad_gdelta(shaped, d, laws=laws)
+    table = [[str(budget_report(t, n, s)) for s in range(size + 1)] for n in range(size + 1)]
+    return d[()].exact_limit(), table
+
+
 def _cmd_decompose(args) -> dict:
     shaped = _require_normalized(_prepared(args))
     d, _ = _verified_decomposition(shaped)
@@ -214,15 +224,7 @@ def _cmd_tests_combine(args) -> dict:
             f"--depth {size} exceeds MAX_TESTS_COMBINE_DEPTH = {MAX_TESTS_COMBINE_DEPTH}, "
             "the largest stage table tests-combine prints"
         )
-    shaped = _require_normalized(_prepared(args))
-    d, laws = _verified_decomposition(shaped)
-    t = assemble_bad_gdelta(shaped, d, laws=laws)
-    table = []
-    for n in range(size + 1):
-        row = []
-        for s in range(size + 1):
-            row.append(str(budget_report(t, n, s)))
-        table.append(row)
+    _, table = _budgeted_stages(_require_normalized(_prepared(args)), size)
     return {
         "levels": size + 1,
         "stages": size + 1,
@@ -286,19 +288,14 @@ def _cmd_decorate(args) -> dict:
 
 def _cmd_report(args) -> dict:
     shaped = _require_normalized(_prepared(args))
-    d, laws = _verified_decomposition(shaped)
-    root = d[()].exact_limit()
+    root, _ = _budgeted_stages(shaped, 2)
     payload = {
         "expr": print_dsl(shaped),
         "support_depth": support_depth(shaped),
         "measure": str(root.integral()),
     }
-    assertions = [{"name": "decomposition laws", "pass": True}]
-    t = assemble_bad_gdelta(shaped, d, laws=laws)
-    for n in range(3):
-        for s in range(3):
-            budget_report(t, n, s)
-    assertions.append({"name": "stage budgets", "pass": True})
+    assertions = [{"name": "decomposition laws", "pass": True},
+                  {"name": "stage budgets", "pass": True}]
     if args.mc is not None:
         est = mc_integral(root, args.mc, args.seed)
         payload["estimate"] = str(est.value)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,34 @@ def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
     rc, _, err = run_main(capsys, verb, expr)
     assert rc == 0, err
     assert len(calls) == len(nodes(parse_dsl(expr)))
+
+
+def test_report_samples_after_releasing_the_decomposition(capsys, monkeypatch):
+    """report draws its --mc estimate once the decomposition and the
+    assembled test are freed, by reference counting alone: no name of the
+    decomposition is alive while it samples."""
+    alive = []
+    real_build, real_mc = cli.build_decomposition, cli.mc_integral
+
+    def build(code):
+        d = real_build(code)
+        alive.extend(weakref.ref(name) for name in d.values())
+        return d
+
+    def sample(target, trials, seed):
+        assert alive and not any(ref() for ref in alive)
+        return real_mc(target, trials, seed)
+
+    monkeypatch.setattr(cli, "build_decomposition", build)
+    monkeypatch.setattr(cli, "mc_integral", sample)
+    gc.disable()
+    try:
+        rc, out, err = run_main(capsys, "report", "union(cyl(0),inter(cyl(1),cyl(10)))",
+                                "--mc", "64", "--seed", "5")
+    finally:
+        gc.enable()
+    assert rc == 0, err
+    assert json.loads(out)["trials"] == 64
 
 
 def test_swapped_sup_and_inf_fail_the_law_check(capsys, monkeypatch):
