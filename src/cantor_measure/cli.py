@@ -64,6 +64,10 @@ MAX_TESTS_COMBINE_DEPTH = 512
 # the most --mc trials an estimate draws: 10^6 take about 0.6 s
 MAX_MC_TRIALS = 10**6
 
+# the largest decorate --depth: it checks about 4^(depth + 1) points, and
+# depth 8 takes about 0.6 s and 80 MB
+MAX_DECORATE_DEPTH = 8
+
 
 def _parse_point(spec: str):
     if spec.startswith("seed="):
@@ -265,11 +269,13 @@ def _load_generator(args, root_rank):
 
 
 def _cmd_decorate(args) -> dict:
+    k = args.depth if args.depth is not None else 2
+    if k > MAX_DECORATE_DEPTH:
+        raise ValidationError(f"--depth {k} exceeds MAX_DECORATE_DEPTH = {MAX_DECORATE_DEPTH}")
     shaped = _prepared(args)
     shaped = make_alternating(annotate_min_ranks(_require_normalized(shaped)))
     gen = _load_generator(args, shaped.rank)
     out = decorate(shaped, gen)
-    k = args.depth if args.depth is not None else 2
     points = list(enumerate_eventually_periodic(k, k))
     rep = check_preservation(shaped, gen, points, out)
     return {

@@ -13,9 +13,16 @@ the resulting code contains just leaves, unions, intersections, and
 complements.  Inside a bigunion body, $ident substitutes the running index
 wherever a nat is expected; the bounds are inclusive.  A reloc index above
 MAX_RELOC_INDEX is a validation error, raised before its prefix is built,
-and so is an expression that builds more than MAX_CODE_NODES nodes.
-ASCII digit runs (0-9) are read as bits after cyl and as decimal numbers in
-nat positions; any other digit is an unexpected character.
+and so is an expression that builds more than MAX_CODE_NODES nodes or
+MAX_CODE_BITS generator bits, and a nat longer than the interpreter's
+int/str conversion limit.
+
+One regular expression scans the text into (text, offset) tokens: (),$
+punctuation, ASCII digit runs (0-9), read as bits after cyl and as decimal
+numbers in nat positions, and words, which start with a letter or _.
+Space, tab, CR and LF separate tokens; any other character, other digits
+included, is unexpected.  Line and column are worked out from the offset
+only when an error names them.
 
 The printer emits one canonical spelling per code: empty and full labels by
 name, one cyl per cylinder, multi-cylinder leaves as unions of cyls, and
@@ -25,7 +32,8 @@ when t is such a spelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import sys
 
 from .codes import (
     BorelCode,
@@ -42,120 +50,119 @@ from .ordinals import OrdinalNotation
 from .space import ClopenSet
 
 _KEYWORDS = {"cyl", "empty", "full", "union", "inter", "compl", "reloc", "bigunion"}
-_DIGITS = "0123456789"
 # reloc(n, ...) prefixes every generator with n + 1 bits
 MAX_RELOC_INDEX = 1 << 24
 # the most code nodes one expression may build, bigunion expansions included
 MAX_CODE_NODES = 1 << 16
+# the most generator bits one expression may build: its leaves' bits, and
+# reloc(n, ...)'s n + 1 for each generator of its child
+MAX_CODE_BITS = 1 << 26
+
+# punctuation, an ASCII digit run, a word, or any other non-blank character
+_TOKEN = re.compile(r"[(),$]|[0-9]+|\w+|[^ \t\r\n]")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # word | digits | punct | end
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(text, offset) pairs, ending with ("", len(text)).  A token starts
+    with punctuation, an ASCII digit, a letter or _; anything else is an
+    unexpected character."""
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "(),$":
-            toks.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("digits", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("word", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("end", "", line, col))
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if not (tok[0] in "(),$" or "0" <= tok[0] <= "9" or _is_word(tok)):
+            raise ParseError(f"unexpected character {tok[0]!r}", *_line_col(text, m.start()))
+        toks.append((tok, m.start()))
+    toks.append(("", len(text)))
     return toks
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset; lines end at \\n."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _is_word(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.built = 0  # code nodes built so far
+        # generators in the codes built so far, each reloc's child counted
+        # with its complements pushed down, and bits built so far
+        self.gens = 0
+        self.gen_bits = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def take(self) -> _Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def where(self, pos: int | None = None) -> tuple[int, int]:
+        """Line and column of a token, by default the next one."""
+        return _line_col(self.text, self.toks[self.pos if pos is None else pos][1])
 
     def fail(self, expected: str):
-        t = self.peek()
-        where = "end-of-input" if t.kind == "end" else repr(t.text)
-        raise ParseError(f"at {where}, expecting {expected}", t.line, t.col)
+        tok = self.peek()
+        where = repr(tok) if tok else "end-of-input"
+        raise ParseError(f"at {where}, expecting {expected}", *self.where())
 
     def expect(self, text: str):
-        t = self.peek()
-        if (t.kind == "punct" or t.kind == "word") and t.text == text:
-            return self.take()
-        self.fail(repr(text))
+        if self.peek() != text:
+            self.fail(repr(text))
+        self.pos += 1
 
     def bits(self) -> str:
-        t = self.peek()
-        if t.kind == "digits":
-            self.take()
-            if any(c not in "01" for c in t.text):
-                raise ParseError(f"bits must be 0/1, got {t.text!r}", t.line, t.col)
-            return t.text
-        if t.kind == "punct" and t.text == ")":
-            return ""
-        self.fail("bits or ')'")
+        tok = self.peek()
+        if "0" <= tok[:1] <= "9":
+            if tok.strip("01"):
+                raise ParseError(f"bits must be 0/1, got {tok!r}", *self.where())
+            self.pos += 1
+            return tok
+        if tok != ")":
+            self.fail("bits or ')'")
+        return ""
 
     def nat(self, env: dict[str, int]) -> int:
-        t = self.peek()
-        if t.kind == "digits":
-            self.take()
-            return int(t.text, 10)
-        if t.kind == "punct" and t.text == "$":
-            self.take()
-            name = self.peek()
-            if name.kind != "word":
-                self.fail("index name after '$'")
-            self.take()
-            if name.text not in env:
-                raise ParseError(f"unbound index ${name.text}", name.line, name.col)
-            return env[name.text]
-        self.fail("number or '$'")
+        tok = self.peek()
+        if "0" <= tok[:1] <= "9":
+            try:
+                n = int(tok, 10)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ValidationError(
+                    f"{len(tok)}-digit number exceeds the int/str conversion limit of"
+                    f" {sys.get_int_max_str_digits()} digits" " (line %d, col %d)" % self.where()
+                ) from None
+            self.pos += 1
+            return n
+        if tok != "$":
+            self.fail("number or '$'")
+        self.pos += 1
+        name = self.peek()
+        if not _is_word(name):
+            self.fail("index name after '$'")
+        if name not in env:
+            raise ParseError(f"unbound index ${name}", *self.where())
+        self.pos += 1
+        return env[name]
 
     def count_node(self) -> None:
         self.built += 1
         if self.built > MAX_CODE_NODES:
-            t = self.peek()
             raise ValidationError(f"code exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes"
-                                  f" (line {t.line}, col {t.col})")
+                                  " (line %d, col %d)" % self.where())
+
+    def count_bits(self, bits: int) -> None:
+        self.gen_bits += bits
+        if self.gen_bits > MAX_CODE_BITS:
+            raise ValidationError(f"code exceeds MAX_CODE_BITS = {MAX_CODE_BITS} generator bits"
+                                  " (line %d, col %d)" % self.where())
+
+    def leaf(self, label: ClopenSet) -> Leaf:
+        self.gens += len(label.generators)
+        self.count_bits(sum(map(len, label.generators)))
+        return Leaf(label)
 
     def parse(self) -> BorelCode:
         """One loop over a stack of open forms (keyword, env, argument,
@@ -164,17 +171,16 @@ class _Parser:
         stack: list[tuple[str, dict[str, int], object, list[BorelCode]]] = []
         env: dict[str, int] = {}
         while True:
-            t = self.peek()
-            if t.kind != "word":
-                self.fail("an expression keyword")
-            if t.text not in _KEYWORDS:
-                raise ParseError(f"unknown form {t.text!r}", t.line, t.col)
-            self.take()
-            kw = t.text
+            kw = self.peek()
+            if kw not in _KEYWORDS:
+                if not _is_word(kw):
+                    self.fail("an expression keyword")
+                raise ParseError(f"unknown form {kw!r}", *self.where())
+            self.pos += 1
             if kw == "empty":
-                code = Leaf(ClopenSet.empty())
+                code = self.leaf(ClopenSet.empty())
             elif kw == "full":
-                code = Leaf(ClopenSet.full())
+                code = self.leaf(ClopenSet.full())
             else:
                 self.expect("(")
                 if kw != "cyl":
@@ -182,7 +188,7 @@ class _Parser:
                     stack.append((kw, env, arg, []))
                     env = inner
                     continue
-                code = Leaf(ClopenSet.cylinder(self.bits()))
+                code = self.leaf(ClopenSet.cylinder(self.bits()))
                 self.expect(")")
             self.count_node()
             while stack:
@@ -191,20 +197,20 @@ class _Parser:
                 if kw == "bigunion":
                     # rewind to the body once per index; an empty range
                     # still parses it once, at lo, to accept or reject it
-                    name, lo, hi, mark = arg
+                    name, lo, hi, mark, _ = arg
                     if lo + len(kids) <= hi:
                         self.pos = mark
                         env = {**env, name: lo + len(kids)}
                         break
-                elif kw in ("union", "inter") and self.peek().kind == "punct" and self.peek().text == ",":
-                    self.take()
+                elif kw in ("union", "inter") and self.peek() == ",":
+                    self.pos += 1
                     break
                 self.expect(")")
                 stack.pop()
-                code = _closed(kw, arg, kids)
+                code = self.closed(kw, arg, kids)
                 self.count_node()
             else:
-                if self.peek().kind != "end":
+                if self.peek():
                     self.fail("end-of-input")
                 return code
 
@@ -212,40 +218,53 @@ class _Parser:
         """What a form reads before its first child, and that child's env:
         reloc's index; bigunion's index name, bounds and body position."""
         if kw == "reloc":
-            t = self.peek()
+            at = self.pos
             n = self.nat(env)
             if n > MAX_RELOC_INDEX:
                 raise ValidationError(f"reloc index {n} exceeds MAX_RELOC_INDEX = {MAX_RELOC_INDEX}"
-                                      f" (line {t.line}, col {t.col})")
+                                      " (line %d, col %d)" % self.where(at))
             self.expect(",")
-            return n, env
+            return (n, self.gens), env
         if kw == "bigunion":
             name = self.peek()
-            if name.kind != "word":
+            if not _is_word(name):
                 self.fail("an index name")
-            self.take()
+            self.pos += 1
             self.expect(",")
             lo = self.nat(env)
             self.expect(",")
             hi = self.nat(env)
             self.expect(",")
-            return (name.text, lo, hi, self.pos), {**env, name.text: lo}
+            return (name, lo, hi, self.pos, self.gens), {**env, name: lo}
         return None, env
 
+    def closed(self, kw: str, arg, kids: list[BorelCode]) -> BorelCode:
+        """The code of a form whose closing parenthesis has been read.  The
+        generators counted since a reloc opened are its child's, so its
+        cost is checked before relocate builds the strings."""
+        if kw == "compl":
+            return ComplNode(kids[0])
+        if kw == "reloc":
+            n, gens = arg
+            inner = kids[0]
+            if not inner.complement_free:
+                # relocation rewrites leaf generators, so complements must
+                # be pushed down first
+                inner = normalize_demorgan(inner)
+                self.gens = gens + fold(inner, _generators)
+            self.count_bits((n + 1) * (self.gens - gens))
+            return relocate(n, inner)
+        if kw == "bigunion":
+            _, lo, hi, _, gens = arg
+            if lo > hi:
+                self.gens = gens  # the body was parsed only to be checked
+                return UnionNode(())
+            return UnionNode(tuple(kids))
+        return (UnionNode if kw == "union" else InterNode)(tuple(kids))
 
-def _closed(kw: str, arg, kids: list[BorelCode]) -> BorelCode:
-    """The code of a form whose closing parenthesis has been read."""
-    if kw == "compl":
-        return ComplNode(kids[0])
-    if kw == "reloc":
-        # relocation rewrites leaf generators, so complements must be
-        # pushed down first
-        inner = kids[0] if kids[0].complement_free else normalize_demorgan(kids[0])
-        return relocate(arg, inner)
-    if kw == "bigunion":
-        _, lo, hi, _ = arg
-        return UnionNode(tuple(kids) if lo <= hi else ())
-    return (UnionNode if kw == "union" else InterNode)(tuple(kids))
+
+def _generators(node: BorelCode, counts: list[int], flip: bool) -> int:
+    return len(node.label.generators) if isinstance(node, Leaf) else sum(counts)
 
 
 def parse_dsl(text: str) -> BorelCode:

@@ -7,6 +7,7 @@ to compress sample averages.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -98,7 +99,13 @@ class Dyadic:
         return self.num / (1 << self.exp)
 
     def __str__(self) -> str:
-        return f"{self.num}/2^{self.exp}"
+        try:
+            return f"{self.num}/2^{self.exp}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValidationError(
+                f"exact value with {self.num.bit_length()}-bit numerator and exponent {self.exp}"
+                f" exceeds the int/str conversion limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":

@@ -8,6 +8,7 @@ package objects, so agreement with the package is meaningful evidence.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
@@ -15,7 +16,7 @@ from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, address
                                   child_items, eval_map_violations, nodes, normalize_demorgan,
                                   relocate, subtree)
 from cantor_measure.decoration import PreservationReport, decorate
-from cantor_measure.dsl import _KEYWORDS, _tokenize
+from cantor_measure.dsl import _KEYWORDS
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ParseError, StatisticalGateError, ValidationError
 from cantor_measure.gdelta import RapidGDelta
@@ -557,11 +558,64 @@ def check_preservation_bf(code, gen, points, decorated=None):
     return PreservationReport(len(points), preserved, tuple(captured), tuple(violations))
 
 
+_DIGITS = "0123456789"
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # word | digits | punct | end
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch in "(),$":
+            toks.append(_Token("punct", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            toks.append(_Token("digits", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Token("word", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_Token("end", "", line, col))
+    return toks
+
+
 class _ParserBF:
     """The recursive-descent reading of the DSL grammar, one method per
-    form; the package's parser must agree with it on every text.  It shares
-    the package's tokenizer and reloc rewriting, so agreement speaks for the
-    parse loop."""
+    form; the package's parser must agree with it on every text.  It reads
+    tokens with the character loop above, which tracks line and column as
+    it goes, and shares only the package's reloc rewriting, so agreement
+    speaks for the package's scanner and its parse loop."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)

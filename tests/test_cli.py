@@ -12,7 +12,7 @@ import pytest
 
 from cantor_measure import cli, measure
 from cantor_measure.codes import nodes
-from cantor_measure.dsl import MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
+from cantor_measure.dsl import MAX_CODE_BITS, MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
 from cantor_measure.names import char_name
 from cantor_measure.space import ClopenSet
@@ -85,6 +85,49 @@ def test_code_over_its_node_limit_exit_3(capsys):
         assert rc == 3 and out == ""
         assert f"code exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes" in err
     assert len(parse_dsl("bigunion(i,1,65535,cyl(0))").children) == MAX_CODE_NODES - 1
+
+
+def test_code_over_its_bit_limit_exit_3(capsys):
+    """Each reloc of a one-bit leaf at index 2^24 builds 2^24 + 2 bits, so a
+    bigunion of 200 of them is over the limit before its fourth is built;
+    one of them is within it."""
+    rc, out, err = run_main(capsys, "measure", "bigunion(i,0,199,reloc(16777216,cyl(0)))")
+    assert rc == 3 and out == ""
+    assert f"code exceeds MAX_CODE_BITS = {MAX_CODE_BITS} generator bits (line 1, col 40)" in err
+    rc, out, _ = run_main(capsys, "measure", "reloc(16777216,cyl(0))")
+    assert rc == 0 and json.loads(out)["measure"] == "1/2^16777218"
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "reloc(%s,cyl(0))" % ("9" * 5000)],
+    ["measure", "bigunion(i,2,%s,cyl(0))" % ("9" * 5000)],
+    ["measure", "union(cyl(1),reloc(14300,cyl(0)))"],
+    ["measure", "union(cyl(1),reloc(14300,cyl(0)))", "--mc", "10"],
+    ["decompose", "union(cyl(1),reloc(14300,cyl(0)))"],
+    ["report", "union(cyl(1),reloc(14300,cyl(0)))"],
+])
+def test_numbers_over_the_int_str_limit_exit_3(argv, capsys):
+    """A nat, or the numerator of an exact value, with more digits than the
+    interpreter converts between int and str is a validation error."""
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert f"exceeds the int/str conversion limit of {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_int_str_limit_is_the_interpreters(capsys):
+    """A lowered limit is the one checked and named; an exact value within
+    the default limit still prints."""
+    rc, out, _ = run_main(capsys, "measure", "union(cyl(1),reloc(14200,cyl(0)))")
+    assert rc == 0 and len(out) == 4506
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        for expr in ["reloc(%s,cyl(0))" % ("1" * 1001), "union(cyl(1),reloc(14200,cyl(0)))"]:
+            rc, out, err = run_main(capsys, "measure", expr)
+            assert rc == 3 and out == ""
+            assert "exceeds the int/str conversion limit of 1000 digits" in err
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("verb", ["measure", "report"])
@@ -328,6 +371,18 @@ def test_tests_combine_depth_over_its_limit_exit_3(capsys):
     assert f"--depth {limit + 1} exceeds MAX_TESTS_COMBINE_DEPTH = {limit}" in err
     rc, out, _ = run_main(capsys, "tests-combine", "cyl(0)", "--depth", str(limit))
     assert rc == 0 and len(json.loads(out)["stage_measures"]) == limit + 1
+
+
+def test_decorate_depth_over_its_limit_exit_3(capsys, monkeypatch):
+    """Checked before the expression is read; the limit itself runs."""
+    limit = cli.MAX_DECORATE_DEPTH
+    monkeypatch.setattr(cli, "parse_dsl", None)
+    rc, out, err = run_main(capsys, "decorate", "cyl(0)", "--depth", str(limit + 1))
+    assert rc == 3 and out == ""
+    assert f"--depth {limit + 1} exceeds MAX_DECORATE_DEPTH = {limit}" in err
+    monkeypatch.undo()
+    rc, out, _ = run_main(capsys, "decorate", "cyl(0)", "--depth", str(limit))
+    assert rc == 0 and json.loads(out)["checked_points"] > 4 ** limit
 
 
 @pytest.mark.parametrize("argv", [["report", "union(cyl(0),cyl(10))"],

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cantor_measure import cli, dsl
 from cantor_measure.codes import (
     ComplNode,
     InterNode,
@@ -87,6 +90,23 @@ def test_only_ascii_digits_are_digits(text, ch, line, col):
         parse_dsl(text)
     assert str(e.value) == f"unexpected character {ch!r} (line {line}, col {col})"
     assert (e.value.line, e.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text,bits", [
+    ("cyl(0101)", 4),
+    ("reloc(3,union(cyl(01),full))", 2 + 4 * 2),
+    ("reloc(2,compl(cyl(01)))", 2 + 3 * 2),  # the child is cyl(1) | cyl(00)
+    ("reloc(1,reloc(2,cyl(0)))", 1 + 3 + 2),
+    ("reloc(1,bigunion(i,2,0,cyl(111)))", 3),  # an empty range relocates nothing
+])
+def test_code_bits_counted_as_built(text, bits, monkeypatch):
+    """Leaf bits, plus a reloc's index + 1 for each generator of its child:
+    exactly the limit parses, one bit less is a validation error."""
+    monkeypatch.setattr(dsl, "MAX_CODE_BITS", bits)
+    parse_dsl(text)
+    monkeypatch.setattr(dsl, "MAX_CODE_BITS", bits - 1)
+    with pytest.raises(ValidationError, match=f"MAX_CODE_BITS = {bits - 1} generator bits"):
+        parse_dsl(text)
 
 
 def test_bigunion_inclusive_bounds():
@@ -190,7 +210,9 @@ def _forms(inner):
 
 _TEXTS = st.recursive(_LEAF, _forms, max_leaves=8)
 _MUTATION = st.tuples(st.integers(0, 10**6), st.integers(0, 2),
-                      st.sampled_from(list("(),$01 \nxiunoc") + ["union(", "bigunion(", "$i"]))
+                      st.sampled_from(list("(),$01 \nxiunoc") + ["union(", "bigunion(", "$i"]
+                                      + ["²", "½", "٣", "\xa0", "\x0c", "é", "_", "\u2028", "\t",
+                                         "\r\n"]))
 
 
 def _mutated(text: str, edits) -> str:
@@ -219,9 +241,47 @@ def _outcome(parse, text):
 @example("bigunion(i,0,1,union(cyl(),reloc($i,cyl())))", [])  # and reaches every sibling
 @example("bigunion(i,2,0,reloc($i,cyl()))", [])
 @example("bigunion(i,0,2,bigunion(j,$i,2,reloc($j,cyl(1))))", [])
+@example("bigunion(_i,0,1,reloc($_i,cyl()))", [])  # a word may start with _
 def test_parser_agrees_with_recursive_descent(text, edits):
     """Valid texts with nested bigunion/reloc/$index (lo > hi and unbound
     indices included), and the same texts mutated: the stack parser gives
     the recursive parser's code, or its ParseError message and position."""
     for t in (text, _mutated(text, edits)):
         assert _outcome(parse_dsl, t) == _outcome(parse_dsl_bf, t)
+
+
+_NINES = "9" * 5000  # more digits than the interpreter converts by default
+_VERBS = [["parse"], ["eval", "--point", "u=0:v=1"], ["measure", "--mc", "16"], ["decompose"],
+          ["tests-combine", "--depth", "1"], ["decorate", "--depth", "1"], ["report", "--mc", "16"]]
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(_TEXTS, st.lists(st.one_of(_MUTATION, st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                                                       st.just(_NINES))), max_size=3))
+@example("union(cyl(1),reloc(14300,cyl(0)))", [])  # a 4305-digit numerator
+@example("reloc(14300,cyl(1))", [])
+@example(f"reloc({_NINES},cyl(0))", [])
+@example(f"bigunion(i,0,{_NINES},cyl(0))", [])
+def test_cli_keeps_its_exit_codes_on_any_dsl_text(text, edits):
+    """Every verb, on valid and mutated texts and on numbers past the
+    interpreter's int/str limit: a documented exit code, no traceback, and
+    the same stdout on a rerun.  14300 enters only in whole examples: next
+    to another digit it makes reloc indices whose decomposition costs time
+    and space quadratic in the index."""
+    text = _mutated(text, edits)
+    for verb, *flags in _VERBS:
+        argv = [verb, text, *flags]
+        rc, out, err = _run_cli(argv)
+        assert rc in (0, 2, 3, 4, 5), (argv, err)
+        assert "Traceback" not in err
+        assert _run_cli(argv)[:2] == (rc, out)
