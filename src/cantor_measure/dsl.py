@@ -315,20 +315,30 @@ def _tree_form(node: BorelCode, kids: list[dict], flip: bool) -> dict:
 
 def code_from_json(obj: dict) -> BorelCode:
     """Inverse of code_to_json, walked with an explicit stack: a node's kind
-    and rank are read before its children, the node is built after them."""
+    and rank are read before its children, the node is built after them.
+    A malformed tree, or one of more than MAX_CODE_NODES nodes, is a
+    ValidationError."""
     done: list[BorelCode] = []
     todo: list[tuple[object, OrdinalNotation | None, int | None]] = [(obj, None, None)]
+    seen = 0
     while todo:
         obj, rank, n = todo.pop()
         if n is not None:  # the node replaces its children's codes
             cut = len(done) - n
             done[cut:] = [_from_json(obj, rank, tuple(done[cut:]))]
             continue
+        seen += 1
+        if seen > MAX_CODE_NODES:
+            raise ValidationError(f"code exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes")
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("code object needs a kind")
         rank_s = obj.get("rank")
+        if rank_s is not None and not isinstance(rank_s, str):
+            raise ValidationError("rank must be an ordinal notation string or null")
         rank = OrdinalNotation.parse(rank_s) if rank_s is not None else None
-        kids = [] if obj["kind"] == "leaf" else list(obj.get("children", []))
+        kids = [] if obj["kind"] == "leaf" else obj.get("children", [])
+        if not isinstance(kids, list):
+            raise ValidationError("children must be a list of code objects")
         todo.append((obj, rank, len(kids)))
         todo += [(c, None, None) for c in reversed(kids)]
     return done[0]
@@ -337,12 +347,17 @@ def code_from_json(obj: dict) -> BorelCode:
 def _from_json(obj: dict, rank: OrdinalNotation | None, kids: tuple) -> BorelCode:
     kind = obj["kind"]
     if kind == "leaf":
-        return Leaf(ClopenSet(tuple(obj.get("label", []))), rank=rank)
+        label = obj.get("label", [])
+        if not isinstance(label, list) or not all(isinstance(g, str) for g in label):
+            raise ValidationError("leaf label must be a list of bit strings")
+        return Leaf(ClopenSet(tuple(label)), rank=rank)
     if kind == "compl":
         if len(kids) != 1:
             raise ValidationError("complement takes exactly one child")
         return ComplNode(kids[0], rank=rank)
     slots = obj.get("slots")
+    if slots is not None and not (isinstance(slots, list) and all(type(k) is int for k in slots)):
+        raise ValidationError("slots must be a list of integers or null")
     slots = tuple(slots) if slots is not None else None
     if kind == "union":
         return UnionNode(kids, rank=rank, slots=slots)

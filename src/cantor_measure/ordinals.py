@@ -11,6 +11,7 @@ Text form: "w^2*3+w+1" style, with "w" for omega.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -72,7 +73,7 @@ class OrdinalNotation:
                 parts.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
         return "+".join(parts)
 
-    _TERM_RE = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
+    _TERM_RE = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$", re.ASCII)
 
     @classmethod
     def parse(cls, text: str) -> "OrdinalNotation":
@@ -85,12 +86,20 @@ class OrdinalNotation:
             if not m:
                 raise ValidationError(f"bad ordinal notation term {part!r}")
             if m.group(3) is not None:
-                terms.append((0, int(m.group(3))))
+                terms.append((0, _nat(m.group(3))))
             else:
-                e = int(m.group(1)) if m.group(1) is not None else 1
-                c = int(m.group(2)) if m.group(2) is not None else 1
+                e = _nat(m.group(1)) if m.group(1) is not None else 1
+                c = _nat(m.group(2)) if m.group(2) is not None else 1
                 terms.append((e, c))
         return cls(tuple(terms))
+
+
+def _nat(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValidationError(f"{len(digits)}-digit number exceeds the int/str conversion"
+                              f" limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 ONE_ORD = OrdinalNotation.finite(1)

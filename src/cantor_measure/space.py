@@ -49,9 +49,15 @@ def prefix_free_normalize(gens: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True, slots=True)
 class ClopenSet:
-    """Finite union of cylinders, stored as the canonical antichain."""
+    """Finite union of cylinders, stored as the canonical antichain.  The
+    slot _char keeps from_char's table for this object: unset until then,
+    not compared, hashed or printed, it lives and dies with its set."""
 
     generators: tuple[str, ...] = ()
+    _char: object = field(init=False, compare=False, repr=False)
+
+    def __getstate__(self):  # a copy or pickle is a set without a kept table
+        return (self.generators,)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", prefix_free_normalize(self.generators))

@@ -7,10 +7,11 @@ integer numerator per cell, and one shared denominator 2**exp.  Canonical
 means that no two sibling cells [p0], [p1] carry the same value (the
 reduction rule of algebraic decision diagrams) and that exp is minimal, so
 the partition is unique and equality of step functions is tuple equality.
-The characteristic function of a clopen set has exp 0, and its value-1
-cells are exactly the set's generators.  Every operation costs the number
-of cells, not 2**depth, where depth is the length of the longest prefix.
-All arithmetic is exact integer work.
+The characteristic function of a clopen set has exp 0, its value-1 cells
+are the set's generators, and char_partition gives it canonical: a split
+cylinder's halves are never both 0 (generators lie below it) nor both 1
+(the antichain would have merged them).  Every operation costs the number
+of cells, not 2**(longest prefix length), in exact integer arithmetic.
 
 The dense table of numerators over the 2**depth cells of one depth is only
 an adapter for tests and oracles: the constructor StepFunction(depth, exp,
@@ -98,8 +99,16 @@ class StepFunction:
 
     @classmethod
     def from_char(cls, s: ClopenSet) -> "StepFunction":
-        cells, inside = char_partition(s)
-        return _cells(tuple(cells), tuple(inside), 0)
+        """Built canonical, with no merge scan, once per set object s."""
+        f = getattr(s, "_char", None)
+        if f is None:
+            cells, inside = char_partition(s)
+            f = object.__new__(cls)
+            _set(f, "prefixes", tuple(cells))
+            _set(f, "nums", tuple(inside))
+            _set(f, "exp", 0)
+            _set(s, "_char", f)
+        return f
 
     @classmethod
     def from_dyadics(cls, depth: int, cells: Iterable[Dyadic]) -> "StepFunction":

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cantor_measure import cli, measure
+from cantor_measure import cli, measure, stepfn
 from cantor_measure.codes import nodes
 from cantor_measure.dsl import MAX_CODE_BITS, MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
@@ -112,6 +112,20 @@ def test_numbers_over_the_int_str_limit_exit_3(argv, capsys):
     rc, out, err = run_main(capsys, *argv)
     assert rc == 3 and out == ""
     assert f"exceeds the int/str conversion limit of {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "cyl(0)", "--rank", "9" * 5000],
+    ["parse", "cyl(0)", "--rank", "w^2*%s+1" % ("9" * 5000)],
+    ["decorate", "cyl(0)", "--budget", "w^%s" % ("9" * 5000)],
+    ["decorate", "cyl(0)", "--generator", "split", "--budget", "1,%s" % ("9" * 5000)],
+])
+def test_ordinal_digits_over_the_int_str_limit_exit_3(argv, capsys):
+    """--rank and --budget numbers are read with the DSL's nat limit."""
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert (f"5000-digit number exceeds the int/str conversion limit of"
+            f" {sys.get_int_max_str_digits()} digits") in err
 
 
 def test_int_str_limit_is_the_interpreters(capsys):
@@ -420,6 +434,27 @@ def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
     rc, _, err = run_main(capsys, verb, expr)
     assert rc == 0, err
     assert len(calls) == len(nodes(parse_dsl(expr)))
+
+
+def test_decompose_builds_each_leaf_table_once(capsys, monkeypatch):
+    """build_decomposition and law_name both ask for the characteristic
+    table of a leaf's label, the same set object; the table kept on the set
+    is built by one char_partition.  No internal denotation here equals a
+    leaf label, so each leaf's generators are partitioned exactly once."""
+    calls = []
+    real = stepfn.char_partition
+
+    def counting(a):
+        calls.append(a.generators)
+        return real(a)
+
+    monkeypatch.setattr(stepfn, "char_partition", counting)
+    expr = "inter(union(cyl(00),cyl(1)),union(cyl(0),cyl(11)))"
+    rc, out, err = run_main(capsys, "decompose", expr)
+    assert rc == 0, err
+    assert json.loads(out)["measure"] == "1/2^1"
+    for leaf in ["00", "1", "0", "11"]:
+        assert calls.count((leaf,)) == 1, calls
 
 
 def test_report_samples_after_releasing_the_decomposition(capsys, monkeypatch):

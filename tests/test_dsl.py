@@ -189,6 +189,36 @@ def test_json_rejects_malformed():
         code_from_json("cyl(0)")
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "leaf", "label": "01"}, "leaf label must be a list of bit strings"),
+    ({"kind": "leaf", "label": [0, 1]}, "leaf label must be a list of bit strings"),
+    ({"kind": "leaf", "label": ["0"], "rank": 1}, "rank must be an ordinal notation string"),
+    ({"kind": "union", "children": {"kind": "leaf"}}, "children must be a list"),
+    ({"kind": "compl", "children": 3}, "children must be a list"),
+    ({"kind": "inter", "children": [{"kind": "leaf"}], "slots": 2}, "slots must be a list"),
+    ({"kind": "inter", "children": [{"kind": "leaf"}], "slots": ["0"]}, "slots must be a list"),
+    ({"kind": "leaf", "label": ["2"]}, "not a binary string"),
+    ({"kind": "leaf", "rank": "w^" + "9" * 5000}, "exceeds the int/str conversion limit"),
+])
+def test_json_rejects_malformed_fields(obj, message):
+    """A string label is not read as its characters (a leaf labelled "01"
+    was the whole space), and wrong types are validation errors, not
+    AttributeError or TypeError."""
+    with pytest.raises(ValidationError, match=message):
+        code_from_json(obj)
+
+
+def test_json_tree_over_the_node_limit():
+    """A union of MAX_CODE_NODES - 1 leaves is exactly at the limit; one
+    more leaf is one node over it, and is refused before any node is built."""
+    leaf = {"kind": "leaf", "label": ["0"]}
+    at = {"kind": "union", "children": [leaf] * (dsl.MAX_CODE_NODES - 1)}
+    assert len(code_from_json(at).children) == dsl.MAX_CODE_NODES - 1
+    over = {"kind": "union", "children": [leaf] * dsl.MAX_CODE_NODES}
+    with pytest.raises(ValidationError, match=f"code exceeds MAX_CODE_NODES = {dsl.MAX_CODE_NODES} nodes"):
+        code_from_json(over)
+
+
 _INDEX = st.sampled_from(["i", "j"])
 _NAT = st.one_of(st.integers(0, 3).map(str), _INDEX.map(lambda n: "$" + n))
 _LEAF = st.one_of(st.sampled_from(["empty", "full"]),
@@ -285,3 +315,45 @@ def test_cli_keeps_its_exit_codes_on_any_dsl_text(text, edits):
         assert rc in (0, 2, 3, 4, 5), (argv, err)
         assert "Traceback" not in err
         assert _run_cli(argv)[:2] == (rc, out)
+
+
+_FLAG_EXPRS = ["cyl(0)", "union(cyl(0),inter(cyl(1),cyl(10)))", "compl(cyl(01))", "empty"]
+# (verb, flags it needs besides, flag, values to mutate); every flag also
+# takes a number past the interpreter's int/str limit
+_FLAG_CASES = [
+    ("parse", [], "--rank", ["0", "2", "w", "w^2*3+w+1"]),
+    ("decorate", [], "--budget", ["1", "2,3", "w", "w,w^2*3"]),
+    ("decorate", ["--generator", "split"], "--budget", ["1,2", "w"]),
+    ("decorate", [], "--depth", ["0", "1"]),
+    ("tests-combine", [], "--depth", ["0", "2"]),
+    ("measure", [], "--mc", ["1", "16"]),
+    ("report", [], "--mc", ["16"]),
+    ("measure", ["--mc", "8"], "--seed", ["0", "-3"]),
+    ("report", ["--mc", "8"], "--seed", ["7"]),
+    ("eval", [], "--point", ["u=0:v=1", "u=:v=01", "seed=5"]),
+]
+_FLAG_MUTATION = st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                           st.sampled_from(list("0123456789w^*+,-=:uv x") + ["٣", "\xa0"]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(_FLAG_CASES), st.integers(0, 4), st.lists(_FLAG_MUTATION, max_size=2),
+       st.sampled_from(_FLAG_EXPRS))
+@example(_FLAG_CASES[0], 4, [], "cyl(0)")  # --rank <5000 nines>
+@example(_FLAG_CASES[0], 3, [(4, 2, _NINES)], "cyl(0)")  # --rank w^2*<5000 nines>+w+1
+@example(_FLAG_CASES[1], 4, [], "cyl(0)")  # --budget <5000 nines>
+@example(_FLAG_CASES[1], 2, [(1, 0, "^" + _NINES)], "cyl(0)")  # --budget w^<5000 nines>
+def test_cli_keeps_its_exit_codes_on_any_flag_value(case, pick, edits, expr):
+    """--rank, --budget, --depth, --mc, --seed and --point values, valid and
+    mutated, on small expressions: a documented exit code, no traceback, and
+    the same stdout on a rerun.  Mutations change at most two characters of
+    a value of a few, so numbers stay small unless they are past the
+    int/str limit: decorate's rank chains are as long as a finite --budget,
+    and the --mc and --depth limits have tests of their own."""
+    verb, needs, flag, values = case
+    values = values + [_NINES]
+    argv = [verb, expr, *needs, flag, _mutated(values[pick % len(values)], edits)]
+    rc, out, err = _run_cli(argv)
+    assert rc in (0, 2, 3, 4, 5), (argv, err)
+    assert "Traceback" not in err
+    assert _run_cli(argv)[:2] == (rc, out)

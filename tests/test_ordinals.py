@@ -23,6 +23,12 @@ def test_parse_print_round_trip(o):
     assert OrdinalNotation.parse(str(o)) == o
 
 
+@pytest.mark.parametrize("text", ["٣", "w^٢", "w*²", "w^1*٣+1"])
+def test_parse_reads_ascii_digits_only(text):
+    with pytest.raises(ValidationError, match="bad ordinal notation term"):
+        OrdinalNotation.parse(text)
+
+
 def test_print_examples():
     o = OrdinalNotation(((2, 3), (1, 1), (0, 1)))
     assert str(o) == "w^2*3+w+1"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ValidationError
 from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, clopen_complement
-from cantor_measure.stepfn import StepFunction, l1_norm
+from cantor_measure.stepfn import StepFunction, _cells, l1_norm
 
 from bruteforce import (
     aligned_bf,
@@ -69,6 +71,44 @@ def test_arithmetic_matches_fractions(f, g):
 def test_from_char_matches_per_cell_reference(seed):
     s = random_clopen(random.Random(seed), max_gens=6, max_len=7)
     assert StepFunction.from_char(s) == StepFunction(s.depth(), 0, char_table_bf(s))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_from_char_is_canonical_as_built(seed):
+    """Canonicalizing from_char's table again changes nothing: char_partition
+    leaves no sibling cells of equal value, so from_char may skip the merge
+    scan.  The empty set, the full space and depth-12 sets included."""
+    rng = random.Random(seed)
+    deep = ClopenSet(tuple(random_bits(rng, 12, 12) for _ in range(rng.randint(1, 8))))
+    sets = [ClopenSet(()), ClopenSet.full(), random_clopen(rng, max_gens=6, max_len=7), deep,
+            clopen_complement(deep), random_clopen(rng, max_gens=12, max_len=12)]
+    for s in sets:
+        f = StepFunction.from_char(s)
+        assert _cells(f.prefixes, f.nums, 0) == f
+        assert f == StepFunction(s.depth(), 0, char_table_bf(s))
+
+
+def test_from_char_keeps_its_table_on_the_set():
+    """A second call on the same set object returns the same table; an equal
+    set built apart builds its own, equal table."""
+    s = ClopenSet(("011", "1", "0100"))
+    f = StepFunction.from_char(s)
+    assert StepFunction.from_char(s) is f
+    t = ClopenSet(("1", "0100", "011"))
+    assert StepFunction.from_char(t) == f and StepFunction.from_char(t) is not f
+
+
+def test_kept_table_is_not_part_of_the_set():
+    """A set that holds its table is equal, hash-equal and repr-equal to a
+    fresh set with the same generators, and copies and pickles as its value."""
+    s = ClopenSet(("00", "11"))
+    StepFunction.from_char(s)
+    fresh = ClopenSet(("11", "00"))
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert repr(s) == "ClopenSet(generators=('00', '11'))"
+    for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s)),
+              pickle.loads(pickle.dumps(fresh))):
+        assert c == s and StepFunction.from_char(c) == StepFunction.from_char(s)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=4))
