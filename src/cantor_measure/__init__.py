@@ -14,11 +14,9 @@ from .codes import (
     UnionNode,
     addresses,
     annotate_min_ranks,
-    bfs_addresses,
     check_rank,
     child_items,
     denotation,
-    encode_formulas,
     eval_map_violations,
     evaluate,
     is_alternating,
@@ -50,16 +48,7 @@ from .errors import (
     StatisticalGateError,
     ValidationError,
 )
-from .gdelta import (
-    AvoidsSoFar,
-    CapturedAt,
-    RapidGDelta,
-    avoids,
-    budget_report,
-    combine,
-    covered_cell_count,
-    eventually_periodic_avoider,
-)
+from .gdelta import RapidGDelta, budget_report, combine
 from .measure import (
     RegularityApprox,
     assemble_bad_gdelta,
@@ -69,7 +58,6 @@ from .measure import (
     law_names,
     measure_of_code,
     regularity_to_char,
-    sup_open_set,
     verify_decomposition,
 )
 from .names import (
@@ -77,7 +65,6 @@ from .names import (
     L1Name,
     agreement_test,
     bad_set,
-    bad_set_family,
     char_name,
     constant_name,
     convergence_test,
@@ -93,7 +80,6 @@ from .sampling import (
     Estimate,
     conditional_average,
     mc_integral,
-    membership_frequency,
     sampled_average,
 )
 from .space import (

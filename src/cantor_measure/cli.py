@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from functools import cache
 
@@ -69,12 +70,27 @@ MAX_MC_TRIALS = 10**6
 MAX_DECORATE_DEPTH = 8
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int | None:
+    """The integer an optional '-' and ASCII digits write, or None for any
+    other text: int() alone also reads other scripts' digits, '_' and
+    surrounding blanks.  None too past Python's int/str digit limit."""
+    if not _DECIMAL.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _parse_point(spec: str):
     if spec.startswith("seed="):
-        try:
-            return SeededPoint(int(spec[5:], 10))
-        except ValueError:
+        seed = _decimal(spec[5:])
+        if seed is None:
             raise ValidationError(f"bad seed in point spec {spec!r}")
+        return SeededPoint(seed)
     if spec.startswith("u=") and ":v=" in spec:
         u, _, v = spec[2:].partition(":v=")
         return EventuallyPeriodicPoint(u, v)
@@ -322,14 +338,12 @@ _COMMANDS = {
 }
 
 
-def _int_at_least(low: int, kind: str):
-    """argparse type: an integer >= low, else a usage error (exit 2)."""
+def _int_at_least(low: int | None, kind: str):
+    """argparse type: a _decimal integer, at least low unless low is None;
+    anything else is a usage error (exit 2)."""
     def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            n = low - 1
-        if n < low:
+        n = _decimal(text)
+        if n is None or (low is not None and n < low):
             raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
         return n
     return parse
@@ -342,7 +356,7 @@ _FLAGS = {
                   help="'u=<bits>:v=<bits>' or 'seed=<int>'"),
     "mc": dict(type=_int_at_least(1, "positive"), default=None, metavar="N",
                help="Monte Carlo trial count"),
-    "seed": dict(type=int, default=0, metavar="S"),
+    "seed": dict(type=_int_at_least(None, "decimal"), default=0, metavar="S"),
     "depth": dict(type=_int_at_least(0, "nonnegative"), default=None, metavar="D"),
     "generator": dict(default=None, metavar="G",
                       help="'empty' or 'split' or 'split:<targets.json>'"),

@@ -13,13 +13,11 @@ Every node carries its facts from construction: `children` (empty for a
 leaf, the one child of a complement) and `complement_free`, which an
 interior node computes once from its children's flags.  Tree transforms are
 callbacks to `fold`, one iterative postorder walk, and walks keyed by
-address loop over `nodes`, so no walk recurses.  A propositional formula is
-a code whose leaves are `full` (true) or `empty` (false).
+address loop over `nodes`, so no walk recurses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from typing import Callable, Sequence, TypeVar, Union as TUnion
@@ -143,16 +141,6 @@ def nodes(code: BorelCode) -> list[tuple[Address, BorelCode]]:
 def addresses(code: BorelCode) -> list[Address]:
     """All node addresses, depth-first preorder."""
     return [addr for addr, _ in nodes(code)]
-
-
-def bfs_addresses(code: BorelCode) -> list[Address]:
-    out: list[Address] = []
-    queue: deque[tuple[BorelCode, Address]] = deque([(code, ())])
-    while queue:
-        node, addr = queue.popleft()
-        out.append(addr)
-        queue.extend((child, addr + (slot,)) for slot, child in child_items(node))
-    return out
 
 
 def subtree(code: BorelCode, addr: Address) -> BorelCode:
@@ -418,11 +406,3 @@ def tilde(code: BorelCode, h: Sequence[Address]) -> BorelCode:
     if set(h) != want:
         raise ValidationError(f"h misses addresses {sorted(want - set(h))}")
     return UnionNode(tuple(relocate(n, subtree(code, addr)) for n, addr in enumerate(h)))
-
-
-def encode_formulas(phis: Sequence[BorelCode]) -> BorelCode:
-    """Union over n of relocate(n, phi_n) for formulas phi_n: true (full)
-    leaves become the cylinder [0^n 1] and false (empty) leaves stay empty,
-    so the truth of phi_n is readable from the measure of the result inside
-    [0^n 1]."""
-    return UnionNode(tuple(relocate(n, phi) for n, phi in enumerate(phis)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .codes import (
@@ -35,6 +36,7 @@ from .codes import (
     normalize_demorgan,
     require_complement_free,
 )
+from .dsl import MAX_CODE_NODES
 from .dyadic import Dyadic
 from .errors import ValidationError
 from .ordinals import OrdinalNotation, descending_chain, notations_up_to
@@ -105,10 +107,15 @@ class DecorationGenerator:
 def _rank_chain(b: OrdinalNotation, label: ClopenSet) -> BorelCode:
     """Alternating chain of root rank exactly b denoting the clopen label:
     intersection root, kinds alternating down the rank chain, single-child
-    nodes over one leaf."""
+    nodes over one leaf.  One node per rank, and a finite part n of b takes
+    n ranks, so the chain is refused past MAX_CODE_NODES nodes before the
+    rest of it is stepped through."""
     if b.is_zero():
         raise ValidationError("rank chain needs a positive root rank")
-    chain = descending_chain(b)
+    chain = list(islice(descending_chain(b), MAX_CODE_NODES + 1))
+    if len(chain) > MAX_CODE_NODES:
+        raise ValidationError(
+            f"rank chain of a budget exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes")
     node: BorelCode = Leaf(label, rank=chain[-1])
     for i in range(len(chain) - 2, -1, -1):
         cls = InterNode if i % 2 == 0 else UnionNode

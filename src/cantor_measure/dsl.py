@@ -314,8 +314,9 @@ def _tree_form(node: BorelCode, kids: list[dict], flip: bool) -> dict:
 
 
 def code_from_json(obj: dict) -> BorelCode:
-    """Inverse of code_to_json, walked with an explicit stack: a node's kind
-    and rank are read before its children, the node is built after them.
+    """Inverse of code_to_json, and the reader of a parse report's code
+    field.  Walked with an explicit stack: a node's kind and rank are read
+    before its children, the node is built after them.
     A malformed tree, or one of more than MAX_CODE_NODES nodes, is a
     ValidationError."""
     done: list[BorelCode] = []

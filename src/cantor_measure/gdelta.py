@@ -8,28 +8,11 @@ output's level j unions input n's level n+j+1, so the budget telescopes to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dyadic import Dyadic
 from .errors import BudgetError, ValidationError
-from .space import (ClopenSet, EventuallyPeriodicPoint, Point, StagedOpenSet,
-                    clopen_complement, clopen_union, mu_I)
-
-
-@dataclass(frozen=True)
-class AvoidsSoFar:
-    """No inspected stage captured the point; says nothing beyond them."""
-
-    level: int
-    stage: int
-
-
-@dataclass(frozen=True)
-class CapturedAt:
-    level: int
-    stage: int
-    cylinder: str
+from .space import ClopenSet, StagedOpenSet, clopen_union, mu_I
 
 
 class RapidGDelta:
@@ -84,31 +67,6 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
     return RapidGDelta(level_rule, label=label, height=height)
 
 
-def avoids(x: Point, t: RapidGDelta, level: int, stage: int) -> AvoidsSoFar | CapturedAt:
-    """Three-valued by stage: capture is final, avoidance only provisional."""
-    g = t.stage(level, stage).hit(x)
-    return AvoidsSoFar(level, stage) if g is None else CapturedAt(level, stage, g)
-
-
 def budget_report(t: RapidGDelta, level: int, stage: int) -> Dyadic:
     """Exact stage measure; raises BudgetError if above 2^-level."""
     return mu_I(t.stage(level, stage))
-
-
-def covered_cell_count(stage_set: ClopenSet, k: int) -> int:
-    """How many of the 2^k depth-k cells lie entirely inside the stage.
-
-    mu-bounded stages cover at most mu * 2^k of them, which is the finite
-    echo of 'a rapidly null set is not everything'.  A depth-k cell lies
-    inside the canonical antichain exactly when some generator is a prefix
-    of it, so generator g covers 2^(k - |g|) cells when |g| <= k."""
-    return sum(1 << (k - len(g)) for g in stage_set.generators if len(g) <= k)
-
-
-def eventually_periodic_avoider(stage_set: ClopenSet):
-    """An explicit eventually periodic point outside a non-full clopen stage."""
-    comp = clopen_complement(stage_set)
-    if comp.is_empty():
-        raise ValidationError("stage covers the whole space; no avoider exists")
-    g = comp.generators[0]
-    return EventuallyPeriodicPoint(g, "0")

@@ -28,7 +28,6 @@ from .dyadic import Dyadic, ONE, ZERO
 from .errors import CertificateError, ValidationError
 from .gdelta import RapidGDelta, combine
 from .names import (
-    Captured,
     L1Name,
     agreement_test,
     char_name,
@@ -37,9 +36,8 @@ from .names import (
     inf_name,
     names_equal,
     sup_name,
-    value_at,
 )
-from .space import (ClopenSet, Point, StagedOpenSet, clopen_complement, clopen_intersection,
+from .space import (ClopenSet, StagedOpenSet, clopen_complement, clopen_intersection,
                     clopen_union, mu_I)
 from .stepfn import StepFunction
 
@@ -175,25 +173,6 @@ def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition, label: str = "
     return combine(parts, label=label)
 
 
-def decomposition_eval_map(code: BorelCode, d: MeasureDecomposition, x: Point,
-                           precision: int = 8):
-    """Address-wise value_at readings, rounded to {0,1} when within
-    tolerance; None where capture blocks a reading."""
-    out = {}
-    tol = Dyadic.pow2(-precision + 1)
-    for addr in addresses(code):
-        v = value_at(d[addr], x, precision)
-        if isinstance(v, Captured):
-            out[addr] = None
-        elif abs(v - Dyadic(1, 0)) <= tol:
-            out[addr] = 1
-        elif abs(v) <= tol:
-            out[addr] = 0
-        else:
-            out[addr] = None
-    return out
-
-
 # ---------------------------------------------------------------------------
 # regularity
 
@@ -287,28 +266,3 @@ def regularity_to_char(approx: RegularityApprox,
 
     tail = None if approx.tail is None else max(approx.tail - 3, 0)
     return L1Name([], rule=lambda i: f(i + 2), label=label, tail=tail)
-
-
-def sup_open_set(seq: Sequence[Dyadic] | Callable[[int], Dyadic]) -> StagedOpenSet:
-    """Open set whose measure is the supremum of a nondecreasing dyadic
-    sequence in [0, 1): stage n takes every cylinder [p0] with |p| <= n and
-    .p1 < a_n (binary-expansion threshold)."""
-
-    def a(n: int) -> Dyadic:
-        v = seq(n) if callable(seq) else seq[min(n, len(seq) - 1)]
-        if not (ZERO <= v and v < Dyadic(1, 0)):
-            raise ValidationError("sequence values must sit in [0, 1)")
-        return v
-
-    def stage_rule(n: int) -> ClopenSet:
-        an = a(n)
-        gens = []
-        for d in range(n + 1):
-            for i in range(1 << d):
-                p = format(i, f"0{d}b") if d else ""
-                point_val = Dyadic((i << 1) | 1, d + 1)  # .p1
-                if point_val < an:
-                    gens.append(p + "0")
-        return ClopenSet(tuple(gens))
-
-    return StagedOpenSet(stages=stage_rule)

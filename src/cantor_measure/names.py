@@ -147,11 +147,6 @@ def bad_set(name: L1Name, level: int) -> StagedOpenSet:
     return staged
 
 
-def bad_set_family(name: L1Name) -> RapidGDelta:
-    """The name's bad sets as one budgeted test: level n is bad_set(name, n)."""
-    return RapidGDelta(lambda n: bad_set(name, n), label=f"bad[{name.label}]")
-
-
 def convergence_test(name: L1Name) -> RapidGDelta:
     """The rapidly null set off which the name's terms converge pointwise:
     level k at stage s unions bad_set(name, n).stage(s) over n > k, within

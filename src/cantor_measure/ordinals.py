@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ValidationError
 
@@ -121,13 +122,15 @@ def notations_up_to(bound: OrdinalNotation, coeff_cap: int = 3) -> list[OrdinalN
     return sorted(out)
 
 
-def descending_chain(top: OrdinalNotation) -> list[OrdinalNotation]:
+def descending_chain(top: OrdinalNotation) -> Iterator[OrdinalNotation]:
     """A strictly descending chain top = r_0 > r_1 > ... > 1, stepping by
-    predecessors where they exist and jumping to 1 below a limit."""
+    predecessors where they exist and jumping to 1 below a limit.  Lazy: a
+    finite part n takes n steps, so a caller bounds how many it reads."""
     if top < ONE_ORD:
         raise ValidationError("chain needs top >= 1")
-    chain = [top]
-    while chain[-1] != ONE_ORD:
-        pred = chain[-1].predecessor()
-        chain.append(pred if pred is not None and pred >= ONE_ORD else ONE_ORD)
-    return chain
+    r = top
+    yield r
+    while r != ONE_ORD:
+        pred = r.predecessor()
+        r = pred if pred is not None and pred >= ONE_ORD else ONE_ORD
+        yield r

@@ -2,8 +2,7 @@
 
 Randomness comes from one splitmix stream per estimate; trial j reads the
 j-th column of that stream, so runs are reproducible from (seed, trials)
-alone and nested estimates can share a stream without overlap by taking
-disjoint column indices.
+alone.
 
 Every estimate draws all its trials in one call to space.seeded_leaves,
 which walks each column down the binary trie of the target's canonical
@@ -25,12 +24,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .codes import BorelCode, bfs_addresses, denotation, subtree
+from .codes import denotation
 from .dyadic import Dyadic
 from .errors import StatisticalGateError, ValidationError
 from .names import L1Name, capture_sets
-from .space import (cantor_pair, char_partition, clopen_union, partition_trie, seeded_leaves,
-                    validate_bits)
+from .space import char_partition, clopen_union, partition_trie, seeded_leaves
 from .stepfn import StepFunction
 
 # fraction of captured trials tolerated before the estimate is refused
@@ -66,11 +64,11 @@ def _refinement(*partitions: Sequence[str]) -> list[str]:
     return [p for p, q in zip(ps, ps[1:]) if not q.startswith(p)] + ps[-1:]
 
 
-def _sum_at(f: StepFunction, seed: int, columns: Sequence[int]) -> int:
-    """Sum of f's numerators over the cells of the columns."""
+def _sum_at(f: StepFunction, seed: int, trials: int) -> int:
+    """Sum of f's numerators over the cells of the trials."""
     if len(f.nums) == 1:
-        return len(columns) * f.nums[0]
-    return sum(map(f.nums.__getitem__, _walk(f.prefixes, seed, columns)))
+        return trials * f.nums[0]
+    return sum(map(f.nums.__getitem__, _walk(f.prefixes, seed, range(trials))))
 
 
 def _name_sum(name: L1Name, trials: int, seed: int, precision: int) -> tuple[int, Dyadic]:
@@ -101,7 +99,7 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
     if trials <= 0:
         raise ValidationError("trial count must be positive")
     if isinstance(target, StepFunction):
-        value = Dyadic(_sum_at(target, seed, range(trials)), target.exp).div_floor(trials, AVERAGE_BITS)
+        value = Dyadic(_sum_at(target, seed, trials), target.exp).div_floor(trials, AVERAGE_BITS)
         return Estimate(value, trials, seed, "stepfn")
     if isinstance(target, L1Name):
         captured, total = _name_sum(target, trials, seed, precision)
@@ -111,7 +109,7 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
             )
         value = total.div_floor(trials - captured, AVERAGE_BITS)
         return Estimate(value, trials, seed, "name", captured)
-    hits = _sum_at(StepFunction.from_char(denotation(target)), seed, range(trials))
+    hits = _sum_at(StepFunction.from_char(denotation(target)), seed, trials)
     value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
     return Estimate(value, trials, seed, "code")
 
@@ -140,24 +138,3 @@ def sampled_average(f: StepFunction, i: int, trials: int, seed: int) -> StepFunc
         total = sum(n * nums[bisect_right(ps, c + tails[t]) - 1] for t, n in counts)
         cells.append(Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS))
     return StepFunction.from_dyadics(i, cells)
-
-
-def membership_frequency(code: BorelCode, addr: tuple[int, ...], p: str,
-                         trials: int, seed: int) -> Estimate:
-    """Frequency of membership in the subtree at addr among seeded points of
-    the cylinder [p].
-
-    The column index pairs the address's breadth-first position with the
-    trial number, so frequencies for different addresses of the same code
-    draw from disjoint columns of one stream."""
-    if trials <= 0:
-        raise ValidationError("trial count must be positive")
-    order = bfs_addresses(code)
-    if addr not in order:
-        raise ValidationError(f"no node at address {addr}")
-    pos = order.index(addr)
-    den = denotation(subtree(code, addr))
-    f = StepFunction.from_char(den).precompose_prefix(validate_bits(p))
-    hits = _sum_at(f, seed, [cantor_pair(pos, j) for j in range(trials)])
-    value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
-    return Estimate(value, trials, seed, f"freq@{addr}")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, addresses, bfs_addresses,
+from cantor_measure.codes import (ComplNode, InterNode, Leaf, UnionNode, addresses,
                                   child_items, eval_map_violations, nodes, normalize_demorgan,
-                                  relocate, subtree)
+                                  relocate)
 from cantor_measure.decoration import PreservationReport, decorate
 from cantor_measure.dsl import _KEYWORDS
 from cantor_measure.dyadic import Dyadic
@@ -26,8 +26,7 @@ from cantor_measure.names import (Captured, L1Name, bad_set, char_name, constant
 from cantor_measure.ordinals import ONE_ORD
 from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT, Estimate
 from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint,
-                                  StagedOpenSet, TailPoint, cantor_pair, clopen_intersection,
-                                  clopen_union)
+                                  StagedOpenSet, TailPoint, clopen_intersection, clopen_union)
 from cantor_measure.stepfn import StepFunction
 
 
@@ -236,11 +235,6 @@ def covers_bf(s, p: str) -> bool:
     return all(any((p + q).startswith(g) for g in s.generators) for q in all_prefixes(d - len(p)))
 
 
-def covered_cell_count_bf(s, k: int) -> int:
-    """The 2^k-cell loop: depth-k cells the set covers."""
-    return sum(covers_bf(s, p) for p in all_prefixes(k))
-
-
 # ---------------------------------------------------------------------------
 # the dense step-function core the package replaced with canonical
 # partitions: tables of numerators over all 2^depth cells, read through the
@@ -440,18 +434,6 @@ def sampled_average_bf(f, i: int, trials: int, seed: int):
     return StepFunction.from_dyadics(i, cells)
 
 
-def membership_frequency_bf(code, addr, p: str, trials: int, seed: int):
-    """Per-trial membership of p + column cantor_pair(pos, j) in the subtree
-    at addr, where pos is addr's breadth-first position."""
-    pos = bfs_addresses(code).index(addr)
-    node = subtree(code, addr)
-    d = support_depth_bf(node)
-    hits = sum(1 for j in range(trials) if contains_prefix(
-        node, _bits(TailPoint(p, column(SeededPoint(seed), cantor_pair(pos, j))), d)))
-    return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed,
-                    f"freq@{addr}")
-
-
 # ---------------------------------------------------------------------------
 # G-delta staging with a level and stage closure per test, as the package
 # built it before the one level union; every law target is labelled "law" as
@@ -526,6 +508,27 @@ def assemble_bad_gdelta_bf(code, d, label: str = "assembled"):
         parts.append(node_law_test_bf(node, [d[addr + (s,)] for s, _ in child_items(node)],
                                       d[addr]))
     return combine_bf(parts, label=label)
+
+
+# ---------------------------------------------------------------------------
+# pointwise reading of a decomposition, to compare with the evaluation map
+
+def decomposition_eval_map_bf(code, d, x, precision: int = 8) -> dict:
+    """Address-wise value_at readings, rounded to {0,1} when within
+    tolerance; None where capture blocks a reading."""
+    out = {}
+    tol = Dyadic.pow2(-precision + 1)
+    for addr in addresses(code):
+        v = value_at(d[addr], x, precision)
+        if isinstance(v, Captured):
+            out[addr] = None
+        elif abs(v - Dyadic(1, 0)) <= tol:
+            out[addr] = 1
+        elif abs(v) <= tol:
+            out[addr] = 0
+        else:
+            out[addr] = None
+    return out
 
 
 # ---------------------------------------------------------------------------

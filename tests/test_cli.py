@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from cantor_measure.codes import nodes
 from cantor_measure.dsl import MAX_CODE_BITS, MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
 from cantor_measure.names import char_name
-from cantor_measure.space import ClopenSet
+from cantor_measure.space import ClopenSet, SeededPoint
 from cantor_measure.stepfn import StepFunction
 
 
@@ -360,6 +361,51 @@ def test_negative_depth_is_a_usage_error(verb, capsys):
     assert out == "" and "expected a nonnegative integer, got '-1'" in err
     rc, out, _ = run_main(capsys, verb, "cyl(0)", "--depth", "0")
     assert rc == 0 and json.loads(out)["assertions"][0]["pass"]
+
+
+_NOT_ASCII_DECIMALS = ["٣", "１６", "1_6", " 7"]  # each of them int() reads
+
+
+@pytest.mark.parametrize("value", _NOT_ASCII_DECIMALS)
+@pytest.mark.parametrize("argv", [["tests-combine", "cyl(0)", "--depth"],
+                                  ["decorate", "cyl(0)", "--depth"],
+                                  ["measure", "cyl(0)", "--mc"],
+                                  ["report", "cyl(0)", "--mc"],
+                                  ["measure", "cyl(0)", "--mc", "8", "--seed"],
+                                  ["report", "cyl(0)", "--mc", "8", "--seed"]])
+def test_integer_flags_read_ascii_digits_only(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value", _NOT_ASCII_DECIMALS)
+def test_point_seed_reads_ascii_digits_only(value, capsys):
+    rc, out, err = run_main(capsys, "eval", "cyl(0)", "--point", f"seed={value}")
+    assert rc == 3 and out == "" and f"bad seed in point spec 'seed={value}'" in err
+
+
+def test_negative_seeds_are_read(capsys):
+    rc, out, _ = run_main(capsys, "measure", "cyl(0)", "--mc", "8", "--seed", "-3")
+    assert rc == 0 and json.loads(out)["seed"] == -3
+    rc, out, _ = run_main(capsys, "eval", "cyl(0)", "--point", "seed=-3")
+    assert rc == 0 and json.loads(out)["point"] == SeededPoint(-3).describe()
+
+
+@pytest.mark.parametrize("flags", [["--budget", str(MAX_CODE_NODES + 1)],
+                                   ["--budget", "9" * 4000],
+                                   ["--generator", "split", "--budget", "1,w+%d" % MAX_CODE_NODES]])
+def test_decorate_budget_over_the_node_limit_exit_3(flags, capsys):
+    """A budget with finite part n makes rank chains of about n nodes, one
+    predecessor at a time; past MAX_CODE_NODES nodes a chain is refused
+    before the rest of it is stepped through."""
+    start = time.perf_counter()
+    rc, out, err = run_main(capsys, "decorate", "cyl(0)", *flags)
+    assert time.perf_counter() - start < 1
+    assert rc == 3 and out == ""
+    assert f"rank chain of a budget exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes" in err
 
 
 @pytest.mark.parametrize("expr,depth", [

@@ -9,11 +9,8 @@ from cantor_measure.codes import (
     UnionNode,
     addresses,
     annotate_min_ranks,
-    bfs_addresses,
     check_rank,
     child_items,
-    denotation,
-    encode_formulas,
     eval_map_violations,
     evaluate,
     fold,
@@ -53,7 +50,6 @@ def tail_point(p):
 def test_structure_helpers():
     c = UnionNode((Leaf(ClopenSet.cylinder("0")), InterNode((Leaf(ClopenSet.cylinder("1")),))))
     assert addresses(c) == [(), (0,), (1,), (1, 0)]
-    assert bfs_addresses(c) == [(), (0,), (1,), (1, 0)]
     assert isinstance(subtree(c, (1, 0)), Leaf)
     assert support_depth(c) == 1
 
@@ -239,25 +235,3 @@ def test_tilde_membership_decodes_addresses():
         prefix = "0" * n + "1"
         for q in all_prefixes(support_depth_bf(sub) or 1):
             assert contains_prefix(t, prefix + q) == contains_prefix(sub, q)
-
-
-def test_encode_formulas_reads_truth_from_measure():
-    true, false = Leaf(ClopenSet.full()), Leaf(ClopenSet.empty())
-    phis = [
-        true,
-        false,
-        UnionNode((false, true)),
-        InterNode((true, false)),
-        InterNode(()),         # empty conjunction: true
-        UnionNode(()),         # empty disjunction: false
-    ]
-    stacked = encode_formulas(phis)
-    assert is_complement_free(stacked)
-    for n, phi in enumerate(phis):
-        slice_n = subtree(stacked, (n,))
-        # truth is read from the slice's measure inside its dedicated
-        # cylinder [0^n 1]
-        boxed = InterNode((slice_n, Leaf(ClopenSet.cylinder("0" * n + "1"))))
-        m = counting_measure(boxed)
-        want = 1 if denotation(phi).is_full() else 0
-        assert m * (1 << (n + 1)) == want

@@ -219,6 +219,75 @@ def test_json_tree_over_the_node_limit():
         code_from_json(over)
 
 
+_KEYS = ["kind", "rank", "label", "children", "slots"]
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=False),
+                  st.text("01a٣ ", max_size=3), st.lists(st.integers(-1, 2), max_size=2),
+                  st.just({"kind": "leaf"}), st.sampled_from(_KEYS + ["pentagon", "Kind", ""]))
+_HUGE = "9" * 5000  # more digits than the interpreter converts by default
+
+
+def _json_nodes(tree) -> list[dict]:
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        kids = node.get("children")
+        todo += [c for c in kids if isinstance(c, dict)] if isinstance(kids, list) else []
+    return out
+
+
+@st.composite
+def _json_mutant(draw):
+    """A code's JSON tree, ranked or not, with up to three edits at nodes
+    picked at random, and then perhaps nested inside many one-child nodes."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    code = random_code(rng, max_depth=3, max_gen_len=4, allow_compl=draw(st.booleans()))
+    if draw(st.booleans()):
+        code = annotate_min_ranks(code) if code.complement_free else code
+    tree = code_to_json(code)
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(_json_nodes(tree)))
+        key = draw(st.sampled_from(sorted(node) or _KEYS))
+        edit = draw(st.integers(0, 5))
+        if edit == 0:  # drop a key
+            node.pop(key, None)
+        elif edit == 1:  # rename it
+            node[draw(st.sampled_from(_KEYS + ["Kind", "labels"]))] = node.pop(key, None)
+        elif edit == 2:  # a value of the wrong type
+            node[key] = draw(_JUNK)
+        elif edit == 3:  # strings that are not bits
+            node["label"] = draw(st.lists(st.text("012 x", max_size=3), max_size=3))
+        elif edit == 4:  # numbers that are huge
+            node["rank"] = draw(st.sampled_from([_HUGE, "w^" + _HUGE, "w^2*" + "9" * 99 + "+1",
+                                                  "9" * 99]))
+        else:  # slots that are huge, negative, misaligned or not a list
+            kids = node.get("children")
+            n = len(kids) if isinstance(kids, list) else 0
+            node["slots"] = draw(st.one_of(
+                st.lists(st.sampled_from([0, 1, -1, 10**40, 10**4000]),
+                         min_size=max(n - 1, 0), max_size=n + 1), _JUNK))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 300]))):
+        tree = {"kind": draw(st.sampled_from(["compl", "union", "inter"])), "rank": None,
+                "children": [tree]}
+    return tree
+
+
+@settings(deadline=None, max_examples=300)
+@given(_json_mutant())
+@example({"kind": "union", "children": [{"kind": "leaf", "label": ["0"]}], "slots": [10**4000]})
+def test_code_from_json_reads_any_tree_or_refuses_it(tree):
+    """Mutated code_to_json trees (dropped and renamed keys, wrong types,
+    labels that are not bits, huge numbers, deep nesting): code_from_json
+    gives a code whose JSON round trip is stable, or a ValidationError, and
+    no other exception."""
+    try:
+        code = code_from_json(tree)
+    except ValidationError:
+        return
+    again = code_to_json(code)
+    assert code_to_json(code_from_json(again)) == again
+
+
 _INDEX = st.sampled_from(["i", "j"])
 _NAT = st.one_of(st.integers(0, 3).map(str), _INDEX.map(lambda n: "$" + n))
 _LEAF = st.one_of(st.sampled_from(["empty", "full"]),

@@ -5,25 +5,9 @@ from hypothesis import given, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import BudgetError
-from cantor_measure.gdelta import (
-    AvoidsSoFar,
-    CapturedAt,
-    RapidGDelta,
-    avoids,
-    budget_report,
-    combine,
-    covered_cell_count,
-    eventually_periodic_avoider,
-)
-from cantor_measure.space import (
-    ClopenSet,
-    EventuallyPeriodicPoint,
-    StagedOpenSet,
-    clopen_subset,
-    mu_I,
-    point_in,
-)
-from bruteforce import all_prefixes, covered_cell_count_bf, covers_bf
+from cantor_measure.gdelta import RapidGDelta, budget_report, combine
+from cantor_measure.space import ClopenSet, StagedOpenSet, clopen_subset, mu_I
+from bruteforce import all_prefixes, covers_bf
 from gen import rapid_family_member, random_clopen
 
 
@@ -59,50 +43,11 @@ def test_combine_respects_budgets_and_schedule():
                     assert clopen_subset(fam[n].stage(n + j + 1, s), out)
 
 
-def test_avoids_is_three_valued():
-    t = rapid_family_member(random.Random(34))
-    s0 = t.stage(1, 2)
-    if not s0.is_empty():
-        g = s0.generators[0]
-        inside = EventuallyPeriodicPoint(g, "0")
-        r = avoids(inside, t, 1, 2)
-        assert isinstance(r, CapturedAt)
-        assert r.cylinder in s0.generators
-    outside = eventually_periodic_avoider(s0)
-    r2 = avoids(outside, t, 1, 2)
-    assert isinstance(r2, AvoidsSoFar)
-
-
-def test_covered_cell_count_bounds():
-    s = ClopenSet(("00", "01"))     # measure 1/2
-    assert covered_cell_count(s, 2) == 2
-    assert covered_cell_count(s, 3) == 4
-    t = rapid_family_member(random.Random(35))
-    for n in range(3):
-        stage = t.stage(n, 2)
-        k = 6
-        # a budgeted stage can cover at most mu * 2^k of the depth-k cells
-        assert covered_cell_count(stage, k) <= int(mu_I(stage).num * (1 << (k - mu_I(stage).exp)))
-
-
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=6))
-def test_covered_cell_count_matches_cell_loop(seed, k):
+def test_covers_prefix_matches_cell_loop(seed, k):
     s = random_clopen(random.Random(seed), max_gens=6, max_len=7)
-    assert covered_cell_count(s, k) == covered_cell_count_bf(s, k)
     for p in all_prefixes(k):
         assert s.covers_prefix(p) == covers_bf(s, p)
-
-
-def test_eventually_periodic_avoider_lies_outside():
-    rng = random.Random(36)
-    for _ in range(20):
-        t = rapid_family_member(rng)
-        for n in range(3):
-            stage = t.stage(n, 2)
-            if stage.is_full():
-                continue
-            x = eventually_periodic_avoider(stage)
-            assert not point_in(x, stage)
 
 
 def test_memoized_levels_are_stable():

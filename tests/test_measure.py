@@ -17,12 +17,10 @@ from cantor_measure.measure import (
     assemble_bad_gdelta,
     build_decomposition,
     char_to_regularity,
-    decomposition_eval_map,
     decomposition_from_membership,
     law_names,
     measure_of_code,
     regularity_to_char,
-    sup_open_set,
     verify_decomposition,
     VerifyResult,
 )
@@ -39,7 +37,8 @@ from cantor_measure.space import (
 from cantor_measure.stepfn import StepFunction
 
 from bruteforce import (agreement_test_bf, assemble_bad_gdelta_bf, convergence_test_bf,
-                        counting_measure, dyadic_fraction, node_law_test_bf, tail_mismatches_bf)
+                        counting_measure, decomposition_eval_map_bf, dyadic_fraction,
+                        node_law_test_bf, tail_mismatches_bf)
 from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
                  random_bits, random_code, shrinking_name)
 
@@ -363,7 +362,7 @@ def test_decomposition_eval_map_reads_membership():
         c = random_code(rng, max_depth=2, max_gen_len=3)
         d = build_decomposition(c)
         for x in [EventuallyPeriodicPoint("", "01"), EventuallyPeriodicPoint("1", "0")]:
-            em = decomposition_eval_map(c, d, x)
+            em = decomposition_eval_map_bf(c, d, x)
             from cantor_measure.codes import evaluate
 
             want = evaluate(c, x)
@@ -501,32 +500,3 @@ def test_declared_tails_are_where_rule_terms_stop_changing():
         for nm in (back, again) if c >= 7 else (back,):
             assert tail_mismatches_bf(nm) == []
             assert nm._rule(nm.tail - 1) != nm.term(nm.tail)
-
-
-def test_sup_open_set_measures_approach_sup():
-    half = Dyadic(1, 1)
-    seq = lambda n: half - Dyadic.pow2(-n - 1)
-    s = sup_open_set(seq)
-    prev = None
-    for n in range(6):
-        m = mu_I(s.stage(n))
-        assert m < half
-        if prev is not None:
-            assert prev <= m
-        prev = m
-    assert mu_I(s.stage(6)) == half - Dyadic.pow2(-6)
-
-
-def test_sup_open_set_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        sup_open_set(lambda n: Dyadic.from_int(1)).stage(0)
-
-
-def test_sup_open_set_finite_list_extends_last():
-    # past the end of the list the threshold stays at the final entry
-    s = sup_open_set([Dyadic(1, 2)])
-    c = sup_open_set(lambda n: Dyadic(1, 2))
-    for n in range(8):
-        m = mu_I(s.stage(n))
-        assert m == mu_I(c.stage(n))
-        assert m < Dyadic(1, 2)

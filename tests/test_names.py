@@ -10,11 +10,11 @@ from cantor_measure import measure, names
 from cantor_measure.codes import Leaf, UnionNode
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError, ValidationError
+from cantor_measure.gdelta import RapidGDelta
 from cantor_measure.names import (
     Captured,
     L1Name,
     bad_set,
-    bad_set_family,
     capture_sets,
     char_name,
     constant_name,
@@ -474,7 +474,7 @@ def test_diagonal_name_refutes_distant_premise():
 
 def test_bad_set_family_is_budgeted_test():
     nm = perturbed_name(random.Random(30))
-    fam = bad_set_family(nm)
+    fam = RapidGDelta(lambda n: bad_set(nm, n))
     for level in range(4):
         for s in range(4):
             assert mu_I(fam.stage(level, s)) <= Dyadic.pow2(-level)

@@ -82,7 +82,7 @@ def test_finite_ordering_embeds_integers():
 def test_descending_chain_strictly_descends_to_one(o):
     if o.is_zero():
         return
-    chain = descending_chain(o)
+    chain = list(descending_chain(o))
     assert chain[0] == o
     assert chain[-1] == ONE_ORD
     for a, b in zip(chain, chain[1:]):
@@ -90,10 +90,10 @@ def test_descending_chain_strictly_descends_to_one(o):
 
 
 def test_descending_chain_through_a_limit():
-    chain = descending_chain(OrdinalNotation.omega())
+    chain = list(descending_chain(OrdinalNotation.omega()))
     assert chain == [OrdinalNotation.omega(), ONE_ORD]
     big = OrdinalNotation.parse("w*2")
-    chain = descending_chain(big)
+    chain = list(descending_chain(big))
     assert chain[0] == big and chain[-1] == ONE_ORD
 
 

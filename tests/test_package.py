@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,64 @@ def test_failing_hypothesis_test_is_a_plain_failure(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _read_name(node: ast.AST) -> str | None:
+    """The name a bare or attribute reference reads, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a tree uses: references, imported names, and the words of
+    its strings, which is how the benchmark's tracer names what it wraps
+    ("codes.member", "TailPoint")."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif (name := _read_name(node)) is not None:
+            out.add(name)
+    return out
+
+
+def test_every_public_name_has_a_reader():
+    """A public module-level function or class, and every name the package
+    exports, must be read by something other than its own unit tests: a
+    reference in the package outside the name's own definition, a use in the
+    benchmark or the acceptance suite, or a backticked mention in README."""
+    package = Path(cantor_measure.__file__).parent
+    public: set[tuple[str, str]] = set()  # (module, name)
+    src_reads: dict[str, set[tuple[str, str]]] = {}  # name -> (module, reading def)
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not owner.startswith("_"):
+                public.add((module, owner))
+            if isinstance(stmt, ast.ImportFrom) and module == "__init__":
+                public.update((stmt.module, alias.asname or alias.name) for alias in stmt.names)
+            for node in ast.walk(stmt):
+                if (name := _read_name(node)) is not None:
+                    src_reads.setdefault(name, set()).add((module, owner))
+    outside = set().union(*(
+        _identifiers(ast.parse(path.read_text()))
+        for path in [*sorted((ROOT / "perfbench").glob("*.py")),
+                     ROOT / "tests" / "test_acceptance.py"]))
+    readme = set()
+    for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text()):
+        readme.update(re.findall(r"[A-Za-z_]\w*", span))
+    unread = sorted(
+        f"{module}.{name}" for module, name in public
+        if not src_reads.get(name, set()) - {(module, name)}
+        and name not in outside and name not in readme)
+    assert unread == [], f"public names with no reader: {unread}"

@@ -12,10 +12,8 @@ from cantor_measure.sampling import (
     Estimate,
     conditional_average,
     mc_integral,
-    membership_frequency,
     sampled_average,
 )
-from cantor_measure.codes import bfs_addresses
 from cantor_measure.space import ClopenSet, SeededPoint, partition_trie, seeded_leaves
 from cantor_measure.stepfn import StepFunction, l1_norm
 
@@ -25,7 +23,6 @@ from bruteforce import (
     integral_fraction,
     lookup,
     mc_integral_bf,
-    membership_frequency_bf,
     sampled_average_bf,
     seeded_cells,
 )
@@ -108,35 +105,12 @@ def test_sampled_average_exact_when_cells_resolve():
     assert h == f
 
 
-def test_membership_frequency_endpoints():
-    c = ClopenSet.cylinder("0")
-    from cantor_measure.codes import Leaf, UnionNode
-
-    code = UnionNode((Leaf(c),))
-    inside = membership_frequency(code, (0,), "00", trials=200, seed=6)
-    outside = membership_frequency(code, (0,), "1", trials=200, seed=6)
-    assert inside.value == Dyadic(1, 0)
-    assert outside.value == Dyadic(0, 0)
-
-
-def test_membership_frequency_proper_fraction():
-    from cantor_measure.codes import Leaf
-
-    code = Leaf(ClopenSet.cylinder("00"))
-    freq = membership_frequency(code, (), "0", trials=3000, seed=7)
-    assert abs(float(freq) - 0.5) < 0.06
-
-
 def test_validation_errors():
     from cantor_measure.codes import ComplNode, Leaf
 
     code = Leaf(ClopenSet.full())
     with pytest.raises(ValidationError):
         mc_integral(code, trials=0, seed=0)
-    with pytest.raises(ValidationError):
-        membership_frequency(code, (0,), "0", trials=10, seed=0)
-    with pytest.raises(ValidationError):
-        membership_frequency(code, (), "0a", trials=10, seed=0)
     with pytest.raises(ValidationError):
         mc_integral(ComplNode(code), trials=10, seed=0)
 
@@ -186,17 +160,6 @@ def test_sampled_average_matches_per_trial_loop(gen_seed, i, gap, trials, seed):
     d = max(i + gap, 0)
     f = StepFunction(d, rng.randint(0, 4), tuple(rng.randint(0, 12) for _ in range(1 << d)))
     assert sampled_average(f, i, trials, seed) == sampled_average_bf(f, i, trials, seed)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=200), SEEDS)
-def test_membership_frequency_matches_per_trial_loop(gen_seed, trials, seed):
-    rng = random.Random(gen_seed)
-    c = random_code(rng, max_depth=3, max_gen_len=6)
-    addr = rng.choice(bfs_addresses(c))
-    p = random_bits(rng, 8)
-    assert (membership_frequency(c, addr, p, trials, seed)
-            == membership_frequency_bf(c, addr, p, trials, seed))
 
 
 # ---------------------------------------------------------------------------
