@@ -55,7 +55,6 @@ from .measure import (
     build_decomposition,
     char_to_regularity,
     decomposition_from_membership,
-    law_names,
     measure_of_code,
     regularity_to_char,
     verify_decomposition,

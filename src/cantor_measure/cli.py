@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .gdelta import budget_report
-from .measure import assemble_bad_gdelta, build_decomposition, law_names, verify_decomposition
+from .measure import Certificate, build_decomposition
 from .ordinals import OrdinalNotation
 from .sampling import mc_integral
 from .space import (ClopenSet, EventuallyPeriodicPoint, SeededPoint, enumerate_eventually_periodic,
@@ -201,24 +201,24 @@ def _cmd_measure(args) -> dict:
 
 
 def _verified_decomposition(shaped):
-    """build_decomposition and its law_names, once verify_decomposition has
-    checked every address against them; a failed law is a certificate error."""
+    """build_decomposition and its certificate, once the certificate's verdict
+    has passed every law; a failed law is a certificate error."""
     d = build_decomposition(shaped)
-    laws = law_names(shaped, d)
-    res = verify_decomposition(shaped, d, laws=laws)
+    cert = Certificate(shaped, d)
+    res = cert.verdict()
     if not res:
         raise CertificateError(
             f"decomposition fails the {res.law} law at address {res.address}"
         )
-    return d, laws
+    return d, cert
 
 
 def _budgeted_stages(shaped, size: int) -> tuple[StepFunction, list[list[str]]]:
     """The verified root's limit and the assembled test's stage measures at
     levels and stages 0..size, each within its budget.  The decomposition
     and the test are released on return: report samples the root alone."""
-    d, laws = _verified_decomposition(shaped)
-    t = assemble_bad_gdelta(shaped, d, laws=laws)
+    d, cert = _verified_decomposition(shaped)
+    t = cert.test()
     table = [[str(budget_report(t, n, s)) for s in range(size + 1)] for n in range(size + 1)]
     return d[()].exact_limit(), table
 

@@ -266,17 +266,22 @@ def check_rank(code: BorelCode) -> bool:
     """Rank laws: leaves rank 1, children strictly below their parent.
 
     Missing annotations are a structural error naming the offending address;
-    law violations return False."""
-    todo: list[tuple[BorelCode, Address, OrdinalNotation | None]] = [(code, (), None)]
+    law violations return False.  Each entry holds its parent's entry and its
+    slot, so the walk is linear and an address is built only to be named."""
+    todo: list[tuple] = [(code, None, None)]
     while todo:  # preorder: each node is checked against its parent, then itself
-        node, addr, above = todo.pop()
+        entry = node, up, _ = todo.pop()
         if node.rank is None:
-            raise ValidationError(f"missing rank annotation at address {addr}")
-        if above is not None and not node.rank < above:
+            slots = []
+            while entry[1] is not None:
+                slots.append(entry[2])
+                entry = entry[1]
+            raise ValidationError(f"missing rank annotation at address {tuple(reversed(slots))}")
+        if up is not None and not node.rank < up[0].rank:
             return False
         if isinstance(node, Leaf) and node.rank != ONE_ORD:
             return False
-        todo += [(c, addr + (s,), node.rank) for s, c in reversed(child_items(node))]
+        todo += [(c, entry, s) for s, c in reversed(child_items(node))]
     return True
 
 

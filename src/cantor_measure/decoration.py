@@ -80,7 +80,9 @@ class DecorationGenerator:
     def empty(cls, budgets: Iterable[OrdinalNotation]) -> "DecorationGenerator":
         """Generator whose inserts all denote the empty set, one entry per
         budget."""
-        return cls(tuple((b, empty_set_code(b), empty_set_code(b)) for b in budgets))
+        budgets = list(budgets)
+        chains = iter(_rank_chains((b, ClopenSet.empty()) for b in budgets for _ in range(2)))
+        return cls(tuple(zip(budgets, chains, chains)))
 
     def budgets(self) -> tuple[OrdinalNotation, ...]:
         return tuple(b for b, _, _ in self.entries)
@@ -104,28 +106,32 @@ class DecorationGenerator:
         return clopen_union(*parts) if parts else ClopenSet.empty()
 
 
-def _rank_chain(b: OrdinalNotation, label: ClopenSet) -> BorelCode:
-    """Alternating chain of root rank exactly b denoting the clopen label:
-    intersection root, kinds alternating down the rank chain, single-child
-    nodes over one leaf.  One node per rank, and a finite part n of b takes
-    n ranks, so the chain is refused past MAX_CODE_NODES nodes before the
-    rest of it is stepped through."""
-    if b.is_zero():
-        raise ValidationError("rank chain needs a positive root rank")
-    chain = list(islice(descending_chain(b), MAX_CODE_NODES + 1))
-    if len(chain) > MAX_CODE_NODES:
-        raise ValidationError(
-            f"rank chain of a budget exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes")
-    node: BorelCode = Leaf(label, rank=chain[-1])
-    for i in range(len(chain) - 2, -1, -1):
-        cls = InterNode if i % 2 == 0 else UnionNode
-        node = cls(children=(node,), rank=chain[i])
-    return node
+def _rank_chains(specs: Iterable[tuple[OrdinalNotation, ClopenSet]]) -> list[BorelCode]:
+    """For each (b, label), an alternating chain of root rank exactly b
+    denoting the clopen label: intersection root, kinds alternating down the
+    rank chain, single-child nodes over one leaf.  One node per rank, and a
+    finite part n of b takes n ranks; all the chains together are refused
+    past MAX_CODE_NODES nodes, before the rest of them is stepped through."""
+    room, out = MAX_CODE_NODES, []
+    for b, label in specs:
+        if b.is_zero():
+            raise ValidationError("rank chain needs a positive root rank")
+        chain = list(islice(descending_chain(b), room + 1))
+        room -= len(chain)
+        if room < 0:
+            raise ValidationError(f"rank chain of a budget exceeds MAX_CODE_NODES = "
+                                  f"{MAX_CODE_NODES} nodes, with the chains built before it")
+        node: BorelCode = Leaf(label, rank=chain[-1])
+        for i in range(len(chain) - 2, -1, -1):
+            cls = InterNode if i % 2 == 0 else UnionNode
+            node = cls(children=(node,), rank=chain[i])
+        out.append(node)
+    return out
 
 
 def empty_set_code(b: OrdinalNotation) -> BorelCode:
     """Alternating chain of root rank exactly b denoting the empty set."""
-    return _rank_chain(b, ClopenSet.empty())
+    return _rank_chains([(b, ClopenSet.empty())])[0]
 
 
 def empty_generator(bound: OrdinalNotation) -> DecorationGenerator:
@@ -153,12 +159,9 @@ def split_generator(budgets: Sequence[OrdinalNotation],
         for other in targets[k + 1 :]:
             if not clopen_intersection(t, other).is_empty():
                 raise ValidationError("targets must be pairwise disjoint")
-    entries = []
-    for k, (b, t) in enumerate(zip(blist, targets)):
-        pos = ClopenSet(tuple(g + "0" for g in t.generators))
-        neg = ClopenSet(tuple(g + "1" for g in t.generators))
-        entries.append((b, _rank_chain(b, pos), _rank_chain(b, neg)))
-    return DecorationGenerator(tuple(entries))
+    chains = iter(_rank_chains((b, ClopenSet(tuple(g + bit for g in t.generators)))
+                               for b, t in zip(blist, targets) for bit in "01"))
+    return DecorationGenerator(tuple(zip(blist, chains, chains)))
 
 
 def decorate(code: BorelCode, gen: DecorationGenerator) -> BorelCode:

@@ -54,8 +54,6 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
     all n <= s in the input list.  Input n of height h_n is empty from output
     level h_n - n - 1 on: the height is the largest, or 0 (None if any is)."""
     tests = list(tests)
-    heights = [t.height for t in tests]
-    height = None if None in heights else max([0] + [h - n - 1 for n, h in enumerate(heights)])
 
     def level_rule(j: int) -> StagedOpenSet:
         def stage_rule(s: int) -> ClopenSet:
@@ -64,7 +62,11 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
 
         return StagedOpenSet(stages=stage_rule)
 
-    return RapidGDelta(level_rule, label=label, height=height)
+    return RapidGDelta(level_rule, label=label, height=combined_height([t.height for t in tests]))
+
+
+def combined_height(heights: Sequence[int | None]) -> int | None:
+    return None if None in heights else max([0] + [h - n - 1 for n, h in enumerate(heights)])
 
 
 def budget_report(t: RapidGDelta, level: int, stage: int) -> Dyadic:

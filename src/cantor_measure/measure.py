@@ -4,12 +4,15 @@ A decomposition assigns every address an L1 name so that leaves name their
 clopen characteristic functions, union nodes the pointwise sup of their
 children, intersection nodes the pointwise inf.  For finite codes every
 assembled name is eventually constant, so the laws are verified exactly and
-the root integral is the code's measure.
+the root integral is the code's measure.  A Certificate checks every law in
+one pass over the code; verification and the assembled test both read it,
+and the test builds its parts only when a level below its height is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from .codes import (
@@ -26,12 +29,14 @@ from .codes import (
 )
 from .dyadic import Dyadic, ONE, ZERO
 from .errors import CertificateError, ValidationError
-from .gdelta import RapidGDelta, combine
+from .gdelta import RapidGDelta, combine, combined_height
 from .names import (
     L1Name,
+    agreement_height,
     agreement_test,
     char_name,
     constant_name,
+    convergence_height,
     convergence_test,
     inf_name,
     names_equal,
@@ -52,7 +57,7 @@ def law_name(node: BorelCode, kids: Sequence[L1Name], label: str) -> L1Name:
     characteristic name, the sup of a union's children, the inf of an
     intersection's, or the constant 0 (union) or 1 (intersection) when the
     node has no children.  One child's sup or inf is that child's name.
-    Only law_names applies it; decompositions are built by clopen folds."""
+    Only Certificate applies it; decompositions are built by clopen folds."""
     if isinstance(node, Leaf):
         return char_name(node.label, label=label)
     union = isinstance(node, UnionNode)
@@ -65,7 +70,7 @@ def build_decomposition(code: BorelCode) -> MeasureDecomposition:
     """Each address gets the characteristic name of its node's denotation,
     labelled leaf@addr or node@addr, from one memoized clopen fold: a node
     shared by several addresses is folded once.  No law is applied here;
-    verify_decomposition checks every name against its law."""
+    Certificate checks every name against its law."""
     require_complement_free(code, "build_decomposition")
     memo: dict[tuple[int, bool], ClopenSet] = {}
     denotation(code, memo)
@@ -85,37 +90,55 @@ class VerifyResult:
         return self.ok
 
 
-def law_names(code: BorelCode, d: MeasureDecomposition) -> dict[Address, L1Name]:
-    """law_name over d's names of each node's children, labelled "law", from
-    one nodes walk; a KeyError holds the first address (preorder) d lacks."""
-    require_complement_free(code, "law_names")
-    walk = nodes(code)
-    for addr, _ in walk:
-        if addr not in d:
-            raise KeyError(addr)
-    return {addr: law_name(node, [d[addr + (s,)] for s, _ in child_items(node)], "law")
-            for addr, node in walk}
+class Certificate:
+    """The one law pass over nodes(code), in preorder: law_name once per
+    address, and the exact limits of its name and law compared once when both
+    tails are known.  checks holds (address, node, name, law, agreed), agreed
+    None where a tail is unknown; a KeyError holds the first address d lacks."""
+
+    def __init__(self, code: BorelCode, d: MeasureDecomposition):
+        require_complement_free(code, "Certificate")
+        walk = nodes(code)
+        for addr, _ in walk:
+            if addr not in d:
+                raise KeyError(addr)
+        self.checks = []
+        for addr, node in walk:
+            name, law = d[addr], law_name(node, [d[addr + (s,)] for s, _ in child_items(node)], "law")
+            self.checks.append((addr, node, name, law, None if name.tail is None or law.tail is None
+                                else name.exact_limit() == law.exact_limit()))
+
+    def verdict(self, bound: int = 24) -> VerifyResult:
+        """The first address whose name fails its law; names_equal's tail bound
+        at index bound decides only where a tail is unknown."""
+        mode = "exact"
+        for addr, node, name, law, agreed in self.checks:
+            if agreed is None:
+                mode, agreed = "bounded", names_equal(name, law, bound=bound).equal
+            if not agreed:
+                return VerifyResult(False, addr, "leaf" if isinstance(node, Leaf) else
+                                    "union" if isinstance(node, UnionNode) else "intersection", mode)
+        return VerifyResult(True, mode=mode)
+
+    def test(self, label: str = "assembled") -> RapidGDelta:
+        """Each name's convergence test, then its agreement test with its law,
+        combined in preorder; the height comes from the recorded tails, and
+        the parts are built only when a level below it is first read."""
+        pairs = [(name, law, agreed) for _, _, name, law, agreed in self.checks]
+        height = combined_height([convergence_height(name.tail) for name, _, _ in pairs] + [
+            agreement_height(name.tail, law.tail) if agreed else None for name, law, agreed in pairs])
+        whole = cache(lambda: combine([convergence_test(name) for name, _, _ in pairs] + [
+            agreement_test(name, law) for name, law, _ in pairs], label=label))
+        return RapidGDelta(lambda n: whole().level(n), label=label, height=height)
 
 
-def verify_decomposition(code: BorelCode, d: MeasureDecomposition, bound: int = 24,
-                         laws: dict[Address, L1Name] | None = None) -> VerifyResult:
-    """Check each address's name against its law from law_names (or laws,
-    when the caller has them) via names_equal; reports the first failure."""
-    require_complement_free(code, "verify_decomposition")
+def verify_decomposition(code: BorelCode, d: MeasureDecomposition, bound: int = 24) -> VerifyResult:
+    """The verdict of the one law pass, a Certificate: the first address whose
+    name fails its law, or the first address d lacks, as "missing"."""
     try:
-        laws = law_names(code, d) if laws is None else laws
+        return Certificate(code, d).verdict(bound)
     except KeyError as e:
         return VerifyResult(False, e.args[0], "missing")
-    mode = "exact"
-    for addr, node in nodes(code):
-        res = names_equal(d[addr], laws[addr], bound=bound)
-        if res.mode != "exact":
-            mode = "bounded"
-        if not res.equal:
-            law = ("leaf" if isinstance(node, Leaf)
-                   else "union" if isinstance(node, UnionNode) else "intersection")
-            return VerifyResult(False, addr, law, mode)
-    return VerifyResult(True, mode=mode)
 
 
 def measure_of_code(code: BorelCode) -> Dyadic:
@@ -157,20 +180,14 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
     return out
 
 
-def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition, label: str = "assembled",
-                        laws: dict[Address, L1Name] | None = None) -> RapidGDelta:
-    """One rapidly null test outside which the decomposition's pointwise
-    values realize the evaluation map of the code.
-
-    Combines, in the preorder of law_names (or of laws, when the caller has
-    them): each name's convergence test, then its agreement test with its
-    law, off which it converges to its leaf's characteristic function or to
-    the sup or inf of its children's limits."""
-    require_complement_free(code, "assemble_bad_gdelta")
-    laws = law_names(code, d) if laws is None else laws
-    parts = [convergence_test(d[addr]) for addr in laws]
-    parts += [agreement_test(d[addr], law) for addr, law in laws.items()]
-    return combine(parts, label=label)
+def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
+                        label: str = "assembled") -> RapidGDelta:
+    """The test of the one law pass, a Certificate: one rapidly null test
+    outside which each name converges and agrees with its law, so the
+    decomposition's pointwise values realize the evaluation map of the code.
+    Its height comes from the names' tails, and its parts are built only when
+    a level below that height is read."""
+    return Certificate(code, d).test(label)
 
 
 # ---------------------------------------------------------------------------

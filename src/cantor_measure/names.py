@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .dyadic import Dyadic, DyadicInterval, ZERO
 from .errors import CertificateError, ValidationError
-from .gdelta import RapidGDelta, combine
+from .gdelta import RapidGDelta, combine, combined_height
 from .space import ClopenSet, Point, StagedOpenSet, clopen_union
 from .stepfn import StepFunction, l1_norm
 
@@ -163,8 +163,11 @@ def convergence_test(name: L1Name) -> RapidGDelta:
 
         return StagedOpenSet(stages=stage_rule)
 
-    return RapidGDelta(level_rule, label=f"conv[{name.label}]",
-                       height=None if tail is None else max(tail // 2 - 1, 0))
+    return RapidGDelta(level_rule, label=f"conv[{name.label}]", height=convergence_height(tail))
+
+
+def convergence_height(tail: int | None) -> int | None:
+    return None if tail is None else max(tail // 2 - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +287,16 @@ def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     def whole() -> RapidGDelta:
         return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))], label=label)
 
-    t1, t2 = n1.tail, n2.tail
-    if t1 is None or t2 is None or n1.exact_limit() != n2.exact_limit():
+    if n1.tail is None or n2.tail is None or n1.exact_limit() != n2.exact_limit():
         return whole()
-    # combine's height over max(t//2 - 1, 0), t each name's tail and the interleave's
-    hs = [max(t // 2 - 1, 0) for t in (t1, t2, max(t1, t2, 2) - 2)]
     return RapidGDelta(lambda n: whole().level(n), label=label,
-                       height=max([0] + [h - n - 1 for n, h in enumerate(hs)]))
+                       height=agreement_height(n1.tail, n2.tail))
+
+
+def agreement_height(t1: int, t2: int) -> int:
+    """agreement_test's height for names of tails t1, t2 and equal exact
+    limits: combine's over its parts, the interleave's tail max(t1, t2, 2) - 2."""
+    return combined_height([convergence_height(t) for t in (t1, t2, max(t1, t2, 2) - 2)])
 
 
 # ---------------------------------------------------------------------------

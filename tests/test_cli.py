@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cantor_measure import cli, measure, stepfn
+from cantor_measure import cli, measure, names, stepfn
 from cantor_measure.codes import nodes
 from cantor_measure.dsl import MAX_CODE_BITS, MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
@@ -408,6 +408,20 @@ def test_decorate_budget_over_the_node_limit_exit_3(flags, capsys):
     assert f"rank chain of a budget exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes" in err
 
 
+@pytest.mark.parametrize("flags", [["--budget", "20000,w+20000,w^2+20000"],
+                                   ["--generator", "split", "--budget", "20000,w+20000,w^2+20000"],
+                                   ["--budget", str(MAX_CODE_NODES // 2 + 1)]])
+def test_decorate_counts_all_chains_of_a_generator_against_the_node_limit(flags, capsys):
+    """Each budget makes two rank chains, and MAX_CODE_NODES bounds all of a
+    generator's chains together: budgets each under the limit alone, or one
+    finite budget over half of it, exit 3 before the chains pass it."""
+    start = time.perf_counter()
+    rc, out, err = run_main(capsys, "decorate", "cyl(0)", *flags)
+    assert time.perf_counter() - start < 2
+    assert rc == 3 and out == "" and "Traceback" not in err
+    assert f"exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes, with the chains built before it" in err
+
+
 @pytest.mark.parametrize("expr,depth", [
     ("union(cyl(0),cyl(10),cyl(111))", 21),
     ("inter(cyl(0),cyl(01),cyl(011))", 21),
@@ -480,6 +494,31 @@ def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
     rc, _, err = run_main(capsys, verb, expr)
     assert rc == 0, err
     assert len(calls) == len(nodes(parse_dsl(expr)))
+
+
+@pytest.mark.parametrize("verb", ["report", "tests-combine"])
+def test_staging_verbs_compare_each_limit_once_and_build_no_part(verb, capsys, monkeypatch):
+    """After the build, one law pass walks the code and compares each node's
+    exact limits once, and the assembled test, of height 0 on a valid code,
+    builds no convergence or agreement test: every level the verbs read is
+    empty without one."""
+    built, compared, walks = [], [], []
+    real_eq, real_nodes = StepFunction.__eq__, measure.nodes
+
+    def counting_eq(a, b):
+        compared.append(1)
+        return real_eq(a, b)
+
+    for name in ("convergence_test", "agreement_test"):
+        monkeypatch.setattr(measure, name, lambda *a, _n=name: built.append(_n))
+        monkeypatch.setattr(names, name, lambda *a, _n=name: built.append(_n))
+    monkeypatch.setattr(StepFunction, "__eq__", counting_eq)
+    monkeypatch.setattr(measure, "nodes", lambda code: walks.append(1) or real_nodes(code))
+    expr = "union(cyl(0),inter(cyl(1),cyl(10),union(cyl(110),cyl(111))),cyl(0011))"
+    rc, out, err = run_main(capsys, verb, expr)
+    assert rc == 0, err
+    assert built == [] and len(compared) == len(nodes(parse_dsl(expr)))
+    assert len(walks) == 2  # build_decomposition's and the law pass's
 
 
 def test_decompose_builds_each_leaf_table_once(capsys, monkeypatch):

@@ -174,6 +174,20 @@ def test_check_rank_requires_annotations():
         check_rank(c)
 
 
+def test_check_rank_names_a_deep_missing_rank_by_its_full_address():
+    """The walk keeps no address per node; the one it names is rebuilt from
+    the chain of parents, slots included, 300 levels down."""
+    node = Leaf(ClopenSet.cylinder("0"))
+    want = tuple(3 * (i % 4) + 1 for i in range(300))
+    for i, slot in reversed(list(enumerate(want))):
+        kids = (Leaf(ClopenSet.cylinder("1"), rank=OrdinalNotation.finite(1)), node)
+        node = (UnionNode if i % 2 else InterNode)(kids, rank=OrdinalNotation.finite(301 - i),
+                                                   slots=(0, slot))
+    with pytest.raises(ValidationError, match="^missing rank annotation at address ") as e:
+        check_rank(node)
+    assert str(e.value) == f"missing rank annotation at address {want}"
+
+
 def test_check_rank_laws():
     leaf = Leaf(ClopenSet.cylinder("0"), rank=OrdinalNotation.finite(1))
     good = UnionNode((leaf,), rank=OrdinalNotation.finite(2))

@@ -16,9 +16,9 @@ from cantor_measure.gdelta import budget_report
 from cantor_measure.measure import (
     assemble_bad_gdelta,
     build_decomposition,
+    Certificate,
     char_to_regularity,
     decomposition_from_membership,
-    law_names,
     measure_of_code,
     regularity_to_char,
     verify_decomposition,
@@ -57,7 +57,7 @@ def test_clopen_fold_matches_decomposition_root(seed):
     step-function sup and inf give over its names must agree with it."""
     c = random_code(random.Random(seed), max_depth=3, max_gen_len=5)
     d = build_decomposition(c)
-    root = law_names(c, d)[()].exact_limit()
+    root = measure.law_name(c, [d[(s,)] for s, _ in child_items(c)], "law").exact_limit()
     assert measure_of_code(c) == root.integral()
     assert denotation(c) == root.char_support()
     assert verify_decomposition(c, d)
@@ -177,8 +177,9 @@ def test_decomposition_missing_address_reported():
     d[()] = char_name(ClopenSet.empty())
     del d[(1, 1)], d[(2,)]
     assert verify_decomposition(c, d) == VerifyResult(False, (1, 1), "missing")
-    with pytest.raises(KeyError):
-        law_names(c, d)
+    with pytest.raises(KeyError) as e:
+        assemble_bad_gdelta(c, d)
+    assert e.value.args == ((1, 1),)
 
 
 def test_root_name_integral_is_measure():
@@ -239,7 +240,10 @@ def _drawn_decomposition(kind: str, rng: random.Random):
     """The code and decomposition of an "assembled" or "laws" case: a random
     code's decomposition, one address's name replaced by a wrong one when
     "wrong" is drawn; an assembled test reads its late parts many levels
-    up, so its codes are small."""
+    up, so its codes are small.  Then each name may be replaced by one with
+    the same limit: a term list that adds the characteristic function of a
+    shrinking cylinder until its tail, up to 14, so that a test of positive
+    height reads bad sets below it; or a rule with no tail."""
     code = random_code(rng, max_depth=rng.randint(0, 1 if kind == "assembled" else 2),
                        max_children=3, max_gen_len=4)
     d = build_decomposition(code)
@@ -247,6 +251,14 @@ def _drawn_decomposition(kind: str, rng: random.Random):
         addr = rng.choice(sorted(d))
         d[addr] = constant_name(d[addr].exact_limit() + StepFunction.constant(Dyadic(1, 2)),
                                 label="wrong")
+    for addr in sorted(d):
+        lim, r = d[addr].exact_limit(), rng.random()
+        if r < 0.4:
+            path = random_bits(rng, 14, min_len=14)
+            d[addr] = L1Name([lim + StepFunction.from_char(ClopenSet.cylinder(path[:i + 1]))
+                              for i in range(rng.randint(0, 14))] + [lim], label="tailed")
+        elif r < 0.5:
+            d[addr] = L1Name([], rule=lambda i, _f=lim: _f, label="ruled")
     return code, d
 
 
@@ -320,21 +332,41 @@ def test_level_unions_stage_as_the_closure_oracle(kind, seed):
     assert _staging_case(kind, seed, False) == _staging_case(kind, seed, True)
 
 
+def _verdict_loop(code, d, bound: int = 24) -> VerifyResult:
+    """The verdict by a preorder loop of law_name and names_equal, each
+    address's law built from its children's names."""
+    mode = "exact"
+    for addr, node in nodes(code):
+        res = names_equal(d[addr], measure.law_name(
+            node, [d[addr + (s,)] for s, _ in child_items(node)], "law"), bound=bound)
+        mode = "bounded" if res.mode == "bounded" else mode
+        if not res:
+            law = ("leaf" if isinstance(node, Leaf)
+                   else "union" if isinstance(node, UnionNode) else "intersection")
+            return VerifyResult(False, addr, law, mode)
+    return VerifyResult(True, mode=mode)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from(["assembled", "laws"]), st.integers(min_value=0, max_value=10**6))
 @example("assembled", 1)
+@example("assembled", 5)
+@example("assembled", 11)
+@example("assembled", 23)
 @example("laws", 1)
-def test_shared_law_names_verify_and_assemble_the_same(kind, seed):
-    """Law names computed once and handed to verify_decomposition and
-    assemble_bad_gdelta give the same verdict and the same stage tables,
-    errors included, as each computing its own; each side draws its own
+@example("laws", 24)
+@example("laws", 37)
+def test_one_pass_gives_the_verdict_and_test_of_the_loops(kind, seed):
+    """The one pass's verdict, address, law and mode, is the preorder loop's of
+    law_name and names_equal, and on the small "assembled" codes its test's
+    stage tables are the oracle's, errors included; each side draws its own
     names from the seed."""
     code, d = _drawn_decomposition(kind, random.Random(seed))
-    laws = law_names(code, d)
     own_code, own = _drawn_decomposition(kind, random.Random(seed))
-    assert verify_decomposition(code, d, laws=laws) == verify_decomposition(own_code, own)
-    assert (_stage_table(assemble_bad_gdelta(code, d, laws=laws))
-            == _stage_table(assemble_bad_gdelta(own_code, own)))
+    cert = Certificate(code, d)
+    assert cert.verdict() == verify_decomposition(code, d) == _verdict_loop(own_code, own)
+    if kind == "assembled":
+        assert _stage_table(cert.test()) == _stage_table(assemble_bad_gdelta_bf(own_code, own))
 
 
 @settings(deadline=None, max_examples=15)

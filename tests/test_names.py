@@ -404,7 +404,7 @@ def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
     monkeypatch.setattr(names, "bad_set", recording)
     code = UnionNode(tuple(Leaf(ClopenSet.cylinder(p)) for p in ("0", "10", "110", "1110")))
     d = measure.build_decomposition(code)
-    t = names.agreement_test(d[()], measure.law_names(code, d)[()])
+    t = names.agreement_test(d[()], measure.law_name(code, [d[(k,)] for k in range(4)], "law"))
     for k in range(4):
         for s in range(12):
             t.stage(k, s)

@@ -105,3 +105,16 @@ def test_every_public_name_has_a_reader():
         if not src_reads.get(name, set()) - {(module, name)}
         and name not in outside and name not in readme)
     assert unread == [], f"public names with no reader: {unread}"
+
+
+def test_mutant_catalog_texts_occur_once():
+    """Every mutant of tests/mutants.py still finds its old text exactly
+    once, so the catalog follows the code it mutates; running the mutants
+    is `python tests/mutants.py`, outside this suite."""
+    import mutants
+
+    root = Path(mutants.ROOT)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (root / m.path).read_text().count(m.old) == 1, m.name
+        assert m.tests and all((root / t.split("::")[0]).is_file() for t in m.tests), m.name
