@@ -20,9 +20,7 @@ from .codes import (
     eval_map_violations,
     evaluate,
     is_alternating,
-    is_complement_free,
     make_alternating,
-    member,
     membership_table,
     normalize_demorgan,
     relocate,
@@ -39,7 +37,7 @@ from .decoration import (
     split_generator,
 )
 from .dsl import code_from_json, code_to_json, parse_dsl, print_dsl
-from .dyadic import Dyadic, DyadicInterval
+from .dyadic import Dyadic
 from .errors import (
     BudgetError,
     CantorMeasureError,
@@ -51,7 +49,6 @@ from .errors import (
 from .gdelta import RapidGDelta, budget_report, combine
 from .measure import (
     RegularityApprox,
-    assemble_bad_gdelta,
     build_decomposition,
     char_to_regularity,
     decomposition_from_membership,

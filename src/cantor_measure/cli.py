@@ -24,7 +24,6 @@ from .codes import (
     denotation,
     evaluate,
     fold,
-    is_complement_free,
     make_alternating,
     normalize_demorgan,
     support_depth,
@@ -136,7 +135,7 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def _require_normalized(code):
-    return code if is_complement_free(code) else normalize_demorgan(code)
+    return code if code.complement_free else normalize_demorgan(code)
 
 
 def _tree_depth(node, depths: list[int], flip: bool) -> int:
@@ -155,9 +154,9 @@ def _cmd_parse(args) -> dict:
     payload = {
         "expr": print_dsl(shaped),
         "code": code_to_json(shaped),
-        "complement_free": is_complement_free(shaped),
+        "complement_free": shaped.complement_free,
     }
-    if is_complement_free(shaped):
+    if shaped.complement_free:
         payload["support_depth"] = support_depth(shaped)
     if args.rank is not None:
         want = OrdinalNotation.parse(args.rank)

@@ -153,10 +153,6 @@ def subtree(code: BorelCode, addr: Address) -> BorelCode:
     return node
 
 
-def is_complement_free(code: BorelCode) -> bool:
-    return code.complement_free
-
-
 def require_complement_free(code: BorelCode, op: str) -> None:
     if not code.complement_free:
         raise ValidationError(f"{op} requires a complement-free code")
@@ -317,18 +313,6 @@ def evaluate(code: BorelCode, x: Point) -> EvalMap:
             vals = [out[addr + (s,)] for s, _ in child_items(node)]
             out[addr] = max(vals, default=0) if isinstance(node, UnionNode) else min(vals, default=1)
     return out
-
-
-def member(code: BorelCode, x: Point) -> bool:
-    """Root value of the evaluation map."""
-    require_complement_free(code, "member")
-    return fold(code, partial(_member, x))
-
-
-def _member(x: Point, node: BorelCode, vals: list[bool], flip: bool) -> bool:
-    if isinstance(node, Leaf):
-        return point_in(x, node.label)
-    return any(vals) if isinstance(node, UnionNode) else all(vals)
 
 
 def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Address]:

@@ -38,7 +38,7 @@ from .codes import (
 )
 from .dsl import MAX_CODE_NODES
 from .dyadic import Dyadic
-from .errors import ValidationError
+from .errors import CertificateError, ValidationError
 from .ordinals import OrdinalNotation, descending_chain, notations_up_to
 from .space import ClopenSet, Point, clopen_intersection, clopen_subset, clopen_union, locate, mu_I
 
@@ -79,10 +79,10 @@ class DecorationGenerator:
     @classmethod
     def empty(cls, budgets: Iterable[OrdinalNotation]) -> "DecorationGenerator":
         """Generator whose inserts all denote the empty set, one entry per
-        budget."""
+        budget, with one rank chain as both its positive and its negative."""
         budgets = list(budgets)
-        chains = iter(_rank_chains((b, ClopenSet.empty()) for b in budgets for _ in range(2)))
-        return cls(tuple(zip(budgets, chains, chains)))
+        chains = _rank_chains((b, ClopenSet.empty()) for b in budgets)
+        return cls(tuple((b, c, c) for b, c in zip(budgets, chains)))
 
     def budgets(self) -> tuple[OrdinalNotation, ...]:
         return tuple(b for b, _, _ in self.entries)
@@ -245,7 +245,7 @@ def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequen
     memberships agree, and a violation (its index, ()) when they differ.
     Every distinct interior node's denotation must also agree with its
     clause over its children's at each cell, or the clopen algebra is at
-    fault and an AssertionError names the node's address."""
+    fault and a CertificateError names the node's address."""
     if decorated is None:
         decorated = decorate(code, gen)
     fp = gen.footprint()
@@ -262,7 +262,7 @@ def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequen
         fold(tree, partial(_cell_mask, dens, list(cells), clashes), masks)
         if clashes:
             where = next(addr for addr, node in nodes(tree) if node is clashes[0])
-            raise AssertionError(f"denotation disagrees with its clause at {where}")
+            raise CertificateError(f"denotation disagrees with its clause at {where}")
     changed = masks[id(decorated), False] ^ masks[id(code), False]
     captured, violations = [], []
     for i, c in enumerate(located):

@@ -78,22 +78,11 @@ class Dyadic:
     def __ge__(self, other: "Dyadic") -> bool:
         return self._cmp(other) >= 0
 
-    def cmp_fraction(self, p: int, q: int) -> int:
-        """Sign of self - p/q for integer p and positive integer q."""
-        if q <= 0:
-            raise ValidationError("fraction denominator must be positive")
-        a = self.num * q
-        b = p << self.exp
-        return (a > b) - (a < b)
-
     def div_floor(self, den: int, bits: int = 60) -> "Dyadic":
         """floor(self / den * 2**bits) / 2**bits; exact when representable."""
         if den <= 0:
             raise ValidationError("divisor must be positive")
         return Dyadic((self.num << bits) // (den << self.exp), bits)
-
-    def is_zero(self) -> bool:
-        return self.num == 0
 
     def __float__(self) -> float:
         return self.num / (1 << self.exp)
@@ -107,32 +96,6 @@ class Dyadic:
                 f" exceeds the int/str conversion limit of {sys.get_int_max_str_digits()} digits"
             ) from None
 
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        try:
-            num_s, exp_s = text.split("/2^")
-            return cls(int(num_s), int(exp_s))
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"bad dyadic literal {text!r}") from exc
-
 
 ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
-
-
-@dataclass(frozen=True, slots=True)
-class DyadicInterval:
-    """Closed interval [lo, hi] with dyadic endpoints."""
-
-    lo: Dyadic
-    hi: Dyadic
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValidationError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def contains(self, d: Dyadic) -> bool:
-        return self.lo <= d <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"

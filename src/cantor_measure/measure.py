@@ -52,18 +52,19 @@ MeasureDecomposition = dict[Address, L1Name]
 REGULARITY_CHECK_LEVELS = 8
 
 
-def law_name(node: BorelCode, kids: Sequence[L1Name], label: str) -> L1Name:
+def law_name(node: BorelCode, kids: Sequence[L1Name]) -> L1Name:
     """The name a node's law asks for, given its children's names: a leaf's
     characteristic name, the sup of a union's children, the inf of an
     intersection's, or the constant 0 (union) or 1 (intersection) when the
-    node has no children.  One child's sup or inf is that child's name.
-    Only Certificate applies it; decompositions are built by clopen folds."""
+    node has no children, labelled "law".  One child's sup or inf is that
+    child's name.  Only Certificate applies it; decompositions are built by
+    clopen folds."""
     if isinstance(node, Leaf):
-        return char_name(node.label, label=label)
+        return char_name(node.label, label="law")
     union = isinstance(node, UnionNode)
     if not kids:
-        return constant_name(StepFunction.constant(ZERO if union else ONE), label=label)
-    return (sup_name if union else inf_name)(kids, label=label)
+        return constant_name(StepFunction.constant(ZERO if union else ONE), label="law")
+    return (sup_name if union else inf_name)(kids, label="law")
 
 
 def build_decomposition(code: BorelCode) -> MeasureDecomposition:
@@ -104,7 +105,7 @@ class Certificate:
                 raise KeyError(addr)
         self.checks = []
         for addr, node in walk:
-            name, law = d[addr], law_name(node, [d[addr + (s,)] for s, _ in child_items(node)], "law")
+            name, law = d[addr], law_name(node, [d[addr + (s,)] for s, _ in child_items(node)])
             self.checks.append((addr, node, name, law, None if name.tail is None or law.tail is None
                                 else name.exact_limit() == law.exact_limit()))
 
@@ -120,16 +121,19 @@ class Certificate:
                                     "union" if isinstance(node, UnionNode) else "intersection", mode)
         return VerifyResult(True, mode=mode)
 
-    def test(self, label: str = "assembled") -> RapidGDelta:
-        """Each name's convergence test, then its agreement test with its law,
-        combined in preorder; the height comes from the recorded tails, and
-        the parts are built only when a level below it is first read."""
+    def test(self) -> RapidGDelta:
+        """One rapidly null test outside which each name converges and agrees
+        with its law, so the decomposition's pointwise values realize the
+        evaluation map of the code: each name's convergence test, then its
+        agreement test with its law, combined in preorder.  The height comes
+        from the recorded tails, and the parts are built only when a level
+        below it is first read."""
         pairs = [(name, law, agreed) for _, _, name, law, agreed in self.checks]
         height = combined_height([convergence_height(name.tail) for name, _, _ in pairs] + [
             agreement_height(name.tail, law.tail) if agreed else None for name, law, agreed in pairs])
         whole = cache(lambda: combine([convergence_test(name) for name, _, _ in pairs] + [
-            agreement_test(name, law) for name, law, _ in pairs], label=label))
-        return RapidGDelta(lambda n: whole().level(n), label=label, height=height)
+            agreement_test(name, law) for name, law, _ in pairs], label="assembled"))
+        return RapidGDelta(lambda n: whole().level(n), label="assembled", height=height)
 
 
 def verify_decomposition(code: BorelCode, d: MeasureDecomposition, bound: int = 24) -> VerifyResult:
@@ -180,16 +184,6 @@ def decomposition_from_membership(f: L1Name, code: BorelCode,
     return out
 
 
-def assemble_bad_gdelta(code: BorelCode, d: MeasureDecomposition,
-                        label: str = "assembled") -> RapidGDelta:
-    """The test of the one law pass, a Certificate: one rapidly null test
-    outside which each name converges and agrees with its law, so the
-    decomposition's pointwise values realize the evaluation map of the code.
-    Its height comes from the names' tails, and its parts are built only when
-    a level below that height is read."""
-    return Certificate(code, d).test(label)
-
-
 # ---------------------------------------------------------------------------
 # regularity
 
@@ -200,26 +194,16 @@ class RegularityApprox:
 
     A and C are plain staged sequences (no per-level budget: A must cover
     nearly everything when B is small); the rapid-null budget belongs to the
-    overlap, exposed by overlap_test with the level shift that makes
-    3 * 2^-(n+4)+1 fit under 2^-n.  tail, set only by char_to_regularity,
-    is the level from which A_n and C_n are one fixed pair of clopen sets."""
+    overlap (overlap_stage), which char_to_regularity bounds exactly on its
+    first levels.  tail, set only by char_to_regularity, is the level from
+    which A_n and C_n are one fixed pair of clopen sets."""
 
     a_levels: Callable[[int], StagedOpenSet]
     c_levels: Callable[[int], StagedOpenSet]
     tail: int | None = None
 
-    OVERLAP_SHIFT = 4
-
     def overlap_stage(self, n: int, s: int) -> ClopenSet:
         return clopen_intersection(self.a_levels(n).stage(s), self.c_levels(n).stage(s))
-
-    def overlap_test(self) -> RapidGDelta:
-        shift = self.OVERLAP_SHIFT
-
-        def level_rule(n: int) -> StagedOpenSet:
-            return StagedOpenSet(stages=lambda s: self.overlap_stage(n + shift, s))
-
-        return RapidGDelta(level_rule, label="overlap")
 
 
 def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> RegularityApprox:

@@ -14,10 +14,9 @@ suffix-sum pass over them, whose nonnegativity makes the stages monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
-from .dyadic import Dyadic, DyadicInterval, ZERO
+from .dyadic import Dyadic, ZERO
 from .errors import CertificateError, ValidationError
 from .gdelta import RapidGDelta, combine, combined_height
 from .space import ClopenSet, Point, StagedOpenSet, clopen_union
@@ -88,14 +87,6 @@ class L1Name:
     def exact_limit(self) -> StepFunction | None:
         """The limit, term(tail), when the tail is known, else None."""
         return None if self.tail is None else self.term(self.tail)
-
-    def integral(self) -> DyadicInterval:
-        """[int f_i - 2^-i+1, int f_i + 2^-i+1] at the deepest materialized
-        index; always contains the limit's integral."""
-        i = max(self.materialized, 1) - 1
-        mid = self.term(i).integral()
-        pad = Dyadic.pow2(-i + 1)
-        return DyadicInterval(mid - pad, mid + pad)
 
 
 def constant_name(f: StepFunction, label: str = "const") -> L1Name:
@@ -279,18 +270,9 @@ def agreement_test(n1: L1Name, n2: L1Name) -> RapidGDelta:
     """Points avoiding this test see both names converge, to the same value:
     the convergence tests of each name and of their interleave, combined.
     Building it evaluates terms only up to declared tails, to compare the
-    limits; only equal limits bound the staging, and then, the height being
-    known, the parts are built on the first read of a level below it."""
-    label = f"agree[{n1.label},{n2.label}]"
-
-    @cache
-    def whole() -> RapidGDelta:
-        return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))], label=label)
-
-    if n1.tail is None or n2.tail is None or n1.exact_limit() != n2.exact_limit():
-        return whole()
-    return RapidGDelta(lambda n: whole().level(n), label=label,
-                       height=agreement_height(n1.tail, n2.tail))
+    limits; only equal limits bound the staging."""
+    return combine([convergence_test(n) for n in (n1, n2, _Interleaved(n1, n2))],
+                   label=f"agree[{n1.label},{n2.label}]")
 
 
 def agreement_height(t1: int, t2: int) -> int:

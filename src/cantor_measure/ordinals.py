@@ -39,10 +39,6 @@ class OrdinalNotation:
             raise ValidationError("finite notation needs n >= 0")
         return cls(()) if n == 0 else cls(((0, n),))
 
-    @classmethod
-    def omega(cls) -> "OrdinalNotation":
-        return cls(((1, 1),))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -106,8 +102,8 @@ def _nat(digits: str) -> int:
 ONE_ORD = OrdinalNotation.finite(1)
 
 
-def notations_up_to(bound: OrdinalNotation, coeff_cap: int = 3) -> list[OrdinalNotation]:
-    """All nonzero notations <= bound whose coefficients are <= coeff_cap,
+def notations_up_to(bound: OrdinalNotation) -> list[OrdinalNotation]:
+    """All nonzero notations <= bound whose coefficients are at most 3,
     ascending.  Finite for any bound below omega^omega."""
     if bound.is_zero():
         return []
@@ -118,7 +114,7 @@ def notations_up_to(bound: OrdinalNotation, coeff_cap: int = 3) -> list[OrdinalN
         if prefix and OrdinalNotation(prefix) <= bound:
             out.append(OrdinalNotation(prefix))
         todo += [(prefix + ((e, c),), e - 1)
-                 for e in range(next_exp, -1, -1) for c in range(1, coeff_cap + 1)]
+                 for e in range(next_exp, -1, -1) for c in range(1, 4)]
     return sorted(out)
 
 

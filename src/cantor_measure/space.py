@@ -83,10 +83,6 @@ class ClopenSet:
     def depth(self) -> int:
         return max((len(p) for p in self.generators), default=0)
 
-    @property
-    def mu(self) -> Dyadic:
-        return mu_I(self)
-
     def covers_prefix(self, p: str) -> bool:
         """Whole cylinder [p] inside the set.  Generators below p that covered
         [p] would have merged into p, so in the canonical antichain this

@@ -1,4 +1,6 @@
-"""Mutation catalog for the certificate path, and its runner.
+"""Mutation catalog for the certificate path and the walks it rests on
+(De Morgan normalization, the locate walk, the sampler kernel and the
+decoration audit), and its runner.
 
 Each mutant names a file of the repository, an exact text that occurs once
 in it, the text that replaces it, and the tests that must fail once it is
@@ -69,7 +71,7 @@ MUTANTS = (
     Mutant("agreement-height-one-low", "src/cantor_measure/names.py",
            "for t in (t1, t2, max(t1, t2, 2) - 2)])",
            "for t in (t1, t2, max(t1, t2, 2) - 2)]) - 1",
-           ("tests/test_names.py::test_equal_exact_limits_build_their_agreement_parts_when_read",
+           ("tests/test_names.py::test_agreement_height_is_the_height_of_the_agreement_test",
             _CLOSURES)),
     Mutant("combined-height-one-low", "src/cantor_measure/gdelta.py",
            "h - n - 1 for n, h in enumerate(heights)",
@@ -90,6 +92,25 @@ MUTANTS = (
            "        elif lo == hi or gens[lo] == prefix:\n",
            ("tests/test_stepfn.py::test_from_char_is_canonical_as_built",
             "tests/test_stepfn.py::test_from_char_matches_per_cell_reference")),
+    Mutant("demorgan-keeps-unions", "src/cantor_measure/codes.py",
+           "cls = InterNode if cls is UnionNode else UnionNode", "cls = UnionNode",
+           ("tests/test_codes.py::test_normalize_demorgan_preserves_denotation",)),
+    Mutant("interleave-tail-one-early", "src/cantor_measure/names.py",
+           "max(n1.tail, n2.tail, 2) - 2", "max(n1.tail, n2.tail, 3) - 3",
+           ("tests/test_names.py::test_interleave_tail_is_where_its_rule_stops_changing",
+            _CLOSURES)),
+    Mutant("locate-skips-a-bit", "src/cantor_measure/space.py",
+           "x.bits(k, len(s)) == s[k:]", "x.bits(k + 1, len(s)) == s[k + 1:]",
+           ("tests/test_space.py::test_locate_matches_prefix_oracle",
+            "tests/test_space.py::test_locate_finds_the_longest_prefix_in_any_sorted_list")),
+    Mutant("sampler-stride-fixed", "src/cantor_measure/space.py",
+           "            step += golden\n", "",
+           ("tests/test_sampling.py::test_kernel_leaf_is_the_cell_of_the_column",
+            "tests/test_sampling.py::test_mc_integral_matches_per_trial_loop")),
+    Mutant("audit-clause-check-off", "src/cantor_measure/decoration.py",
+           "        if mask != clause:\n", "        if False:\n",
+           ("tests/test_decoration.py::test_clause_clash_is_an_internal_error",
+            "tests/test_cli.py::test_decorate_audit_clause_clash_exits_4")),
 )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cantor_measure import cli, measure, names, stepfn
+from cantor_measure import cli, codes, measure, names, stepfn
 from cantor_measure.codes import nodes
 from cantor_measure.dsl import MAX_CODE_BITS, MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
 from cantor_measure.errors import CertificateError, StatisticalGateError
@@ -408,18 +408,40 @@ def test_decorate_budget_over_the_node_limit_exit_3(flags, capsys):
     assert f"rank chain of a budget exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes" in err
 
 
-@pytest.mark.parametrize("flags", [["--budget", "20000,w+20000,w^2+20000"],
-                                   ["--generator", "split", "--budget", "20000,w+20000,w^2+20000"],
-                                   ["--budget", str(MAX_CODE_NODES // 2 + 1)]])
+@pytest.mark.parametrize("flags", [["--budget", "30000,w+30000,w^2+30000"],
+                                   ["--generator", "split", "--budget", "30000,w+30000,w^2+30000"],
+                                   ["--generator", "split", "--budget", str(MAX_CODE_NODES // 2 + 1)]])
 def test_decorate_counts_all_chains_of_a_generator_against_the_node_limit(flags, capsys):
-    """Each budget makes two rank chains, and MAX_CODE_NODES bounds all of a
-    generator's chains together: budgets each under the limit alone, or one
-    finite budget over half of it, exit 3 before the chains pass it."""
+    """The empty generator makes one rank chain per budget and a split
+    generator two, and MAX_CODE_NODES bounds all of a generator's chains
+    together: budgets each under the limit alone, or one finite split budget
+    over half of it, exit 3 before the chains pass it."""
     start = time.perf_counter()
     rc, out, err = run_main(capsys, "decorate", "cyl(0)", *flags)
     assert time.perf_counter() - start < 2
     assert rc == 3 and out == "" and "Traceback" not in err
     assert f"exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes, with the chains built before it" in err
+
+
+
+def test_decorate_empty_generator_fits_one_budget_over_half_the_node_limit(capsys):
+    """One chain serves as both inserts of an empty-generator entry, so a
+    single finite budget over half of MAX_CODE_NODES decorates."""
+    rc, out, err = run_main(capsys, "decorate", "cyl(0)", "--budget", str(MAX_CODE_NODES // 2 + 1))
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["budgets"] == [str(MAX_CODE_NODES // 2 + 1)]
+    assert all(a["pass"] for a in doc["assertions"])
+
+
+def test_decorate_audit_clause_clash_exits_4(capsys, monkeypatch):
+    """A clopen-algebra fault that the decoration audit finds is a
+    certificate error: exit 4 with the node's address, and no report."""
+    monkeypatch.setattr(codes, "clopen_union", lambda first, *rest: first)
+    rc, out, err = run_main(capsys, "decorate", "union(cyl(11),inter(cyl(0),cyl(01)))",
+                            "--generator", "split", "--budget", "1,2")
+    assert rc == 4 and out == ""
+    assert "clause at" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("expr,depth", [
@@ -485,9 +507,9 @@ def test_verbs_compute_each_law_name_at_most_twice(verb, capsys, monkeypatch):
     calls = []
     real = measure.law_name
 
-    def counting(node, kids, label):
-        calls.append(label)
-        return real(node, kids, label)
+    def counting(node, kids):
+        calls.append(node)
+        return real(node, kids)
 
     monkeypatch.setattr(measure, "law_name", counting)
     expr = "union(cyl(0),inter(cyl(1),cyl(10),union(cyl(110),cyl(111))),cyl(0011))"

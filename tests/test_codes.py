@@ -15,9 +15,7 @@ from cantor_measure.codes import (
     evaluate,
     fold,
     is_alternating,
-    is_complement_free,
     make_alternating,
-    member,
     membership_table,
     nodes,
     normalize_demorgan,
@@ -73,7 +71,7 @@ def test_evaluate_matches_bruteforce_on_random_codes():
         for p in all_prefixes(d):
             emap = evaluate(c, tail_point(p))
             assert emap == emap_bf(c, p)
-            assert member(c, tail_point(p)) == contains_prefix(c, p)
+            assert emap[()] == contains_prefix(c, p)
             assert eval_map_violations(c, tail_point(p), emap) == []
 
 
@@ -106,7 +104,7 @@ def test_normalize_demorgan_preserves_denotation():
     for _ in range(120):
         c = random_code(rng, max_depth=3, max_gen_len=4, allow_compl=True)
         n = normalize_demorgan(c)
-        assert is_complement_free(n)
+        assert n.complement_free
         for code in (c, n):
             for _, node in nodes(code):
                 assert node.complement_free == is_complement_free_bf(node)
@@ -118,7 +116,7 @@ def test_normalize_demorgan_preserves_denotation():
 def test_member_requires_complement_free():
     c = ComplNode(Leaf(ClopenSet.cylinder("0")))
     with pytest.raises(ValidationError):
-        member(c, tail_point("0"))
+        evaluate(c, tail_point("0"))
 
 
 def test_make_alternating_fuses_and_preserves():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cantor_measure.dyadic import ONE, ZERO, Dyadic, DyadicInterval
+from cantor_measure.dyadic import ONE, Dyadic
 from cantor_measure.errors import ValidationError
 
 nums = st.integers(min_value=-(1 << 40), max_value=1 << 40)
@@ -45,9 +45,10 @@ def test_pow2(k):
 
 
 def test_parse_and_str_round_trip():
-    for s in ["0/2^0", "1/2^0", "-3/2^4", "7/2^2"]:
-        assert str(Dyadic.parse(s)) == s
-    assert Dyadic.parse("4/2^2") == Dyadic.from_int(1)
+    for (num, exp), s in [((0, 0), "0/2^0"), ((1, 0), "1/2^0"), ((-3, 4), "-3/2^4"),
+                          ((7, 2), "7/2^2")]:
+        assert str(Dyadic(num, exp)) == s
+    assert str(Dyadic(4, 2)) == str(Dyadic.from_int(1)) == "1/2^0"
 
 
 @given(nums, exps, st.integers(min_value=1, max_value=1000))
@@ -66,22 +67,3 @@ def test_div_floor_exact_when_representable():
 def test_div_floor_rejects_nonpositive():
     with pytest.raises(ValidationError):
         ONE.div_floor(0)
-
-
-def test_cmp_fraction():
-    # 1/3 and 2/3 are not dyadic; comparisons must still be exact
-    third = (1, 3)
-    assert Dyadic(1, 2).cmp_fraction(*third) < 0    # 1/4 < 1/3
-    assert Dyadic(1, 1).cmp_fraction(*third) > 0    # 1/2 > 1/3
-    assert Dyadic(1, 0).cmp_fraction(1, 1) == 0
-
-
-def test_interval():
-    iv = DyadicInterval(Dyadic(1, 2), Dyadic(3, 2))
-    assert iv.contains(Dyadic(1, 1))
-    assert not iv.contains(Dyadic(7, 3))
-
-
-def test_interval_rejects_reversed():
-    with pytest.raises(ValidationError):
-        DyadicInterval(ONE, ZERO)

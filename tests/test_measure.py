@@ -14,7 +14,6 @@ from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import BudgetError, CertificateError, ValidationError
 from cantor_measure.gdelta import budget_report
 from cantor_measure.measure import (
-    assemble_bad_gdelta,
     build_decomposition,
     Certificate,
     char_to_regularity,
@@ -57,7 +56,7 @@ def test_clopen_fold_matches_decomposition_root(seed):
     step-function sup and inf give over its names must agree with it."""
     c = random_code(random.Random(seed), max_depth=3, max_gen_len=5)
     d = build_decomposition(c)
-    root = measure.law_name(c, [d[(s,)] for s, _ in child_items(c)], "law").exact_limit()
+    root = measure.law_name(c, [d[(s,)] for s, _ in child_items(c)]).exact_limit()
     assert measure_of_code(c) == root.integral()
     assert denotation(c) == root.char_support()
     assert verify_decomposition(c, d)
@@ -178,7 +177,7 @@ def test_decomposition_missing_address_reported():
     del d[(1, 1)], d[(2,)]
     assert verify_decomposition(c, d) == VerifyResult(False, (1, 1), "missing")
     with pytest.raises(KeyError) as e:
-        assemble_bad_gdelta(c, d)
+        Certificate(c, d)
     assert e.value.args == ((1, 1),)
 
 
@@ -197,7 +196,7 @@ def test_assembled_test_budgets():
     for _ in range(15):
         c = random_code(rng, max_depth=2, max_gen_len=3)
         d = build_decomposition(c)
-        t = assemble_bad_gdelta(c, d)
+        t = Certificate(c, d).test()
         for n in range(3):
             for s in range(3):
                 assert budget_report(t, n, s) <= Dyadic.pow2(-n)
@@ -213,7 +212,7 @@ def test_wrong_exact_root_breaks_its_assembled_test(expr):
     d = build_decomposition(code)
     d[()] = char_name(ClopenSet.empty(), label="wrong")
     assert not verify_decomposition(code, d)
-    t = assemble_bad_gdelta(code, d)
+    t = Certificate(code, d).test()
     assert t.height is None
     with pytest.raises(BudgetError):
         for n in range(4):
@@ -265,7 +264,7 @@ def _drawn_decomposition(kind: str, rng: random.Random):
 def _law_test(node, kids, parent):
     """The package's law test of one node: the parent's agreement test with
     the name its law asks for over the children."""
-    return agreement_test(parent, measure.law_name(node, kids, "law"))
+    return agreement_test(parent, measure.law_name(node, kids))
 
 
 def _staging_case(kind: str, seed: int, oracle: bool) -> list:
@@ -308,7 +307,8 @@ def _staging_case(kind: str, seed: int, oracle: bool) -> list:
         return [_stage_table(law(node, kids, char_noise_name(rng)))]
     code, d = _drawn_decomposition(kind, rng)
     if kind == "assembled":
-        return [_stage_table((assemble_bad_gdelta_bf if oracle else assemble_bad_gdelta)(code, d))]
+        return [_stage_table(assemble_bad_gdelta_bf(code, d) if oracle
+                             else Certificate(code, d).test())]
     law = node_law_test_bf if oracle else _law_test
     return [_stage_table(law(node, [d[addr + (s,)] for s, _ in child_items(node)], d[addr]))
             for addr, node in nodes(code)]
@@ -338,7 +338,7 @@ def _verdict_loop(code, d, bound: int = 24) -> VerifyResult:
     mode = "exact"
     for addr, node in nodes(code):
         res = names_equal(d[addr], measure.law_name(
-            node, [d[addr + (s,)] for s, _ in child_items(node)], "law"), bound=bound)
+            node, [d[addr + (s,)] for s, _ in child_items(node)]), bound=bound)
         mode = "bounded" if res.mode == "bounded" else mode
         if not res:
             law = ("leaf" if isinstance(node, Leaf)
@@ -378,7 +378,7 @@ def test_finite_codes_assemble_tests_of_known_height(seed):
     the height is 0: tests-combine and report print all-zero tables.  Exact
     names with unequal limits have no tail."""
     code = random_code(random.Random(seed), max_depth=1, max_children=4, max_gen_len=4)
-    height = assemble_bad_gdelta(code, build_decomposition(code)).height
+    height = Certificate(code, build_decomposition(code)).test().height
     assert height == 0
     oracle = assemble_bad_gdelta_bf(code, build_decomposition(code))
     assert all(oracle.stage(n, s).is_empty()
@@ -469,14 +469,6 @@ def test_regularity_sandwich():
             c_n = approx.c_levels(n).stage(0)
             assert clopen_intersection(clopen_complement(a_n), clopen_complement(b)).is_empty()
             assert clopen_intersection(b, clopen_complement(c_n)).is_empty()
-
-
-def test_regularity_overlap_test_budgets():
-    nm = char_noise_name(random.Random(61))
-    t = char_to_regularity(nm).overlap_test()
-    for n in range(4):
-        for s in range(3):
-            assert mu_I(t.stage(n, s)) <= Dyadic.pow2(-n)
 
 
 def test_regularity_stage_oracle_leak_checked():

@@ -77,19 +77,6 @@ def test_negative_tail_is_rejected():
         L1Name([], rule=lambda i: zero, label="negative", tail=-1)
 
 
-def test_integral_interval_contains_limit():
-    rng = random.Random(22)
-    for _ in range(30):
-        full = perturbed_name(rng)
-        lim = full.exact_limit()
-        seq = [full.term(i) for i in range(full.materialized)]
-        for k in range(2, len(seq) + 1):
-            nm = L1Name(seq[:k])
-            iv = nm.integral()
-            assert iv.contains(lim.integral())
-            assert iv.hi - iv.lo == Dyadic.pow2(-(k - 1) + 2)
-
-
 def test_bad_set_budgets_and_monotone_stages():
     rng = random.Random(23)
     for _ in range(25):
@@ -404,46 +391,21 @@ def test_fold_law_test_builds_no_bad_set_of_its_picks(monkeypatch):
     monkeypatch.setattr(names, "bad_set", recording)
     code = UnionNode(tuple(Leaf(ClopenSet.cylinder(p)) for p in ("0", "10", "110", "1110")))
     d = measure.build_decomposition(code)
-    t = names.agreement_test(d[()], measure.law_name(code, [d[(k,)] for k in range(4)], "law"))
+    t = names.agreement_test(d[()], measure.law_name(code, [d[(k,)] for k in range(4)]))
     for k in range(4):
         for s in range(12):
             t.stage(k, s)
     assert labels == []
 
 
-def test_equal_exact_limits_build_their_agreement_parts_when_read(monkeypatch):
-    """Names with exact, equal limits give an agreement test whose height,
-    the one the eager combination would have, is known before any part
-    exists: no interleave and no convergence test is built while only
-    levels from the height on are read, and the first read below it builds
-    the three convergence tests and the interleave, once."""
-    built = []
-    real_conv, real_inter = names.convergence_test, names._Interleaved
-
-    def conv(name):
-        built.append("conv")
-        return real_conv(name)
-
-    def inter(n1, n2):
-        built.append("inter")
-        return real_inter(n1, n2)
-
-    monkeypatch.setattr(names, "convergence_test", conv)
-    monkeypatch.setattr(names, "_Interleaved", inter)
-    for c1, c2 in [(0, 0), (3, 9), (12, 10), (14, 14)]:
-        a, b = shrinking_name(c1), shrinking_name(c2)
-        t = names.agreement_test(a, b)
-        eager = names.combine([real_conv(n) for n in (a, b, real_inter(a, b))])
-        assert t.height == eager.height
-        for n in range(t.height, t.height + 3):
-            for s in range(30):
-                assert t.stage(n, s).is_empty()
-        assert built == []
-        for n in range(t.height):
-            for s in range(30):
-                assert t.stage(n, s) == eager.stage(n, s)
-        assert sorted(built) == ([] if t.height == 0 else ["conv"] * 3 + ["inter"])
-        built.clear()
+def test_agreement_height_is_the_height_of_the_agreement_test():
+    """Certificate.test takes its height from agreement_height without
+    building the agreement test, so the two must agree on every pair of
+    names with exact, equal limits."""
+    for c1 in (0, 1, 2, 3, 5, 9, 12, 14):
+        for c2 in (0, 1, 2, 4, 7, 10, 14):
+            a, b = shrinking_name(c1), shrinking_name(c2)
+            assert names.agreement_test(a, b).height == names.agreement_height(a.tail, b.tail)
 
 
 def test_diagonal_name_bounds_exact():

@@ -34,7 +34,7 @@ def test_print_examples():
     assert str(o) == "w^2*3+w+1"
     assert OrdinalNotation.parse("w^2*3+w+1") == o
     assert str(OrdinalNotation.zero()) == "0"
-    assert str(OrdinalNotation.omega()) == "w"
+    assert str(OrdinalNotation.parse("w")) == "w"
     assert str(OrdinalNotation.finite(7)) == "7"
 
 
@@ -67,7 +67,7 @@ def test_successor_predecessor(o):
 
 
 def test_predecessor_undefined_off_successors():
-    assert OrdinalNotation.omega().predecessor() is None
+    assert OrdinalNotation.parse("w").predecessor() is None
     assert OrdinalNotation.zero().predecessor() is None
 
 
@@ -75,7 +75,7 @@ def test_finite_ordering_embeds_integers():
     fives = [OrdinalNotation.finite(i) for i in range(6)]
     for i in range(5):
         assert fives[i] < fives[i + 1]
-    assert fives[5] < OrdinalNotation.omega()
+    assert fives[5] < OrdinalNotation.parse("w")
 
 
 @given(cnfs)
@@ -90,15 +90,15 @@ def test_descending_chain_strictly_descends_to_one(o):
 
 
 def test_descending_chain_through_a_limit():
-    chain = list(descending_chain(OrdinalNotation.omega()))
-    assert chain == [OrdinalNotation.omega(), ONE_ORD]
+    chain = list(descending_chain(OrdinalNotation.parse("w")))
+    assert chain == [OrdinalNotation.parse("w"), ONE_ORD]
     big = OrdinalNotation.parse("w*2")
     chain = list(descending_chain(big))
     assert chain[0] == big and chain[-1] == ONE_ORD
 
 
 def test_notations_up_to_sorted_within_bound():
-    w = OrdinalNotation.omega()
+    w = OrdinalNotation.parse("w")
     out = notations_up_to(w)
     assert out == sorted(out)
     assert all(o <= w for o in out)
@@ -109,8 +109,3 @@ def test_notations_up_to_sorted_within_bound():
 def test_notations_up_to_finite_default_budget():
     out = notations_up_to(OrdinalNotation.finite(5))
     assert [str(o) for o in out] == ["1", "2", "3"]
-
-
-def test_notations_up_to_respects_coeff_cap():
-    out = notations_up_to(OrdinalNotation.finite(9), coeff_cap=5)
-    assert [str(o) for o in out] == ["1", "2", "3", "4", "5"]

@@ -61,7 +61,7 @@ def _read_name(node: ast.AST) -> str | None:
 def _identifiers(tree: ast.AST) -> set[str]:
     """Every name a tree uses: references, imported names, and the words of
     its strings, which is how the benchmark's tracer names what it wraps
-    ("codes.member", "TailPoint")."""
+    ("codes.evaluate", "TailPoint")."""
     out: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -93,18 +93,57 @@ def test_every_public_name_has_a_reader():
             for node in ast.walk(stmt):
                 if (name := _read_name(node)) is not None:
                     src_reads.setdefault(name, set()).add((module, owner))
-    outside = set().union(*(
+    outside = _outside_readers()
+    unread = sorted(
+        f"{module}.{name}" for module, name in public
+        if not src_reads.get(name, set()) - {(module, name)} and name not in outside)
+    assert unread == [], f"public names with no reader: {unread}"
+
+
+def _outside_readers() -> set[str]:
+    """Every identifier of the benchmark and the acceptance suite, and every
+    word backticked in README."""
+    out = set().union(*(
         _identifiers(ast.parse(path.read_text()))
         for path in [*sorted((ROOT / "perfbench").glob("*.py")),
                      ROOT / "tests" / "test_acceptance.py"]))
-    readme = set()
     for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text()):
-        readme.update(re.findall(r"[A-Za-z_]\w*", span))
+        out.update(re.findall(r"[A-Za-z_]\w*", span))
+    return out
+
+
+def test_every_public_member_has_a_reader():
+    """A public method, property or class-level attribute (a plain
+    assignment in the class body; dataclass fields are instance data) of a
+    public class must be read by something other than its own unit tests:
+    an attribute read of its name in the package outside the member's own
+    definition, a use in the benchmark or the acceptance suite, or a
+    backticked mention in README.  Readers are matched by name, not by
+    class, so a member that shares its name with a read member of another
+    class passes."""
+    package = Path(cantor_measure.__file__).parent
+    public: set[tuple[str, str, str]] = set()  # (module, class, member)
+    src_reads: dict[str, set[tuple]] = {}  # attribute -> (module, class, reading def)
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            cls = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            for item in members:
+                names = ([item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         else [t.id for t in item.targets if isinstance(t, ast.Name)]
+                         if isinstance(item, ast.Assign) else [])
+                if cls is not None and not cls.startswith("_"):
+                    public.update((module, cls, n) for n in names if not n.startswith("_"))
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        src_reads.setdefault(node.attr, set()).update(
+                            (module, cls, n) for n in names or [None])
+    outside = _outside_readers()
     unread = sorted(
-        f"{module}.{name}" for module, name in public
-        if not src_reads.get(name, set()) - {(module, name)}
-        and name not in outside and name not in readme)
-    assert unread == [], f"public names with no reader: {unread}"
+        f"{module}.{cls}.{name}" for module, cls, name in public
+        if not src_reads.get(name, set()) - {(module, cls, name)} and name not in outside)
+    assert unread == [], f"public members with no reader: {unread}"
 
 
 def test_mutant_catalog_texts_occur_once():
