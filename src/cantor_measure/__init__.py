@@ -33,7 +33,6 @@ from .decoration import (
     check_preservation,
     decorate,
     empty_generator,
-    empty_set_code,
     split_generator,
 )
 from .dsl import code_from_json, code_to_json, parse_dsl, print_dsl
@@ -46,7 +45,7 @@ from .errors import (
     StatisticalGateError,
     ValidationError,
 )
-from .gdelta import RapidGDelta, budget_report, combine
+from .gdelta import RapidGDelta, combine
 from .measure import (
     RegularityApprox,
     build_decomposition,

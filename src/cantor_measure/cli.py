@@ -43,7 +43,6 @@ from .errors import (
     StatisticalGateError,
     ValidationError,
 )
-from .gdelta import budget_report
 from .measure import Certificate, build_decomposition
 from .ordinals import OrdinalNotation
 from .sampling import mc_integral
@@ -218,7 +217,7 @@ def _budgeted_stages(shaped, size: int) -> tuple[StepFunction, list[list[str]]]:
     and the test are released on return: report samples the root alone."""
     d, cert = _verified_decomposition(shaped)
     t = cert.test()
-    table = [[str(budget_report(t, n, s)) for s in range(size + 1)] for n in range(size + 1)]
+    table = [[str(mu_I(t.stage(n, s))) for s in range(size + 1)] for n in range(size + 1)]
     return d[()].exact_limit(), table
 
 

@@ -74,7 +74,8 @@ class DecorationGenerator:
                 raise ValidationError("budgets must be strictly ascending")
             prev = b
             _insert_ok(pos, b, "positive")
-            _insert_ok(neg, b, "negative")
+            if neg is not pos:
+                _insert_ok(neg, b, "negative")
 
     @classmethod
     def empty(cls, budgets: Iterable[OrdinalNotation]) -> "DecorationGenerator":
@@ -98,12 +99,11 @@ class DecorationGenerator:
 
     def footprint(self) -> ClopenSet:
         """Union of the denotations of every insert; membership outside it
-        is immune to decoration."""
-        parts = []
-        for _, pos, neg in self.entries:
-            parts.append(denotation(pos))
-            parts.append(denotation(neg))
-        return clopen_union(*parts) if parts else ClopenSet.empty()
+        is immune to decoration.  One memo serves every insert, so a chain
+        that is both halves of an entry is folded once."""
+        memo: dict[tuple[int, bool], ClopenSet] = {}
+        return clopen_union(*[denotation(c, memo) for _, pos, neg in self.entries
+                              for c in (pos, neg)])
 
 
 def _rank_chains(specs: Iterable[tuple[OrdinalNotation, ClopenSet]]) -> list[BorelCode]:
@@ -127,11 +127,6 @@ def _rank_chains(specs: Iterable[tuple[OrdinalNotation, ClopenSet]]) -> list[Bor
             node = cls(children=(node,), rank=chain[i])
         out.append(node)
     return out
-
-
-def empty_set_code(b: OrdinalNotation) -> BorelCode:
-    """Alternating chain of root rank exactly b denoting the empty set."""
-    return _rank_chains([(b, ClopenSet.empty())])[0]
 
 
 def empty_generator(bound: OrdinalNotation) -> DecorationGenerator:
@@ -177,24 +172,26 @@ def decorate(code: BorelCode, gen: DecorationGenerator) -> BorelCode:
         raise ValidationError("decorate needs a rank-disciplined code")
     if not is_alternating(code):
         raise ValidationError("decorate needs an alternating code")
-    # an insert of budget b has rank b, so it takes only inserts of lower
-    # budgets, which the ascending entries have already built
-    inserts: dict[tuple[int, bool], BorelCode] = {}
-    step = partial(_decorated, gen.entries, inserts)
-    for k, (b, _, _) in enumerate(gen.entries):
-        for under_union in (True, False):
-            inserts[k, under_union] = fold(gen.insert_for(b, under_union), step)
-    return fold(code, step)
+    return fold(code, partial(_decorated, gen, {}))
 
 
-def _decorated(entries, inserts: dict[tuple[int, bool], BorelCode],
+def _decorated(gen: DecorationGenerator, inserts: dict[tuple[int, bool], BorelCode],
                node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
+    """The decorated node; insert (k, under_union) is built the first time a
+    node takes it.  Nodes take inserts in ascending budget order, and an
+    insert of budget b has rank b, so its nodes ask only for lower budgets:
+    those on the taker's side are built, and one on the other side is built
+    by a nested fold that finds both sides below its budget built, so
+    nesting is at most two levels deep."""
     if isinstance(node, Leaf):
         return node
     under_union = isinstance(node, UnionNode)
     items = [(2 * s, kid) for (s, _), kid in zip(child_items(node), kids)]
-    for k, (b, _, _) in enumerate(entries):
+    for k, (b, _, _) in enumerate(gen.entries):
         if b < node.rank:
+            if (k, under_union) not in inserts:
+                inserts[k, under_union] = fold(gen.insert_for(b, under_union),
+                                               partial(_decorated, gen, inserts))
             items.append((2 * k + 1, inserts[k, under_union]))
     items.sort(key=lambda sc: sc[0])
     slots = tuple(s for s, _ in items)

@@ -67,8 +67,3 @@ def combine(tests: Sequence[RapidGDelta], label: str = "combined") -> RapidGDelt
 
 def combined_height(heights: Sequence[int | None]) -> int | None:
     return None if None in heights else max([0] + [h - n - 1 for n, h in enumerate(heights)])
-
-
-def budget_report(t: RapidGDelta, level: int, stage: int) -> Dyadic:
-    """Exact stage measure; raises BudgetError if above 2^-level."""
-    return mu_I(t.stage(level, stage))

@@ -69,15 +69,13 @@ def law_name(node: BorelCode, kids: Sequence[L1Name]) -> L1Name:
 
 def build_decomposition(code: BorelCode) -> MeasureDecomposition:
     """Each address gets the characteristic name of its node's denotation,
-    labelled leaf@addr or node@addr, from one memoized clopen fold: a node
-    shared by several addresses is folded once.  No law is applied here;
-    Certificate checks every name against its law."""
+    from one memoized clopen fold: a node shared by several addresses is
+    folded once.  No law is applied here; Certificate checks every name
+    against its law."""
     require_complement_free(code, "build_decomposition")
     memo: dict[tuple[int, bool], ClopenSet] = {}
     denotation(code, memo)
-    return {addr: char_name(memo[id(node), False],
-                            label=f"{'leaf' if isinstance(node, Leaf) else 'node'}@{addr}")
-            for addr, node in nodes(code)}
+    return {addr: char_name(memo[id(node), False]) for addr, node in nodes(code)}
 
 
 @dataclass(frozen=True)
@@ -109,13 +107,13 @@ class Certificate:
             self.checks.append((addr, node, name, law, None if name.tail is None or law.tail is None
                                 else name.exact_limit() == law.exact_limit()))
 
-    def verdict(self, bound: int = 24) -> VerifyResult:
+    def verdict(self) -> VerifyResult:
         """The first address whose name fails its law; names_equal's tail bound
-        at index bound decides only where a tail is unknown."""
+        decides only where a tail is unknown."""
         mode = "exact"
         for addr, node, name, law, agreed in self.checks:
             if agreed is None:
-                mode, agreed = "bounded", names_equal(name, law, bound=bound).equal
+                mode, agreed = "bounded", names_equal(name, law).equal
             if not agreed:
                 return VerifyResult(False, addr, "leaf" if isinstance(node, Leaf) else
                                     "union" if isinstance(node, UnionNode) else "intersection", mode)
@@ -136,11 +134,11 @@ class Certificate:
         return RapidGDelta(lambda n: whole().level(n), label="assembled", height=height)
 
 
-def verify_decomposition(code: BorelCode, d: MeasureDecomposition, bound: int = 24) -> VerifyResult:
+def verify_decomposition(code: BorelCode, d: MeasureDecomposition) -> VerifyResult:
     """The verdict of the one law pass, a Certificate: the first address whose
     name fails its law, or the first address d lacks, as "missing"."""
     try:
-        return Certificate(code, d).verdict(bound)
+        return Certificate(code, d).verdict()
     except KeyError as e:
         return VerifyResult(False, e.args[0], "missing")
 
@@ -237,8 +235,7 @@ def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> Regu
 
 
 def regularity_to_char(approx: RegularityApprox,
-                       stage_oracle: Callable[[int], int],
-                       label: str = "regular") -> L1Name:
+                       stage_oracle: Callable[[int], int]) -> L1Name:
     """f_n = characteristic function of C_{n+1} at stage s(n), where the
     oracle promises the uncommitted region D_{n+1,s(n)} (outside both
     A and C at that stage) has measure < 2^-(n+1).
@@ -266,4 +263,4 @@ def regularity_to_char(approx: RegularityApprox,
         return fs[n]
 
     tail = None if approx.tail is None else max(approx.tail - 3, 0)
-    return L1Name([], rule=lambda i: f(i + 2), label=label, tail=tail)
+    return L1Name([], rule=lambda i: f(i + 2), label="regular", tail=tail)

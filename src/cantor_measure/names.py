@@ -188,7 +188,7 @@ def capture_sets(name: L1Name, precision: int) -> tuple[int, tuple[ClopenSet, ..
         for i in range(stage if precision >= 0 else 0, 0, -1):
             d = name.delta(i)
             if min(d.nums) < 0:
-                raise AssertionError(f"{name.label}: delta {i} is negative")
+                raise CertificateError(f"{name.label}: delta {i} is negative")
             total = d if total is None else total + d
             if i % 2 and i <= m:
                 guards.append(total.strictly_above(1, 1 << (i // 2)))
@@ -211,14 +211,17 @@ def value_at(name: L1Name, x: Point, precision: int) -> Dyadic | Captured:
 # ---------------------------------------------------------------------------
 # equality
 
+# the index at which names_equal's tail bound decides when a tail is unknown
+EQUAL_BOUND = 24
+
+
 @dataclass(frozen=True)
 class NamesEqualResult:
     """mode is "exact" when both limits were compared exactly, "bounded"
-    when the tail bound at index bound decided."""
+    when the tail bound at index EQUAL_BOUND decided."""
 
     equal: bool
     residual: Dyadic
-    bound: int
     mode: str
 
     def __bool__(self) -> bool:
@@ -236,20 +239,18 @@ def interleave_terms(n1: L1Name, n2: L1Name) -> Callable[[int], StepFunction]:
     return term
 
 
-def names_equal(n1: L1Name, n2: L1Name, bound: int = 24) -> NamesEqualResult:
+def names_equal(n1: L1Name, n2: L1Name) -> NamesEqualResult:
     """When both names know their tails: equal iff the limits term(tail)
     coincide, with residual their exact L1 distance; a rule name's terms are
     evaluated up to its declared tail.  Otherwise the combined tail bound
-    |f_i - g_i|_1 <= 2^-i+2 at i = bound decides; it holds whenever the
-    limits agree, but also accepts limits closer than about 2^-bound+3."""
-    if bound < 1:
-        raise ValidationError("bound must be positive")
+    |f_i - g_i|_1 <= 2^-i+2 at i = EQUAL_BOUND decides; it holds whenever
+    the limits agree, but also accepts limits closer than about 2^-i+3."""
     a, b = n1.exact_limit(), n2.exact_limit()
     if a is not None and b is not None:
         same = a == b
-        return NamesEqualResult(same, ZERO if same else l1_norm(a, b), bound, "exact")
-    r = l1_norm(n1.term(bound), n2.term(bound))
-    return NamesEqualResult(r <= Dyadic.pow2(-bound + 2), r, bound, "bounded")
+        return NamesEqualResult(same, ZERO if same else l1_norm(a, b), "exact")
+    r = l1_norm(n1.term(EQUAL_BOUND), n2.term(EQUAL_BOUND))
+    return NamesEqualResult(r <= Dyadic.pow2(-EQUAL_BOUND + 2), r, "bounded")
 
 
 class _Interleaved(L1Name):
@@ -298,8 +299,7 @@ def limit_distance_refuted(h1: L1Name, h2: L1Name, bound: Dyadic) -> Dyadic | No
     return lower if lower > bound else None
 
 
-def diagonal_name(hs: Sequence[L1Name], g: L1Name | None = None,
-                  label: str = "diag") -> L1Name:
+def diagonal_name(hs: Sequence[L1Name], g: L1Name | None = None) -> L1Name:
     """From names h_i of a sequence rapidly converging in L1, the name of the
     limit: f^i is h_i's term at index 2i+1, and the output sequence is
     <f^{i+2}> so its certificate is strict.
@@ -316,14 +316,14 @@ def diagonal_name(hs: Sequence[L1Name], g: L1Name | None = None,
         bad = limit_distance_refuted(hs[j], hs[j + 1], Dyadic.pow2(-j))
         if bad is not None:
             raise CertificateError(
-                f"{label}: |lim h_{j} - lim h_{j + 1}|_1 >= {bad} > 2^-{j}"
+                f"diag: |lim h_{j} - lim h_{j + 1}|_1 >= {bad} > 2^-{j}"
             )
     for i in range(len(diag) - 1):
         allowed = Dyadic.pow2(-2 * i) + Dyadic.pow2(-i) + Dyadic.pow2(-2 * i)
         got = l1_norm(diag[i], diag[i + 1])
         if got > allowed:
             raise CertificateError(
-                f"{label}: |f^{i} - f^{i + 1}|_1 = {got} > 2^-{2 * i} + 2^-{i} + 2^-{2 * i}"
+                f"diag: |f^{i} - f^{i + 1}|_1 = {got} > 2^-{2 * i} + 2^-{i} + 2^-{2 * i}"
             )
     if g is not None:
         for i, f in enumerate(diag):
@@ -331,9 +331,9 @@ def diagonal_name(hs: Sequence[L1Name], g: L1Name | None = None,
                                          Dyadic.pow2(-2 * i) + Dyadic.pow2(-i + 1))
             if bad is not None:
                 raise CertificateError(
-                    f"{label}: |f^{i} - lim g|_1 >= {bad} > 2^-{2 * i} + 2^{1 - i}"
+                    f"diag: |f^{i} - lim g|_1 >= {bad} > 2^-{2 * i} + 2^{1 - i}"
                 )
-    return L1Name(diag[2:], label=label)
+    return L1Name(diag[2:], label="diag")
 
 
 # ---------------------------------------------------------------------------

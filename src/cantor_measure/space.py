@@ -222,18 +222,6 @@ class SeededPoint(Point):
     def bit(self, n: int) -> int:
         return seeded_bit(self.seed, n)
 
-    def bits(self, lo: int, hi: int) -> str:
-        """seeded_bit(seed, n) for n in lo..hi-1, inlined as in seeded_leaves."""
-        mask, golden = _MASK, _GOLDEN
-        z0 = self.seed + (lo + 1) * golden
-        out = []
-        for _ in range(lo, hi):
-            z = z0 & mask
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            out.append("01"[(z ^ (z >> 27)) * 0x94D049BB133111EB >> 63 & 1])
-            z0 += golden
-        return "".join(out)
-
     def describe(self) -> str:
         return f"seed={self.seed}"
 

@@ -1,6 +1,7 @@
 """Mutation catalog for the certificate path and the walks it rests on
-(De Morgan normalization, the locate walk, the sampler kernel and the
-decoration audit), and its runner.
+(De Morgan normalization, the locate walk, the sampler kernel, the
+decoration audit, step-function arithmetic and the DSL scanner and
+parser), and its runner.
 
 Each mutant names a file of the repository, an exact text that occurs once
 in it, the text that replaces it, and the tests that must fail once it is
@@ -111,6 +112,27 @@ MUTANTS = (
            "        if mask != clause:\n", "        if False:\n",
            ("tests/test_decoration.py::test_clause_clash_is_an_internal_error",
             "tests/test_cli.py::test_decorate_audit_clause_clash_exits_4")),
+    Mutant("law-kind-swapped", "src/cantor_measure/measure.py",
+           "union = isinstance(node, UnionNode)", "union = not isinstance(node, UnionNode)",
+           (_M + "test_clopen_fold_matches_decomposition_root",
+            _M + "test_decomposition_laws_verify_and_detect_tampering")),
+    Mutant("apply-advance-rule", "src/cantor_measure/stepfn.py",
+           'i += "0" not in q[len(p):]', 'i += "1" not in q[len(p):]',
+           ("tests/test_stepfn.py::test_deep_binary_ops_match_refinement_oracle",)),
+    Mutant("bigunion-no-rewind", "src/cantor_measure/dsl.py",
+           "self.pos = mark", "self.pos = self.pos",
+           ("tests/test_dsl.py::test_bigunion_inclusive_bounds",
+            "tests/test_dsl.py::test_bigunion_nested_shadowing",
+            "tests/test_dsl.py::test_parser_agrees_with_recursive_descent")),
+    Mutant("scanner-skips-unicode-blanks", "src/cantor_measure/dsl.py",
+           r"[^ \t\r\n]", r"\S",
+           ("tests/test_dsl.py::test_parser_agrees_with_recursive_descent",)),
+    Mutant("abs-diff-signed", "src/cantor_measure/stepfn.py",
+           "return abs(a - b)", "return a - b",
+           ("tests/test_stepfn.py::test_arithmetic_matches_fractions",
+            "tests/test_stepfn.py::test_binary_ops_match_aligned_tables",
+            "tests/test_names.py::test_capture_sets_match_staged_bad_sets",
+            "tests/test_names.py::test_value_at_names_a_signed_delta_as_a_certificate_error")),
 )
 
 

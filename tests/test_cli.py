@@ -1,3 +1,4 @@
+import ast
 import functools
 import gc
 import json
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from cantor_measure import cli, codes, measure, names, stepfn
+from cantor_measure import cli, codes, errors, measure, names, stepfn
 from cantor_measure.codes import nodes
 from cantor_measure.dsl import MAX_CODE_BITS, MAX_CODE_NODES, MAX_RELOC_INDEX, parse_dsl
-from cantor_measure.errors import CertificateError, StatisticalGateError
+from cantor_measure.errors import (BudgetError, CantorMeasureError, CertificateError, ParseError,
+                                   StatisticalGateError, ValidationError)
 from cantor_measure.names import char_name
 from cantor_measure.space import ClopenSet, SeededPoint
 from cantor_measure.stepfn import StepFunction
@@ -189,6 +191,47 @@ def test_certificate_and_gate_mapping(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "measure", gate)
     rc, _, err = run_main(capsys, "measure", "cyl(0)")
     assert rc == 5 and "captures" in err
+
+
+# README's exit code and the stderr prefix of each error main catches
+_EXITS = {
+    ParseError: (2, "parse error: "),
+    ValidationError: (3, "validation error: "),
+    OSError: (3, "io error: "),
+    CertificateError: (4, "certificate error: "),
+    BudgetError: (4, "certificate error: "),
+    StatisticalGateError: (5, "statistical gate: "),
+}
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_every_package_error_exits_with_its_documented_code(capsys, monkeypatch):
+    """Every error class errors.py defines, and OSError, raised inside a
+    verb, exits with README's code, prints nothing on stdout and one line
+    with its prefix on stderr, and no traceback.  A new class without an
+    entry in _EXITS fails here, and no module raises the bare base class,
+    which main does not catch."""
+    classes = [c for c in _subclasses(CantorMeasureError) if c.__module__ == errors.__name__]
+    assert {*classes, OSError} == set(_EXITS)
+    for cls, (code, prefix) in _EXITS.items():
+        def fail(args, cls=cls):
+            raise cls("planted failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "measure", fail)
+        rc, out, err = run_main(capsys, "measure", "cyl(0)")
+        assert (rc, out) == (code, ""), cls
+        assert err.startswith(prefix + "planted failure") and err.count("\n") == 1, (cls, err)
+        assert "Traceback" not in err
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                assert name != "CantorMeasureError", f"{path.name}:{node.lineno}"
 
 
 def test_json_file_matches_stdout(tmp_path, capsys):

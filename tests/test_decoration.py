@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantor_measure import codes
+from cantor_measure import codes, decoration
 from cantor_measure.codes import (
     InterNode,
     Leaf,
@@ -17,6 +17,7 @@ from cantor_measure.codes import (
     is_alternating,
     make_alternating,
     membership_table,
+    nodes,
     subtree,
 )
 from cantor_measure.decoration import (
@@ -24,7 +25,6 @@ from cantor_measure.decoration import (
     check_preservation,
     decorate,
     empty_generator,
-    empty_set_code,
     split_generator,
 )
 from cantor_measure.dsl import parse_dsl
@@ -40,22 +40,27 @@ def _fin(n):
     return OrdinalNotation.finite(n)
 
 
+def _empty_chain(b):
+    """The empty generator's chain of root rank b, denoting the empty set."""
+    return DecorationGenerator.empty([b]).entries[0][1]
+
+
 def test_generator_rejects_zero_budget():
-    e = empty_set_code(ONE_ORD)
+    e = _empty_chain(ONE_ORD)
     with pytest.raises(ValidationError):
         DecorationGenerator(((OrdinalNotation.zero(), e, e),))
 
 
 def test_generator_rejects_non_ascending():
-    a = empty_set_code(_fin(2))
-    b = empty_set_code(ONE_ORD)
+    a = _empty_chain(_fin(2))
+    b = _empty_chain(ONE_ORD)
     with pytest.raises(ValidationError):
         DecorationGenerator(((_fin(2), a, a), (ONE_ORD, b, b)))
 
 
 def test_generator_rejects_wrong_root_rank():
     with pytest.raises(ValidationError):
-        DecorationGenerator(((_fin(2), empty_set_code(ONE_ORD), empty_set_code(_fin(2))),))
+        DecorationGenerator(((_fin(2), _empty_chain(ONE_ORD), _empty_chain(_fin(2))),))
 
 
 def test_generator_rejects_union_root():
@@ -74,7 +79,7 @@ def test_generator_rejects_non_alternating():
 def test_empty_set_code_properties():
     for b in [ONE_ORD, _fin(3), OrdinalNotation.parse("w"),
               OrdinalNotation.parse("w*2+1"), OrdinalNotation.parse("w^2")]:
-        c = empty_set_code(b)
+        c = _empty_chain(b)
         assert check_rank(c)
         assert is_alternating(c)
         assert c.rank == b
@@ -85,7 +90,7 @@ def test_empty_set_code_properties():
 
 def test_empty_set_code_rejects_zero():
     with pytest.raises(ValidationError):
-        empty_set_code(OrdinalNotation.zero())
+        _empty_chain(OrdinalNotation.zero())
 
 
 def test_split_generator_default_targets():
@@ -128,6 +133,42 @@ def test_decorate_slot_layout():
     assert odd == [2 * k + 1 for k, b in enumerate(gen.budgets()) if b < _fin(3)]
     assert dec.rank == code.rank
     assert check_rank(dec) and is_alternating(dec)
+
+
+def test_decorate_builds_only_the_inserts_its_nodes_take(monkeypatch):
+    """A leaf takes no insert, so decorating one builds none; a union of
+    rank 3 takes the positive inserts of budgets 1 and 2, and the rank-2
+    insert's intersection takes the negative one of budget 1, each built
+    once, and budget 3's inserts are never built."""
+    gen = empty_generator(_fin(3))
+    asked = []
+    insert_for = DecorationGenerator.insert_for
+    monkeypatch.setattr(DecorationGenerator, "insert_for", lambda self, b, under_union: (
+        asked.append((b, under_union)) or insert_for(self, b, under_union)))
+    leaf = Leaf(ClopenSet.cylinder("0"), rank=ONE_ORD)
+    assert decorate(leaf, gen) is leaf
+    assert asked == []
+    decorate(UnionNode((leaf, Leaf(ClopenSet.cylinder("11"), rank=ONE_ORD)), rank=_fin(3)), gen)
+    assert asked == [(ONE_ORD, True), (_fin(2), True), (ONE_ORD, False)]
+
+
+def test_shared_chains_are_checked_and_folded_once(monkeypatch):
+    """An empty generator's entry uses one chain as both halves: it is
+    validated once, and footprint folds each of its nodes once; a split
+    generator's two chains are validated one each."""
+    checked, folded = [], []
+    insert_ok, den = decoration._insert_ok, codes._denotation
+    monkeypatch.setattr(decoration, "_insert_ok", lambda code, b, side: (
+        checked.append(side) or insert_ok(code, b, side)))
+    monkeypatch.setattr(codes, "_denotation", lambda node, kids, flip: (
+        folded.append(node) or den(node, kids, flip)))
+    gen = DecorationGenerator.empty([ONE_ORD, _fin(2), OrdinalNotation.parse("w+1")])
+    assert checked == ["positive"] * 3
+    assert gen.footprint().is_empty()
+    assert len(folded) == sum(len(nodes(pos)) for _, pos, _ in gen.entries)
+    checked.clear()
+    split_generator([ONE_ORD, _fin(2)])
+    assert checked == ["positive", "negative"] * 2
 
 
 def test_decorate_requires_rank_and_alternation():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import BudgetError
-from cantor_measure.gdelta import RapidGDelta, budget_report, combine
+from cantor_measure.gdelta import RapidGDelta, combine
 from cantor_measure.space import ClopenSet, StagedOpenSet, clopen_subset, mu_I
 from bruteforce import all_prefixes, covers_bf
 from gen import rapid_family_member, random_clopen
@@ -22,11 +22,11 @@ def test_budget_enforced_on_stage_access():
     assert "2^-2" in str(e.value)
 
 
-def test_budget_report_passes_through():
+def test_stage_measures_stay_within_budget():
     t = rapid_family_member(random.Random(31))
     for n in range(4):
         for s in range(4):
-            assert budget_report(t, n, s) <= Dyadic.pow2(-n)
+            assert mu_I(t.stage(n, s)) <= Dyadic.pow2(-n)
 
 
 def test_combine_respects_budgets_and_schedule():

@@ -12,7 +12,6 @@ from cantor_measure.decoration import decorate, split_generator
 from cantor_measure.dsl import parse_dsl
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import BudgetError, CertificateError, ValidationError
-from cantor_measure.gdelta import budget_report
 from cantor_measure.measure import (
     build_decomposition,
     Certificate,
@@ -93,9 +92,9 @@ def test_verify_rejects_root_off_by_one_deep_cell(k):
     tampered = clopen_intersection(support, clopen_complement(ClopenSet.cylinder("0" * k)))
     assert mu_I(tampered) == Dyadic(3 << (k - 2), k) - Dyadic.pow2(-k)
     d[()] = char_name(tampered)
-    res = verify_decomposition(ROOT_01_11, d, bound=k)
+    res = verify_decomposition(ROOT_01_11, d)
     assert not res and (res.address, res.law) == ((), "union")
-    r = names_equal(d[()], build_decomposition(ROOT_01_11)[()], bound=k)
+    r = names_equal(d[()], build_decomposition(ROOT_01_11)[()])
     assert (r.equal, r.residual, r.mode) == (False, Dyadic.pow2(-k), "exact")
 
 
@@ -199,7 +198,7 @@ def test_assembled_test_budgets():
         t = Certificate(c, d).test()
         for n in range(3):
             for s in range(3):
-                assert budget_report(t, n, s) <= Dyadic.pow2(-n)
+                assert mu_I(t.stage(n, s)) <= Dyadic.pow2(-n)
 
 
 @pytest.mark.parametrize("expr", ["union(cyl(0),cyl(10))", "inter(cyl(0),cyl(01),cyl(011))",
@@ -332,13 +331,13 @@ def test_level_unions_stage_as_the_closure_oracle(kind, seed):
     assert _staging_case(kind, seed, False) == _staging_case(kind, seed, True)
 
 
-def _verdict_loop(code, d, bound: int = 24) -> VerifyResult:
+def _verdict_loop(code, d) -> VerifyResult:
     """The verdict by a preorder loop of law_name and names_equal, each
     address's law built from its children's names."""
     mode = "exact"
     for addr, node in nodes(code):
         res = names_equal(d[addr], measure.law_name(
-            node, [d[addr + (s,)] for s, _ in child_items(node)]), bound=bound)
+            node, [d[addr + (s,)] for s, _ in child_items(node)]))
         mode = "bounded" if res.mode == "bounded" else mode
         if not res:
             law = ("leaf" if isinstance(node, Leaf)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cantor_measure import measure, names
+from cantor_measure import measure, names, stepfn
 from cantor_measure.codes import Leaf, UnionNode
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError, ValidationError
@@ -223,8 +223,23 @@ def test_capture_sets_reject_a_negative_delta(monkeypatch):
     delta = nm.delta
     minus = StepFunction.constant(Dyadic(-1, 3))
     monkeypatch.setattr(nm, "delta", lambda i: minus if i == 7 else delta(i))
-    with pytest.raises(AssertionError, match="chi-tail: delta 7 is negative"):
+    with pytest.raises(CertificateError, match="chi-tail: delta 7 is negative"):
         capture_sets(nm, 5)
+
+
+def test_value_at_names_a_signed_delta_as_a_certificate_error(monkeypatch):
+    """A name whose term 2 exceeds its term 1 on [000] is read at 1^omega.
+    With signed subtraction for |f_i - f_{i+1}|, it still passes its
+    certificate, whose norm takes absolute values, but delta 1 is negative
+    there: the capture pass raises a certificate error naming it, not an
+    internal assertion."""
+    zero, bump = StepFunction.constant(Dyadic.from_int(0)), StepFunction.from_char(
+        ClopenSet.cylinder("000"))
+    terms, x = [zero, zero, bump, bump], EventuallyPeriodicPoint("", "1")
+    assert value_at(L1Name(terms, label="signed"), x, precision=1) == Dyadic.from_int(0)
+    monkeypatch.setattr(stepfn, "_abs_sub", lambda a, b: a - b)
+    with pytest.raises(CertificateError, match="signed: delta 1 is negative"):
+        value_at(L1Name(terms, label="signed"), x, precision=1)
 
 
 def test_capture_sets_memoized_per_precision():
@@ -416,7 +431,7 @@ def test_diagonal_name_bounds_exact():
         bump = StepFunction(2, j + 2, (1, 0, 0, 0))
         hs.append(constant_name(base + bump, label=f"h{j}"))
     g = constant_name(base, label="g")
-    diag = diagonal_name(hs, g=g, label="diag")
+    diag = diagonal_name(hs, g=g)
     for i in range(3):
         fi, fi1 = diag.term(i), diag.term(i + 1)
         bound = Dyadic.pow2(-2 * i) + Dyadic.pow2(-i) + Dyadic.pow2(-2 * i)
@@ -431,7 +446,7 @@ def test_diagonal_name_refutes_distant_premise():
         for k in (0, 3, 6)
     ]
     with pytest.raises(CertificateError):
-        diagonal_name(far, label="refuted")
+        diagonal_name(far)
 
 
 def test_bad_set_family_is_budgeted_test():

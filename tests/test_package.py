@@ -146,6 +146,69 @@ def test_every_public_member_has_a_reader():
     assert unread == [], f"public members with no reader: {unread}"
 
 
+def _defaulted(fn: ast.FunctionDef, offset: int) -> list[tuple[str, int | None]]:
+    """(name, position counting from the call's first argument, None for
+    keyword-only) of each parameter with a default; offset is 1 for a
+    method's self, which a call does not spell."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None])
+
+
+def _called_names(func: ast.expr) -> list[str]:
+    """The names a call's callee may be: a bare name, an attribute, or
+    either branch of a conditional expression."""
+    if isinstance(func, ast.IfExp):
+        return _called_names(func.body) + _called_names(func.orelse)
+    return [n] if (n := _read_name(func)) is not None else []
+
+
+def test_every_option_is_set_by_a_caller():
+    """Every defaulted parameter of a public module-level function, of a
+    public method of a public class, and of a public class's __init__ must
+    be passed by at least one call outside the function's own body, in the
+    package, the benchmark or the acceptance suite: by keyword, by enough
+    positional arguments, or by a * or ** argument.  Calls are matched by
+    the function's name, or the class's for __init__.  An option no caller
+    sets has one value in use, and is a constant."""
+    package = Path(cantor_measure.__file__).parent
+    options = []  # (where, callee name, path, def node, parameter, position)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                defs = [(stmt.name, stmt.name, stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                defs = [(f"{stmt.name}.{f.name}", stmt.name if f.name == "__init__" else f.name,
+                         f, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                     for d in f.decorator_list) else 1)
+                        for f in stmt.body if isinstance(f, ast.FunctionDef)
+                        and (f.name == "__init__" or not f.name.startswith("_"))]
+            else:
+                continue
+            options += [(f"{path.stem}.{where}", callee, path, fn, arg, pos)
+                        for where, callee, fn, offset in defs for arg, pos in _defaulted(fn, offset)]
+    calls: dict[str, list[tuple[Path, ast.Call]]] = {}
+    for path in [*sorted(package.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                for name in _called_names(node.func):
+                    calls.setdefault(name, []).append((path, node))
+
+    def sets(call: ast.Call, arg: str, pos: int | None) -> bool:
+        return (any(k.arg in (arg, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or pos is not None and len(call.args) > pos)
+
+    unset = sorted(
+        f"{where}({arg})" for where, callee, path, fn, arg, pos in options
+        if not any(sets(call, arg, pos) for where_path, call in calls.get(callee, [])
+                   if not (where_path == path and fn.lineno <= call.lineno <= fn.end_lineno)))
+    assert unset == [], f"options no caller sets: {unset}"
+
+
 def test_mutant_catalog_texts_occur_once():
     """Every mutant of tests/mutants.py still finds its old text exactly
     once, so the catalog follows the code it mutates; running the mutants
