@@ -180,7 +180,7 @@ def _cmd_eval(args) -> dict:
     return {
         "point": x.describe(),
         "member": bool(emap[()]),
-        "eval_map": {_addr_str(a): v for a, v in sorted(emap.items())},
+        "eval_map": {_addr_str(a): v for a, v in emap.items()},
     }
 
 
@@ -225,7 +225,7 @@ def _cmd_decompose(args) -> dict:
     shaped = _require_normalized(_prepared(args))
     d, _ = _verified_decomposition(shaped)
     rows = []
-    for addr in sorted(d):
+    for addr in d:  # preorder, which is address order: slots ascend
         lim = d[addr].exact_limit()
         rows.append({"address": _addr_str(addr), "integral": str(lim.integral())})
     return {

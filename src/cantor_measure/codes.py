@@ -340,8 +340,8 @@ def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Addres
 def denotation(code: BorelCode, memo: dict[tuple[int, bool], ClopenSet] | None = None) -> ClopenSet:
     """The denotation of a complement-free code as a clopen set: a leaf
     gives its label, a union node the union of its children, an
-    intersection node the intersection of its children folded from the
-    full space.  A memo (see fold) keeps every distinct node's."""
+    intersection node the intersection of its children, or the full space
+    when it has none.  A memo (see fold) keeps every distinct node's."""
     require_complement_free(code, "denotation")
     return fold(code, _denotation, memo)
 
@@ -351,7 +351,7 @@ def _denotation(node: BorelCode, kids: list[ClopenSet], flip: bool) -> ClopenSet
         return node.label
     if isinstance(node, UnionNode):
         return clopen_union(*kids)
-    return reduce(clopen_intersection, kids, ClopenSet.full())
+    return reduce(clopen_intersection, kids) if kids else ClopenSet.full()
 
 
 def membership_table(code: BorelCode, depth: int | None = None) -> tuple[int, list[int]]:

@@ -215,8 +215,7 @@ class PreservationReport:
 
     @property
     def ok(self) -> bool:
-        return (self.whole_space and self.preserved == self.checked - len(self.captured)
-                and not self.violations)
+        return self.whole_space and not self.violations
 
     def __bool__(self) -> bool:
         return self.ok

@@ -35,10 +35,6 @@ class Dyadic:
         object.__setattr__(self, "exp", e)
 
     @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
-    @classmethod
     def pow2(cls, k: int) -> "Dyadic":
         """2**k for any integer k."""
         return cls(1 << k, 0) if k >= 0 else cls(1, -k)

@@ -210,17 +210,10 @@ def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> Regu
     When a reference clopen set with characteristic limit is supplied, the
     overlap bound mu_I(A_n intersect C_n) <= 3 * 2^(-n+1) is asserted exactly on
     the first REGULARITY_CHECK_LEVELS levels."""
-    memo: dict[tuple[str, int], StagedOpenSet] = {}
-
-    def level(kind: str, n: int) -> StagedOpenSet:
-        if (kind, n) not in memo:
-            f = name.term(n)
-            c = f.strictly_below(2, 3) if kind == "a" else f.strictly_above(1, 3)
-            memo[(kind, n)] = StagedOpenSet.constant(c)
-        return memo[(kind, n)]
-
     approx = RegularityApprox(
-        a_levels=lambda n: level("a", n), c_levels=lambda n: level("c", n), tail=name.tail
+        a_levels=cache(lambda n: StagedOpenSet.constant(name.term(n).strictly_below(2, 3))),
+        c_levels=cache(lambda n: StagedOpenSet.constant(name.term(n).strictly_above(1, 3))),
+        tail=name.tail,
     )
     if reference is not None:
         for n in range(REGULARITY_CHECK_LEVELS):
@@ -245,22 +238,19 @@ def regularity_to_char(approx: RegularityApprox,
     approx.tail t fixes f_n once n + 1 >= t, so the output is constant from
     max(t - 3, 0), and those levels must leak exactly 0, for the promise
     tightens with n."""
-    fs: dict[int, StepFunction] = {}
-
+    @cache
     def f(n: int) -> StepFunction:
-        if n not in fs:
-            s = stage_oracle(n)
-            a = approx.a_levels(n + 1).stage(s)
-            c = approx.c_levels(n + 1).stage(s)
-            d = clopen_complement(clopen_union(a, c))
-            leak = mu_I(d)
-            fixed = approx.tail is not None and n + 1 >= approx.tail
-            if not (leak == ZERO if fixed else leak < Dyadic.pow2(-(n + 1))):
-                raise CertificateError(
-                    f"stage oracle leaves measure {leak} uncommitted at level {n + 1}"
-                )
-            fs[n] = StepFunction.from_char(c)
-        return fs[n]
+        s = stage_oracle(n)
+        a = approx.a_levels(n + 1).stage(s)
+        c = approx.c_levels(n + 1).stage(s)
+        d = clopen_complement(clopen_union(a, c))
+        leak = mu_I(d)
+        fixed = approx.tail is not None and n + 1 >= approx.tail
+        if not (leak == ZERO if fixed else leak < Dyadic.pow2(-(n + 1))):
+            raise CertificateError(
+                f"stage oracle leaves measure {leak} uncommitted at level {n + 1}"
+            )
+        return StepFunction.from_char(c)
 
     tail = None if approx.tail is None else max(approx.tail - 3, 0)
     return L1Name([], rule=lambda i: f(i + 2), label="regular", tail=tail)

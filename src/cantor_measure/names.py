@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic
 from .errors import CertificateError, ValidationError
 from .gdelta import RapidGDelta, combine, combined_height
 from .space import ClopenSet, Point, StagedOpenSet, clopen_union
@@ -221,7 +221,6 @@ class NamesEqualResult:
     when the tail bound at index EQUAL_BOUND decided."""
 
     equal: bool
-    residual: Dyadic
     mode: str
 
     def __bool__(self) -> bool:
@@ -241,16 +240,15 @@ def interleave_terms(n1: L1Name, n2: L1Name) -> Callable[[int], StepFunction]:
 
 def names_equal(n1: L1Name, n2: L1Name) -> NamesEqualResult:
     """When both names know their tails: equal iff the limits term(tail)
-    coincide, with residual their exact L1 distance; a rule name's terms are
-    evaluated up to its declared tail.  Otherwise the combined tail bound
-    |f_i - g_i|_1 <= 2^-i+2 at i = EQUAL_BOUND decides; it holds whenever
-    the limits agree, but also accepts limits closer than about 2^-i+3."""
+    coincide; a rule name's terms are evaluated up to its declared tail.
+    Otherwise the combined tail bound |f_i - g_i|_1 <= 2^-i+2 at
+    i = EQUAL_BOUND decides; it holds whenever the limits agree, but also
+    accepts limits closer than about 2^-i+3."""
     a, b = n1.exact_limit(), n2.exact_limit()
     if a is not None and b is not None:
-        same = a == b
-        return NamesEqualResult(same, ZERO if same else l1_norm(a, b), "exact")
+        return NamesEqualResult(a == b, "exact")
     r = l1_norm(n1.term(EQUAL_BOUND), n2.term(EQUAL_BOUND))
-    return NamesEqualResult(r <= Dyadic.pow2(-EQUAL_BOUND + 2), r, "bounded")
+    return NamesEqualResult(r <= Dyadic.pow2(-EQUAL_BOUND + 2), "bounded")
 
 
 class _Interleaved(L1Name):

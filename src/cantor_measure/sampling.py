@@ -43,17 +43,10 @@ class Estimate:
     value: Dyadic
     trials: int
     seed: int
-    target: str
     captured: int = 0
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-def _walk(prefixes: list[str] | tuple[str, ...], seed: int, columns) -> list[int]:
-    """For each column, the index of the cell of the canonical partition
-    holding it."""
-    return seeded_leaves(seed, columns, partition_trie(prefixes))
 
 
 def _refinement(*partitions: Sequence[str]) -> list[str]:
@@ -68,7 +61,7 @@ def _sum_at(f: StepFunction, seed: int, trials: int) -> int:
     """Sum of f's numerators over the cells of the trials."""
     if len(f.nums) == 1:
         return trials * f.nums[0]
-    return sum(map(f.nums.__getitem__, _walk(f.prefixes, seed, range(trials))))
+    return sum(map(f.nums.__getitem__, seeded_leaves(seed, range(trials), partition_trie(f.prefixes))))
 
 
 def _name_sum(name: L1Name, trials: int, seed: int, precision: int) -> tuple[int, Dyadic]:
@@ -82,7 +75,7 @@ def _name_sum(name: L1Name, trials: int, seed: int, precision: int) -> tuple[int
     cells = _refinement(char_partition(guard)[0], f.prefixes)
     captured = [guard.covers_prefix(c) for c in cells]
     nums = [f.nums[bisect_right(f.prefixes, c) - 1] for c in cells]
-    hits = _walk(cells, seed, range(trials))
+    hits = seeded_leaves(seed, range(trials), partition_trie(cells))
     caught = sum(map(captured.__getitem__, hits))
     total = sum(nums[c] for c in hits if not captured[c])
     return caught, Dyadic(total, f.exp)
@@ -98,9 +91,6 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
     as the characteristic function of its denotation."""
     if trials <= 0:
         raise ValidationError("trial count must be positive")
-    if isinstance(target, StepFunction):
-        value = Dyadic(_sum_at(target, seed, trials), target.exp).div_floor(trials, AVERAGE_BITS)
-        return Estimate(value, trials, seed, "stepfn")
     if isinstance(target, L1Name):
         captured, total = _name_sum(target, trials, seed, precision)
         if captured * 100 > trials * CAPTURE_GATE_PERCENT:
@@ -108,10 +98,10 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
                 f"{captured} of {trials} trials captured by the guard set"
             )
         value = total.div_floor(trials - captured, AVERAGE_BITS)
-        return Estimate(value, trials, seed, "name", captured)
-    hits = _sum_at(StepFunction.from_char(denotation(target)), seed, trials)
-    value = Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS)
-    return Estimate(value, trials, seed, "code")
+        return Estimate(value, trials, seed, captured)
+    f = target if isinstance(target, StepFunction) else StepFunction.from_char(denotation(target))
+    value = Dyadic(_sum_at(f, seed, trials), f.exp).div_floor(trials, AVERAGE_BITS)
+    return Estimate(value, trials, seed)
 
 
 def conditional_average(f: StepFunction, i: int) -> StepFunction:
@@ -132,7 +122,7 @@ def sampled_average(f: StepFunction, i: int, trials: int, seed: int) -> StepFunc
         raise ValidationError("trial count must be positive")
     ps, nums = f.prefixes, f.nums
     tails = _refinement([""], [q[i:] for q in ps if len(q) > i])
-    counts = Counter(_walk(tails, seed, range(trials))).items()
+    counts = Counter(seeded_leaves(seed, range(trials), partition_trie(tails))).items()
     cells = []
     for c in map("".join, product("01", repeat=i)):
         total = sum(n * nums[bisect_right(ps, c + tails[t]) - 1] for t, n in counts)

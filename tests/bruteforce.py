@@ -385,9 +385,9 @@ def mc_integral_bf(target, trials: int, seed: int, precision: int = 20):
     if isinstance(target, StepFunction):
         total = sum(target.values[cell_index_bf(x, target.depth)] for x in points)
         return Estimate(Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS),
-                        trials, seed, "stepfn")
+                        trials, seed)
     if isinstance(target, L1Name):
-        total = Dyadic.from_int(0)
+        total = Dyadic(0, 0)
         captured = 0
         for x in points:
             v = value_at(target, x, precision)
@@ -400,11 +400,11 @@ def mc_integral_bf(target, trials: int, seed: int, precision: int = 20):
                 f"{captured} of {trials} trials captured by the guard set"
             )
         value = total.div_floor(trials - captured, AVERAGE_BITS)
-        return Estimate(value, trials, seed, "name", captured)
+        return Estimate(value, trials, seed, captured)
     d = support_depth_bf(target)
     table = membership_table_bf(target, d)
     hits = sum(table[cell_index_bf(x, d)] for x in points)
-    return Estimate(Dyadic.from_int(hits).div_floor(trials, AVERAGE_BITS), trials, seed, "code")
+    return Estimate(Dyadic(hits, 0).div_floor(trials, AVERAGE_BITS), trials, seed)
 
 
 def capture_sets_bf(name, precision: int):

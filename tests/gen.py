@@ -141,7 +141,7 @@ def shrinking_name(c: int) -> L1Name:
     level-n bad set holds points from stage 2n+1 on exactly when
     0 < n < c//2."""
     seq = [StepFunction.from_char(ClopenSet.cylinder("0" * (i + 1))) for i in range(c)]
-    return L1Name(seq + [StepFunction.constant(Dyadic.from_int(0))], label="shrinking")
+    return L1Name(seq + [StepFunction.constant(Dyadic(0, 0))], label="shrinking")
 
 
 def rapid_family_member(rng: random.Random, levels: int = 5,

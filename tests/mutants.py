@@ -1,7 +1,7 @@
 """Mutation catalog for the certificate path and the walks it rests on
-(De Morgan normalization, the locate walk, the sampler kernel, the
-decoration audit, step-function arithmetic and the DSL scanner and
-parser), and its runner.
+(De Morgan normalization, the clopen complement, the locate walk, the
+sampler kernel, the decoration audit, step-function arithmetic and the DSL
+scanner and parser), and its runner.
 
 Each mutant names a file of the repository, an exact text that occurs once
 in it, the text that replaces it, and the tests that must fail once it is
@@ -57,7 +57,7 @@ MUTANTS = (
            (_M + "test_clopen_fold_matches_decomposition_root",
             "tests/test_stepfn.py::test_binary_ops_match_aligned_tables")),
     Mutant("names-equal-exact-always-equal", "src/cantor_measure/names.py",
-           "        same = a == b\n", "        same = True\n",
+           'NamesEqualResult(a == b, "exact")', 'NamesEqualResult(True, "exact")',
            (_M + "test_verify_rejects_root_off_by_one_deep_cell", _ONE_PASS)),
     Mutant("pass-limits-always-equal", "src/cantor_measure/measure.py",
            "else name.exact_limit() == law.exact_limit()))",
@@ -96,6 +96,12 @@ MUTANTS = (
     Mutant("demorgan-keeps-unions", "src/cantor_measure/codes.py",
            "cls = InterNode if cls is UnionNode else UnionNode", "cls = UnionNode",
            ("tests/test_codes.py::test_normalize_demorgan_preserves_denotation",)),
+    Mutant("demorgan-keeps-leaf-label", "src/cantor_measure/codes.py",
+           "label = clopen_complement(node.label) if flip else node.label", "label = node.label",
+           ("tests/test_codes.py::test_normalize_demorgan_preserves_denotation",)),
+    Mutant("complement-keeps-one-cells", "src/cantor_measure/space.py",
+           "if not v))", "if v))",
+           ("tests/test_space.py::test_intersection_and_complement_match_references",)),
     Mutant("interleave-tail-one-early", "src/cantor_measure/names.py",
            "max(n1.tail, n2.tail, 2) - 2", "max(n1.tail, n2.tail, 3) - 3",
            ("tests/test_names.py::test_interleave_tail_is_where_its_rule_stops_changing",
@@ -126,6 +132,12 @@ MUTANTS = (
             "tests/test_dsl.py::test_parser_agrees_with_recursive_descent")),
     Mutant("scanner-skips-unicode-blanks", "src/cantor_measure/dsl.py",
            r"[^ \t\r\n]", r"\S",
+           ("tests/test_dsl.py::test_parser_agrees_with_recursive_descent",)),
+    Mutant("word-may-not-start-with-underscore", "src/cantor_measure/dsl.py",
+           r"\w+", r"[^\W\d_]\w*",
+           ("tests/test_dsl.py::test_parser_agrees_with_recursive_descent",)),
+    Mutant("word-has-no-digit", "src/cantor_measure/dsl.py",
+           r"\w+", r"[^\W\d]+",
            ("tests/test_dsl.py::test_parser_agrees_with_recursive_descent",)),
     Mutant("abs-diff-signed", "src/cantor_measure/stepfn.py",
            "return abs(a - b)", "return a - b",

@@ -48,7 +48,7 @@ def test_parse_and_str_round_trip():
     for (num, exp), s in [((0, 0), "0/2^0"), ((1, 0), "1/2^0"), ((-3, 4), "-3/2^4"),
                           ((7, 2), "7/2^2")]:
         assert str(Dyadic(num, exp)) == s
-    assert str(Dyadic(4, 2)) == str(Dyadic.from_int(1)) == "1/2^0"
+    assert str(Dyadic(4, 2)) == str(Dyadic(1, 0)) == "1/2^0"
 
 
 @given(nums, exps, st.integers(min_value=1, max_value=1000))
@@ -60,8 +60,8 @@ def test_div_floor_bounds(a, e, den):
 
 
 def test_div_floor_exact_when_representable():
-    assert Dyadic.from_int(3).div_floor(4) == Dyadic(3, 2)
-    assert Dyadic.from_int(1).div_floor(2) == Dyadic(1, 1)
+    assert Dyadic(3, 0).div_floor(4) == Dyadic(3, 2)
+    assert Dyadic(1, 0).div_floor(2) == Dyadic(1, 1)
 
 
 def test_div_floor_rejects_nonpositive():

@@ -30,7 +30,7 @@ from cantor_measure.names import (
 from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, StagedOpenSet, mu_I
 from cantor_measure.stepfn import StepFunction, l1_norm
 
-from bruteforce import capture_sets_bf, dyadic_fraction, l1_fraction, tail_mismatches_bf
+from bruteforce import capture_sets_bf, l1_fraction, tail_mismatches_bf
 from gen import (broken_name, char_noise_name, constant_family, path_name, perturbed_name,
                  random_stepfn, shrinking_name)
 
@@ -42,9 +42,9 @@ def chi_tail_name(terms=12):
 
 
 def test_certificate_accepts_strict_and_rejects_tie():
-    base = StepFunction.constant(Dyadic.from_int(0))
+    base = StepFunction.constant(Dyadic(0, 0))
     # gap exactly 2^-0 at index 0: the strict inequality fails
-    tie = [base + StepFunction.constant(Dyadic.from_int(1)), base, base]
+    tie = [base + StepFunction.constant(Dyadic(1, 0)), base, base]
     with pytest.raises(CertificateError):
         L1Name(tie, label="tie")
     # gap strictly below every 2^-i: accepted
@@ -56,7 +56,7 @@ def test_rule_terms_checked_on_materialization():
     def rule(i):
         if i < 3:
             return StepFunction.constant(Dyadic(1, i + 2))
-        return StepFunction.constant(Dyadic.from_int(1))    # jump breaks the bound
+        return StepFunction.constant(Dyadic(1, 0))    # jump breaks the bound
 
     nm = L1Name([], rule=rule, label="lazy")
     nm.term(1)
@@ -72,7 +72,7 @@ def test_constant_tail_gives_exact_limit():
 
 
 def test_negative_tail_is_rejected():
-    zero = StepFunction.constant(Dyadic.from_int(0))
+    zero = StepFunction.constant(Dyadic(0, 0))
     with pytest.raises(ValidationError):
         L1Name([], rule=lambda i: zero, label="negative", tail=-1)
 
@@ -233,10 +233,10 @@ def test_value_at_names_a_signed_delta_as_a_certificate_error(monkeypatch):
     certificate, whose norm takes absolute values, but delta 1 is negative
     there: the capture pass raises a certificate error naming it, not an
     internal assertion."""
-    zero, bump = StepFunction.constant(Dyadic.from_int(0)), StepFunction.from_char(
+    zero, bump = StepFunction.constant(Dyadic(0, 0)), StepFunction.from_char(
         ClopenSet.cylinder("000"))
     terms, x = [zero, zero, bump, bump], EventuallyPeriodicPoint("", "1")
-    assert value_at(L1Name(terms, label="signed"), x, precision=1) == Dyadic.from_int(0)
+    assert value_at(L1Name(terms, label="signed"), x, precision=1) == Dyadic(0, 0)
     monkeypatch.setattr(stepfn, "_abs_sub", lambda a, b: a - b)
     with pytest.raises(CertificateError, match="signed: delta 1 is negative"):
         value_at(L1Name(terms, label="signed"), x, precision=1)
@@ -255,7 +255,7 @@ def test_value_at_reads_limit_or_captures():
     nm = chi_tail_name()
     one = EventuallyPeriodicPoint("", "1")
     v = value_at(nm, one, precision=4)
-    assert v == Dyadic.from_int(0)
+    assert v == Dyadic(0, 0)
     # 0^5 1 1 1 ... sits in the level-1 bad set cylinder [0^5 1]
     flip = EventuallyPeriodicPoint("00000", "1")
     got = value_at(nm, flip, precision=4)
@@ -265,7 +265,7 @@ def test_value_at_reads_limit_or_captures():
     # 0^w avoids every (open) bad set, so the stage value is read off even
     # though the point is in the measure-zero tail intersection
     zero = EventuallyPeriodicPoint("", "0")
-    assert value_at(nm, zero, precision=4) == Dyadic.from_int(1)
+    assert value_at(nm, zero, precision=4) == Dyadic(1, 0)
 
 
 def test_value_at_on_constant_name_is_exact():
@@ -280,13 +280,12 @@ def test_names_equal_reflexive_and_separating():
     for _ in range(20):
         nm = perturbed_name(rng)
         r = names_equal(nm, nm)
-        assert r.equal and r.residual == Dyadic.from_int(0)
-    a = constant_name(StepFunction.constant(Dyadic.from_int(0)))
-    b = constant_name(StepFunction.constant(Dyadic.from_int(1)))
+        assert r.equal
+    a = constant_name(StepFunction.constant(Dyadic(0, 0)))
+    b = constant_name(StepFunction.constant(Dyadic(1, 0)))
     r = names_equal(a, b)
     assert not r.equal
     assert not r
-    assert dyadic_fraction(r.residual) == 1
 
 
 def test_names_equal_tolerates_residual_within_bound():
@@ -311,7 +310,7 @@ def test_names_equal_mode_exact_iff_both_limits_known():
 
 
 def test_interleave_terms_exposes_raw_sequence():
-    a = constant_name(StepFunction.constant(Dyadic.from_int(0)), label="a")
+    a = constant_name(StepFunction.constant(Dyadic(0, 0)), label="a")
     b = constant_name(StepFunction.constant(Dyadic(1, 4)), label="b")
     seq = interleave_terms(a, b)
     assert seq(0) == a.term(2)
@@ -363,7 +362,7 @@ def test_level_union_reads_only_bad_sets_past_their_start(monkeypatch):
         return StagedOpenSet.constant(ClopenSet.empty())
 
     monkeypatch.setattr(names, "bad_set", bad)
-    zero = StepFunction.constant(Dyadic.from_int(0))
+    zero = StepFunction.constant(Dyadic(0, 0))
     ruled = L1Name([], rule=lambda i: zero, label="ruled")
     tailed = L1Name([], rule=lambda i: zero, label="tailed", tail=7)
     cases = [(ruled, None), (tailed, 7)] + [(L1Name([zero] * (c + 1)), c) for c in range(10)]
@@ -442,7 +441,7 @@ def test_diagonal_name_bounds_exact():
 
 def test_diagonal_name_refutes_distant_premise():
     far = [
-        constant_name(StepFunction.constant(Dyadic.from_int(k)), label=f"f{k}")
+        constant_name(StepFunction.constant(Dyadic(k, 0)), label=f"f{k}")
         for k in (0, 3, 6)
     ]
     with pytest.raises(CertificateError):

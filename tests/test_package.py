@@ -146,6 +146,38 @@ def test_every_public_member_has_a_reader():
     assert unread == [], f"public members with no reader: {unread}"
 
 
+def test_every_field_has_a_reader():
+    """An annotated field in a public class's body, and a public attribute
+    its __init__ sets on self, must be read by something other than its own
+    unit tests: an attribute read of its name in the package, a use in the
+    benchmark or the acceptance suite, or a backticked mention in README.
+    Readers are matched by name, as for members."""
+    package = Path(cantor_measure.__file__).parent
+    fields: set[tuple[str, str, str]] = set()  # (module, class, field)
+    src_reads: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        src_reads.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names = [item.target.id]
+                elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    names = [node.attr for node in ast.walk(item)
+                             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                             and isinstance(node.value, ast.Name) and node.value.id == "self"]
+                else:
+                    continue
+                fields.update((path.stem, cls.name, n) for n in names if not n.startswith("_"))
+    outside = _outside_readers()
+    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in fields
+                    if name not in src_reads and name not in outside)
+    assert unread == [], f"fields with no reader: {unread}"
+
+
 def _defaulted(fn: ast.FunctionDef, offset: int) -> list[tuple[str, int | None]]:
     """(name, position counting from the call's first argument, None for
     keyword-only) of each parameter with a default; offset is 1 for a
@@ -211,12 +243,19 @@ def test_every_option_is_set_by_a_caller():
 
 def test_mutant_catalog_texts_occur_once():
     """Every mutant of tests/mutants.py still finds its old text exactly
-    once, so the catalog follows the code it mutates; running the mutants
-    is `python tests/mutants.py`, outside this suite."""
+    once, and each of its test ids path::name names a top-level def of that
+    file, so the catalog follows the code it mutates and the tests it
+    names; running the mutants is `python tests/mutants.py`, outside this
+    suite."""
     import mutants
 
     root = Path(mutants.ROOT)
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
         assert (root / m.path).read_text().count(m.old) == 1, m.name
-        assert m.tests and all((root / t.split("::")[0]).is_file() for t in m.tests), m.name
+        assert m.tests, m.name
+        for t in m.tests:
+            path, name = t.split("::")
+            defs = {stmt.name for stmt in ast.parse((root / path).read_text()).body
+                    if isinstance(stmt, ast.FunctionDef)}
+            assert name in defs, (m.name, t)

@@ -76,7 +76,7 @@ def test_capture_gate_fires():
 
 
 def test_estimate_float_and_fields():
-    est = Estimate(value=Dyadic(1, 1), trials=10, seed=0, target="t")
+    est = Estimate(value=Dyadic(1, 1), trials=10, seed=0)
     assert float(est) == 0.5
 
 
@@ -274,4 +274,4 @@ def test_deep_estimates_match_fixed_depth_kernel(gen_seed, trials, seed):
     f = random_deep_stepfn(random.Random(gen_seed))
     total = sum(lookup(f)(seeded_cells(seed, range(trials), f.depth)))
     assert mc_integral(f, trials, seed) == Estimate(
-        Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS), trials, seed, "stepfn")
+        Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS), trials, seed)

@@ -126,7 +126,7 @@ def test_integral_matches_fraction_sum(f):
 @given(fns, fns)
 def test_l1_norm_matches_fraction(f, g):
     assert dyadic_fraction(l1_norm(f, g)) == l1_fraction(f, g)
-    assert dyadic_fraction(l1_norm(f)) == l1_fraction(f, StepFunction.constant(Dyadic.from_int(0)))
+    assert dyadic_fraction(l1_norm(f)) == l1_fraction(f, StepFunction.constant(Dyadic(0, 0)))
 
 
 def test_value_on_and_at():
