@@ -65,14 +65,12 @@ from .names import (
     convergence_test,
     diagonal_name,
     inf_name,
-    interleave_terms,
     names_equal,
     sup_name,
     value_at,
 )
 from .ordinals import OrdinalNotation, descending_chain, notations_up_to
 from .sampling import (
-    Estimate,
     conditional_average,
     mc_integral,
     sampled_average,
@@ -93,7 +91,6 @@ from .space import (
     enumerate_eventually_periodic,
     mu_I,
     partition_trie,
-    point_in,
     prefix_free_normalize,
     seeded_leaves,
 )

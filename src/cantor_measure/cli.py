@@ -191,10 +191,10 @@ def _cmd_measure(args) -> dict:
     payload = {"measure": str(exact)}
     if args.mc is not None:
         est = mc_integral(StepFunction.from_char(den), args.mc, args.seed)
-        payload["estimate"] = str(est.value)
-        payload["trials"] = est.trials
-        payload["seed"] = est.seed
-        payload["abs_delta"] = str(abs(exact - est.value))
+        payload["estimate"] = str(est)
+        payload["trials"] = args.mc
+        payload["seed"] = args.seed
+        payload["abs_delta"] = str(abs(exact - est))
     return payload
 
 
@@ -317,10 +317,9 @@ def _cmd_report(args) -> dict:
     assertions = [{"name": "decomposition laws", "pass": True},
                   {"name": "stage budgets", "pass": True}]
     if args.mc is not None:
-        est = mc_integral(root, args.mc, args.seed)
-        payload["estimate"] = str(est.value)
-        payload["seed"] = est.seed
-        payload["trials"] = est.trials
+        payload["estimate"] = str(mc_integral(root, args.mc, args.seed))
+        payload["seed"] = args.seed
+        payload["trials"] = args.mc
     payload["assertions"] = assertions
     return payload
 

@@ -30,7 +30,6 @@ from .space import (
     clopen_complement,
     clopen_intersection,
     clopen_union,
-    point_in,
 )
 from .stepfn import StepFunction
 
@@ -308,7 +307,7 @@ def evaluate(code: BorelCode, x: Point) -> EvalMap:
     out: EvalMap = {}
     for addr, node in reversed(nodes(code)):
         if isinstance(node, Leaf):
-            out[addr] = 1 if point_in(x, node.label) else 0
+            out[addr] = 0 if node.label.hit(x) is None else 1
         else:
             vals = [out[addr + (s,)] for s, _ in child_items(node)]
             out[addr] = max(vals, default=0) if isinstance(node, UnionNode) else min(vals, default=1)
@@ -325,7 +324,7 @@ def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Addres
             bad.append(addr)
             continue
         if isinstance(node, Leaf):
-            want = 1 if point_in(x, node.label) else 0
+            want = 0 if node.label.hit(x) is None else 1
         else:
             vals = [emap.get(addr + (s,)) for s, _ in child_items(node)]
             if any(v is None for v in vals):

@@ -52,7 +52,8 @@ from .space import ClopenSet
 _KEYWORDS = {"cyl", "empty", "full", "union", "inter", "compl", "reloc", "bigunion"}
 # reloc(n, ...) prefixes every generator with n + 1 bits
 MAX_RELOC_INDEX = 1 << 24
-# the most code nodes one expression may build, bigunion expansions included
+# the most code nodes one expression may build, bigunion expansions and the
+# copy each reloc builds of its child included
 MAX_CODE_NODES = 1 << 16
 # the most generator bits one expression may build: its leaves' bits, and
 # reloc(n, ...)'s n + 1 for each generator of its child
@@ -91,10 +92,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.built = 0  # code nodes built so far
-        # generators in the codes built so far, each reloc's child counted
-        # with its complements pushed down, and bits built so far
-        self.gens = 0
-        self.gen_bits = 0
+        self.gen_bits = 0  # generator bits built so far
 
     def peek(self) -> str:
         return self.toks[self.pos][0]
@@ -147,8 +145,8 @@ class _Parser:
         self.pos += 1
         return env[name]
 
-    def count_node(self) -> None:
-        self.built += 1
+    def count_nodes(self, n: int) -> None:
+        self.built += n
         if self.built > MAX_CODE_NODES:
             raise ValidationError(f"code exceeds MAX_CODE_NODES = {MAX_CODE_NODES} nodes"
                                   " (line %d, col %d)" % self.where())
@@ -160,7 +158,6 @@ class _Parser:
                                   " (line %d, col %d)" % self.where())
 
     def leaf(self, label: ClopenSet) -> Leaf:
-        self.gens += len(label.generators)
         self.count_bits(sum(map(len, label.generators)))
         return Leaf(label)
 
@@ -190,14 +187,14 @@ class _Parser:
                     continue
                 code = self.leaf(ClopenSet.cylinder(self.bits()))
                 self.expect(")")
-            self.count_node()
+            self.count_nodes(1)
             while stack:
                 kw, env, arg, kids = stack[-1]  # a closed child's bindings end with it
                 kids.append(code)
                 if kw == "bigunion":
                     # rewind to the body once per index; an empty range
                     # still parses it once, at lo, to accept or reject it
-                    name, lo, hi, mark, _ = arg
+                    name, lo, hi, mark = arg
                     if lo + len(kids) <= hi:
                         self.pos = mark
                         env = {**env, name: lo + len(kids)}
@@ -208,7 +205,7 @@ class _Parser:
                 self.expect(")")
                 stack.pop()
                 code = self.closed(kw, arg, kids)
-                self.count_node()
+                self.count_nodes(1)
             else:
                 if self.peek():
                     self.fail("end-of-input")
@@ -224,7 +221,7 @@ class _Parser:
                 raise ValidationError(f"reloc index {n} exceeds MAX_RELOC_INDEX = {MAX_RELOC_INDEX}"
                                       " (line %d, col %d)" % self.where(at))
             self.expect(",")
-            return (n, self.gens), env
+            return n, env
         if kw == "bigunion":
             name = self.peek()
             if not _is_word(name):
@@ -235,36 +232,37 @@ class _Parser:
             self.expect(",")
             hi = self.nat(env)
             self.expect(",")
-            return (name, lo, hi, self.pos, self.gens), {**env, name: lo}
+            return (name, lo, hi, self.pos), {**env, name: lo}
         return None, env
 
     def closed(self, kw: str, arg, kids: list[BorelCode]) -> BorelCode:
-        """The code of a form whose closing parenthesis has been read.  The
-        generators counted since a reloc opened are its child's, so its
-        cost is checked before relocate builds the strings."""
+        """The code of a form whose closing parenthesis has been read.  A
+        reloc's child is measured by one fold, so the bits and the nodes of
+        its copy are charged before relocate builds them."""
         if kw == "compl":
             return ComplNode(kids[0])
         if kw == "reloc":
-            n, gens = arg
             inner = kids[0]
             if not inner.complement_free:
                 # relocation rewrites leaf generators, so complements must
                 # be pushed down first
                 inner = normalize_demorgan(inner)
-                self.gens = gens + fold(inner, _generators)
-            self.count_bits((n + 1) * (self.gens - gens))
-            return relocate(n, inner)
+            gens, nodes = fold(inner, _size)
+            self.count_bits((arg + 1) * gens)
+            self.count_nodes(nodes)
+            return relocate(arg, inner)
         if kw == "bigunion":
-            _, lo, hi, _, gens = arg
-            if lo > hi:
-                self.gens = gens  # the body was parsed only to be checked
-                return UnionNode(())
-            return UnionNode(tuple(kids))
+            _, lo, hi, _ = arg
+            # an empty range parsed its body only to check it
+            return UnionNode(tuple(kids) if lo <= hi else ())
         return (UnionNode if kw == "union" else InterNode)(tuple(kids))
 
 
-def _generators(node: BorelCode, counts: list[int], flip: bool) -> int:
-    return len(node.label.generators) if isinstance(node, Leaf) else sum(counts)
+def _size(node: BorelCode, kids: list[tuple[int, int]], flip: bool) -> tuple[int, int]:
+    """(generators, nodes) of a code."""
+    if isinstance(node, Leaf):
+        return len(node.label.generators), 1
+    return sum(g for g, _ in kids), 1 + sum(n for _, n in kids)
 
 
 def parse_dsl(text: str) -> BorelCode:

@@ -80,10 +80,6 @@ class L1Name:
             d = self._deltas[i] = self.term(i).abs_diff(g)
         return d
 
-    @property
-    def materialized(self) -> int:
-        return len(self._terms)
-
     def exact_limit(self) -> StepFunction | None:
         """The limit, term(tail), when the tail is known, else None."""
         return None if self.tail is None else self.term(self.tail)
@@ -227,17 +223,6 @@ class NamesEqualResult:
         return self.equal
 
 
-def interleave_terms(n1: L1Name, n2: L1Name) -> Callable[[int], StepFunction]:
-    """<f_2, g_3, f_4, g_5, ...>: term j is f_{j+2} for even j, g_{j+2} for
-    odd j.  Exposed raw (pair norms not pre-certified) so disagreement shows
-    up in bad-set stages rather than as an early error."""
-
-    def term(j: int) -> StepFunction:
-        return n1.term(j + 2) if j % 2 == 0 else n2.term(j + 2)
-
-    return term
-
-
 def names_equal(n1: L1Name, n2: L1Name) -> NamesEqualResult:
     """When both names know their tails: equal iff the limits term(tail)
     coincide; a rule name's terms are evaluated up to its declared tail.
@@ -252,14 +237,17 @@ def names_equal(n1: L1Name, n2: L1Name) -> NamesEqualResult:
 
 
 class _Interleaved(L1Name):
-    """interleave_terms(n1, n2), uncertified, with a name's memoized terms,
-    deltas and bad-set stages; exact equal limits give it the later tail, less 2."""
+    """<f_2, g_3, f_4, g_5, ...>: term j is f_{j+2} for even j, g_{j+2} for
+    odd j, with a name's memoized terms, deltas and bad-set stages.  Its pair
+    norms are not certified, so disagreement shows up in bad-set stages
+    rather than as an early error; exact equal limits give it the later tail,
+    less 2."""
 
     def __init__(self, n1: L1Name, n2: L1Name):
         known = n1.tail is not None and n2.tail is not None
         tail = max(n1.tail, n2.tail, 2) - 2 if known and n1.exact_limit() == n2.exact_limit() else None
-        super().__init__([], rule=interleave_terms(n1, n2), label=f"{n1.label}~{n2.label}",
-                         tail=tail)
+        super().__init__([], rule=lambda j: (n2 if j % 2 else n1).term(j + 2),
+                         label=f"{n1.label}~{n2.label}", tail=tail)
 
     def _check_pair(self, i: int) -> None:
         pass
@@ -288,7 +276,7 @@ def limit_distance_refuted(h1: L1Name, h2: L1Name, bound: Dyadic) -> Dyadic | No
     returns the offending lower bound if the claim is impossible, else None.
     A name is read at its limit term(tail) when the tail is known, else at
     its deepest materialized index i, whose term is within 2^-i+1 of it."""
-    a, b = (max(h.materialized, 1) - 1 if h.tail is None else h.tail for h in (h1, h2))
+    a, b = (max(len(h._terms), 1) - 1 if h.tail is None else h.tail for h in (h1, h2))
     lower = l1_norm(h1.term(a), h2.term(b))
     if h1.tail is None:
         lower = lower - Dyadic.pow2(-a + 1)

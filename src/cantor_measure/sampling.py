@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -34,19 +33,6 @@ from .stepfn import StepFunction
 # fraction of captured trials tolerated before the estimate is refused
 CAPTURE_GATE_PERCENT = 1
 AVERAGE_BITS = 60
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A floor-rounded average at AVERAGE_BITS bits with its provenance."""
-
-    value: Dyadic
-    trials: int
-    seed: int
-    captured: int = 0
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def _refinement(*partitions: Sequence[str]) -> list[str]:
@@ -81,9 +67,10 @@ def _name_sum(name: L1Name, trials: int, seed: int, precision: int) -> tuple[int
     return caught, Dyadic(total, f.exp)
 
 
-def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate:
+def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Dyadic:
     """Estimate the integral of a step function, an L1 name, or the measure
-    of a complement-free code by averaging over seeded sample points.
+    of a complement-free code by averaging over seeded sample points: the
+    average floor-rounded at AVERAGE_BITS bits.
 
     Name targets read values as value_at does; trials landing in the bad-set
     guard are dropped, and more than CAPTURE_GATE_PERCENT of them aborts the
@@ -97,11 +84,9 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Estimate
             raise StatisticalGateError(
                 f"{captured} of {trials} trials captured by the guard set"
             )
-        value = total.div_floor(trials - captured, AVERAGE_BITS)
-        return Estimate(value, trials, seed, captured)
+        return total.div_floor(trials - captured, AVERAGE_BITS)
     f = target if isinstance(target, StepFunction) else StepFunction.from_char(denotation(target))
-    value = Dyadic(_sum_at(f, seed, trials), f.exp).div_floor(trials, AVERAGE_BITS)
-    return Estimate(value, trials, seed)
+    return Dyadic(_sum_at(f, seed, trials), f.exp).div_floor(trials, AVERAGE_BITS)
 
 
 def conditional_average(f: StepFunction, i: int) -> StepFunction:

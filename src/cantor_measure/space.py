@@ -333,11 +333,6 @@ def locate(strings: Sequence[str], x: Point) -> int | None:
     return found
 
 
-def point_in(x: Point, s: ClopenSet) -> bool:
-    """Reads at most max-generator-length bits of x."""
-    return s.hit(x) is not None
-
-
 def enumerate_eventually_periodic(max_head: int, max_period: int) -> Iterator[EventuallyPeriodicPoint]:
     """All u v^w with |u| <= max_head, 1 <= |v| <= max_period."""
     for hl in range(max_head + 1):

@@ -21,10 +21,10 @@ from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import ParseError, StatisticalGateError, ValidationError
 from cantor_measure.gdelta import RapidGDelta
 from cantor_measure.names import (Captured, L1Name, bad_set, char_name, constant_name,
-                                  exceedance_stages, inf_name, interleave_terms, sup_name,
+                                  exceedance_stages, inf_name, sup_name,
                                   value_at)
 from cantor_measure.ordinals import ONE_ORD
-from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT, Estimate
+from cantor_measure.sampling import AVERAGE_BITS, CAPTURE_GATE_PERCENT
 from cantor_measure.space import (_GOLDEN, _MASK, ClopenSet, ColumnPoint, SeededPoint,
                                   StagedOpenSet, TailPoint, clopen_intersection, clopen_union)
 from cantor_measure.stepfn import StepFunction
@@ -384,8 +384,7 @@ def mc_integral_bf(target, trials: int, seed: int, precision: int = 20):
     points = [column(SeededPoint(seed), j) for j in range(trials)]
     if isinstance(target, StepFunction):
         total = sum(target.values[cell_index_bf(x, target.depth)] for x in points)
-        return Estimate(Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS),
-                        trials, seed)
+        return Dyadic(total, target.exp).div_floor(trials, AVERAGE_BITS)
     if isinstance(target, L1Name):
         total = Dyadic(0, 0)
         captured = 0
@@ -399,12 +398,11 @@ def mc_integral_bf(target, trials: int, seed: int, precision: int = 20):
             raise StatisticalGateError(
                 f"{captured} of {trials} trials captured by the guard set"
             )
-        value = total.div_floor(trials - captured, AVERAGE_BITS)
-        return Estimate(value, trials, seed, captured)
+        return total.div_floor(trials - captured, AVERAGE_BITS)
     d = support_depth_bf(target)
     table = membership_table_bf(target, d)
     hits = sum(table[cell_index_bf(x, d)] for x in points)
-    return Estimate(Dyadic(hits, 0).div_floor(trials, AVERAGE_BITS), trials, seed)
+    return Dyadic(hits, 0).div_floor(trials, AVERAGE_BITS)
 
 
 def capture_sets_bf(name, precision: int):
@@ -464,7 +462,8 @@ def convergence_test_bf(name):
 
 
 def agreement_test_bf(n1, n2):
-    inter = interleave_terms(n1, n2)
+    def inter(j: int) -> StepFunction:
+        return n1.term(j + 2) if j % 2 == 0 else n2.term(j + 2)
 
     def inter_delta(j: int) -> StepFunction:
         return inter(j).abs_diff(inter(j + 1))

@@ -1,7 +1,8 @@
 """Mutation catalog for the certificate path and the walks it rests on
 (De Morgan normalization, the clopen complement, the locate walk, the
-sampler kernel, the decoration audit, step-function arithmetic and the DSL
-scanner and parser), and its runner.
+sampler kernel and a name estimate's average, the decoration audit,
+step-function arithmetic, the interleave of two names and the DSL scanner
+and parser), and its runner.
 
 Each mutant names a file of the repository, an exact text that occurs once
 in it, the text that replaces it, and the tests that must fail once it is
@@ -145,6 +146,19 @@ MUTANTS = (
             "tests/test_stepfn.py::test_binary_ops_match_aligned_tables",
             "tests/test_names.py::test_capture_sets_match_staged_bad_sets",
             "tests/test_names.py::test_value_at_names_a_signed_delta_as_a_certificate_error")),
+    Mutant("reloc-copy-not-counted", "src/cantor_measure/dsl.py",
+           "self.count_nodes(nodes)", "self.count_nodes(0)",
+           ("tests/test_dsl.py::test_reloc_copy_counted_against_the_node_limit",)),
+    Mutant("reloc-bits-index-only", "src/cantor_measure/dsl.py",
+           "(arg + 1) * gens", "arg * gens",
+           ("tests/test_dsl.py::test_code_bits_counted_as_built",)),
+    Mutant("name-average-over-all-trials", "src/cantor_measure/sampling.py",
+           "total.div_floor(trials - captured, AVERAGE_BITS)", "total.div_floor(trials, AVERAGE_BITS)",
+           ("tests/test_sampling.py::test_name_estimate_counts_captures_and_keeps_negative_values",
+            "tests/test_sampling.py::test_name_estimate_matches_per_trial_value_at")),
+    Mutant("interleave-parity-swapped", "src/cantor_measure/names.py",
+           "(n2 if j % 2 else n1)", "(n1 if j % 2 else n2)",
+           ("tests/test_names.py::test_interleave_exposes_raw_sequence",)),
 )
 
 

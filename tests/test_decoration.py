@@ -30,7 +30,7 @@ from cantor_measure.decoration import (
 from cantor_measure.dsl import parse_dsl
 from cantor_measure.errors import CertificateError, ValidationError
 from cantor_measure.ordinals import OrdinalNotation, ONE_ORD
-from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, enumerate_eventually_periodic, point_in
+from cantor_measure.space import ClopenSet, EventuallyPeriodicPoint, enumerate_eventually_periodic
 
 from bruteforce import check_preservation_bf, contains_prefix
 from gen import random_ranked_alternating
@@ -229,13 +229,11 @@ def test_check_preservation_report():
         assert rep.ok and bool(rep)
         before, after = denotation(code), denotation(decorate(code, gen))
         fp = gen.footprint()
-        from cantor_measure.space import point_in
-
         for i, x in enumerate(pts):
             if i in rep.captured:
-                assert point_in(x, fp)
+                assert fp.hit(x) is not None
             else:
-                assert point_in(x, before) == point_in(x, after)
+                assert (before.hit(x) is None) == (after.hit(x) is None)
 
 
 def test_empty_generator_never_captures():
@@ -300,7 +298,7 @@ def _with_leaf_label(code, slot, label):
 ])
 def test_exact_check_rejects_change_the_sample_misses(text, label):
     gen = split_generator([ONE_ORD, _fin(2)])
-    assert not any(point_in(x, ClopenSet.cylinder(DEEP)) for x in POINTS)
+    assert all(ClopenSet.cylinder(DEEP).hit(x) is None for x in POINTS)
     assert not gen.footprint().covers_prefix(DEEP)
     code = _shaped(text)
     tampered = _with_leaf_label(decorate(code, gen), 0, label)

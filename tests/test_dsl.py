@@ -109,6 +109,23 @@ def test_code_bits_counted_as_built(text, bits, monkeypatch):
         parse_dsl(text)
 
 
+def _relocs(levels: int, leaves: int) -> str:
+    return "reloc(0," * levels + "union(" + "empty," * leaves + "cyl(0))" + ")" * levels
+
+
+def test_reloc_copy_counted_against_the_node_limit():
+    """A reloc is one form and builds a copy of its child, so the child's
+    nodes count twice: k empty leaves and cyl(0) under one reloc build
+    2 * (k + 2) + 1 nodes.  The largest k that fits parses, one more leaf
+    is refused, and so is a deep nest of relocs around a wide child, before
+    it copies the child once per level."""
+    k = (dsl.MAX_CODE_NODES - 5) // 2
+    assert len(parse_dsl(_relocs(1, k)).children) == k + 1
+    for text in (_relocs(1, k + 1), _relocs(800, 30000)):
+        with pytest.raises(ValidationError, match=f"MAX_CODE_NODES = {dsl.MAX_CODE_NODES} nodes"):
+            parse_dsl(text)
+
+
 def test_bigunion_inclusive_bounds():
     c = parse_dsl("bigunion(n,0,3,reloc($n,cyl()))")
     assert counting_measure(c) == counting_measure(

@@ -51,6 +51,10 @@ def test_parse_and_str_round_trip():
     assert str(Dyadic(4, 2)) == str(Dyadic(1, 0)) == "1/2^0"
 
 
+def test_float():
+    assert float(Dyadic(1, 1)) == 0.5
+
+
 @given(nums, exps, st.integers(min_value=1, max_value=1000))
 def test_div_floor_bounds(a, e, den):
     x = Dyadic(a, e)

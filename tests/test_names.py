@@ -22,7 +22,6 @@ from cantor_measure.names import (
     diagonal_name,
     exceedance_stages,
     inf_name,
-    interleave_terms,
     names_equal,
     sup_name,
     value_at,
@@ -201,7 +200,7 @@ def test_a_failed_certificate_keeps_no_term():
             read()
         errors.append(str(exc.value))
     assert errors == ["broken: |f_3 - f_4|_1 = 15/2^4 not < 2^-3"] * 3
-    assert nm.materialized == 4 and 3 not in nm._deltas
+    assert len(nm._terms) == 4 and 3 not in nm._deltas
 
 
 def test_exceedance_stages_read_no_delta_below_start():
@@ -309,10 +308,10 @@ def test_names_equal_mode_exact_iff_both_limits_known():
     assert names_equal(tailed, ruled).mode == "bounded"
 
 
-def test_interleave_terms_exposes_raw_sequence():
+def test_interleave_exposes_raw_sequence():
     a = constant_name(StepFunction.constant(Dyadic(0, 0)), label="a")
     b = constant_name(StepFunction.constant(Dyadic(1, 4)), label="b")
-    seq = interleave_terms(a, b)
+    seq = names._Interleaved(a, b).term
     assert seq(0) == a.term(2)
     assert seq(1) == b.term(3)
     assert seq(2) == a.term(4)

@@ -1,5 +1,6 @@
 import ast
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -259,3 +260,25 @@ def test_mutant_catalog_texts_occur_once():
             defs = {stmt.name for stmt in ast.parse((root / path).read_text()).body
                     if isinstance(stmt, ast.FunctionDef)}
             assert name in defs, (m.name, t)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """In README order, in one directory: every cantor-measure line of an sh
+    block exits 0 through cli.main, and every python block runs.  Between
+    them the examples call every verb."""
+    from cantor_measure import cli
+
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    ran = []
+    for lang, body in blocks:
+        if lang == "python":
+            exec(compile(body, "README.md", "exec"), {})
+            ran.append(lang)
+        elif lang == "sh":
+            for line in body.splitlines():
+                argv = shlex.split(line)
+                if argv[:1] == ["cantor-measure"]:
+                    assert cli.main(argv[1:]) == 0, (line, capsys.readouterr().err)
+                    ran.append(argv[1])
+    assert ran.count("python") == 2 and set(cli._COMMANDS) <= set(ran)

@@ -5,11 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantor_measure.dyadic import Dyadic
 from cantor_measure.errors import CertificateError, StatisticalGateError, ValidationError
+from cantor_measure.codes import ComplNode, Leaf
 from cantor_measure.measure import measure_of_code
-from cantor_measure.names import L1Name, char_name, constant_name
+from cantor_measure.names import Captured, L1Name, char_name, constant_name, value_at
 from cantor_measure.sampling import (
     AVERAGE_BITS,
-    Estimate,
     conditional_average,
     mc_integral,
     sampled_average,
@@ -39,7 +39,9 @@ def test_determinism_same_seed():
     a = mc_integral(c, trials=500, seed=9)
     b = mc_integral(c, trials=500, seed=9)
     assert a == b
-    assert mc_integral(c, trials=500, seed=10) != a or True  # seeds usually differ
+    # the seed picks the stream: cyl(0)'s estimates of 1/2 vary with it
+    half = Leaf(ClopenSet.cylinder("0"))
+    assert len({mc_integral(half, trials=500, seed=s) for s in range(10)}) > 1
 
 
 def test_code_estimate_near_exact():
@@ -48,7 +50,6 @@ def test_code_estimate_near_exact():
         c = random_code(rng, max_depth=3, max_gen_len=4)
         est = mc_integral(c, trials=4000, seed=3)
         assert abs(float(est) - float(measure_of_code(c))) < 0.05
-        assert est.trials == 4000 and est.captured == 0
 
 
 def test_stepfn_estimate_near_exact():
@@ -73,11 +74,6 @@ def test_capture_gate_fires():
     nm = L1Name([], rule=chi_tail, label="shrink")
     with pytest.raises(StatisticalGateError):
         mc_integral(nm, trials=400, seed=0, precision=6)
-
-
-def test_estimate_float_and_fields():
-    est = Estimate(value=Dyadic(1, 1), trials=10, seed=0)
-    assert float(est) == 0.5
 
 
 def test_conditional_average_delegates():
@@ -106,8 +102,6 @@ def test_sampled_average_exact_when_cells_resolve():
 
 
 def test_validation_errors():
-    from cantor_measure.codes import ComplNode, Leaf
-
     code = Leaf(ClopenSet.full())
     with pytest.raises(ValidationError):
         mc_integral(code, trials=0, seed=0)
@@ -116,11 +110,8 @@ def test_validation_errors():
 
 
 def test_name_estimate_excludes_captured():
-    # one point in 16 is captured at shallow stages but the gate tolerates
-    # nothing at 1%, so keep captures at zero here and check exactness path
     nm = char_name(ClopenSet.cylinder("1"))
     est = mc_integral(nm, trials=1000, seed=8)
-    assert est.captured == 0
     assert abs(float(est) - 0.5) < 0.05
 
 
@@ -217,8 +208,12 @@ def test_name_estimate_counts_captures_and_keeps_negative_values():
     def name():
         return path_name("0", StepFunction.constant(Dyadic(-1, 0)), "10101")
 
+    nm = name()
+    captured = sum(isinstance(value_at(nm, column(SeededPoint(1), j), 3), Captured)
+                   for j in range(2000))
+    assert 0 < captured <= 20
     est = mc_integral(name(), trials=2000, seed=1, precision=3)
-    assert 0 < est.captured <= 20 and est.value == Dyadic(-1, 0)
+    assert est == Dyadic(-1, 0)
     assert est == mc_integral_bf(name(), 2000, 1, 3)
 
 
@@ -273,5 +268,4 @@ def test_deep_estimates_match_fixed_depth_kernel(gen_seed, trials, seed):
     # too deep for a per-trial table: the fixed-depth kernel is the oracle
     f = random_deep_stepfn(random.Random(gen_seed))
     total = sum(lookup(f)(seeded_cells(seed, range(trials), f.depth)))
-    assert mc_integral(f, trials, seed) == Estimate(
-        Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS), trials, seed)
+    assert mc_integral(f, trials, seed) == Dyadic(total, f.exp).div_floor(trials, AVERAGE_BITS)

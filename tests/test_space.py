@@ -20,7 +20,6 @@ from cantor_measure.space import (
     enumerate_eventually_periodic,
     locate,
     mu_I,
-    point_in,
     prefix_free_normalize,
     seeded_bit,
     validate_bits,
@@ -221,10 +220,10 @@ def test_tail_append_reads_head_then_base():
     assert [x.bit(i) for i in range(5)] == [1, 1, 0, 0, 0]
 
 
-def test_point_in_reads_finitely_many_bits():
+def test_hit_reads_finitely_many_bits():
     s = ClopenSet(("01",))
-    assert point_in(EventuallyPeriodicPoint("01", "1"), s)
-    assert not point_in(EventuallyPeriodicPoint("", "0"), s)
+    assert s.hit(EventuallyPeriodicPoint("01", "1")) is not None
+    assert s.hit(EventuallyPeriodicPoint("", "0")) is None
     # hit returns the generator brute-force prefix checking finds, or None
     points = list(enumerate_eventually_periodic(3, 2))
     for gens in [(), ("",), ("01",), ("0", "10"), ("001", "01", "110", "1111")]:
@@ -233,7 +232,6 @@ def test_point_in_reads_finitely_many_bits():
             bits = "".join(str(x.bit(i)) for i in range(c.depth()))
             want = [g for g in c.generators if bits.startswith(g)]
             assert c.hit(x) == (want[0] if want else None)
-            assert point_in(x, c) == bool(want)
 
 
 @st.composite
