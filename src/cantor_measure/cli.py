@@ -127,10 +127,10 @@ def _report(args, verb: str, payload: dict) -> dict:
 
 def _emit(report: dict, path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _require_normalized(code):
@@ -149,11 +149,11 @@ def _cmd_parse(args) -> dict:
             f"code depth {depth} exceeds MAX_REPORT_TREE_DEPTH = {MAX_REPORT_TREE_DEPTH}, "
             "the deepest tree a parse report embeds"
         )
-    assertions = []
     payload = {
         "expr": print_dsl(shaped),
         "code": code_to_json(shaped),
         "complement_free": shaped.complement_free,
+        "assertions": [],
     }
     if shaped.complement_free:
         payload["support_depth"] = support_depth(shaped)
@@ -162,12 +162,10 @@ def _cmd_parse(args) -> dict:
         ranked = annotate_min_ranks(_require_normalized(shaped))
         got = ranked.rank
         ok = got == want
-        assertions.append({"name": "root rank", "pass": ok,
-                           "want": str(want), "got": str(got)})
+        payload["assertions"].append({"name": "root rank", "pass": ok,
+                                      "want": str(want), "got": str(got)})
         if not ok:
-            payload["assertions"] = assertions
             return payload, 3
-    payload["assertions"] = assertions
     return payload
 
 
@@ -256,7 +254,7 @@ def _load_targets(path: str) -> list[ClopenSet]:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except ValueError:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
             raw = None
     if not isinstance(raw, list) or not all(
             isinstance(gens, list) and all(isinstance(g, str) and set(g) <= {"0", "1"} for g in gens)

@@ -289,9 +289,7 @@ def annotate_min_ranks(code: BorelCode) -> BorelCode:
 def _min_ranks(node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
     if isinstance(node, Leaf):
         return Leaf(node.label, ONE_ORD)
-    rank = max((k.rank for k in kids), default=OrdinalNotation.zero()).successor()
-    if rank < OrdinalNotation.finite(2):
-        rank = OrdinalNotation.finite(2)
+    rank = max((k.rank for k in kids), default=ONE_ORD).successor()
     return type(node)(tuple(kids), rank, node.slots)
 
 
@@ -301,37 +299,31 @@ def _min_ranks(node: BorelCode, kids: list[BorelCode], flip: bool) -> BorelCode:
 EvalMap = dict[Address, int]
 
 
+def _clause(node: BorelCode, x: Point, vals: list[int]) -> int:
+    """A node's value by its clause, given its children's values: a leaf's
+    membership of x, a union's max, an intersection's min."""
+    if isinstance(node, Leaf):
+        return 0 if node.label.hit(x) is None else 1
+    return max(vals, default=0) if isinstance(node, UnionNode) else min(vals, default=1)
+
+
 def evaluate(code: BorelCode, x: Point) -> EvalMap:
     """The unique clause-respecting 0/1 assignment to all node addresses."""
     require_complement_free(code, "evaluate")
     out: EvalMap = {}
     for addr, node in reversed(nodes(code)):
-        if isinstance(node, Leaf):
-            out[addr] = 0 if node.label.hit(x) is None else 1
-        else:
-            vals = [out[addr + (s,)] for s, _ in child_items(node)]
-            out[addr] = max(vals, default=0) if isinstance(node, UnionNode) else min(vals, default=1)
+        out[addr] = _clause(node, x, [out[addr + (s,)] for s, _ in child_items(node)])
     return out
 
 
 def eval_map_violations(code: BorelCode, x: Point, emap: EvalMap) -> list[Address]:
-    """Addresses whose clause is broken by emap; [] certifies emap is THE
-    evaluation map (values are forced bottom-up, so clause-validity at every
-    node is equivalent to uniqueness)."""
+    """Addresses whose value, or a child's, emap lacks or whose clause it
+    breaks; [] certifies emap is THE evaluation map (values are forced
+    bottom-up, so clause-validity at every node is equivalent to uniqueness)."""
     bad = []
     for addr, node in nodes(code):
-        if addr not in emap:
-            bad.append(addr)
-            continue
-        if isinstance(node, Leaf):
-            want = 0 if node.label.hit(x) is None else 1
-        else:
-            vals = [emap.get(addr + (s,)) for s, _ in child_items(node)]
-            if any(v is None for v in vals):
-                bad.append(addr)
-                continue
-            want = max(vals, default=0) if isinstance(node, UnionNode) else min(vals, default=1)
-        if emap[addr] != want:
+        vals = [emap.get(addr + (s,)) for s, _ in child_items(node)]
+        if addr not in emap or None in vals or emap[addr] != _clause(node, x, vals):
             bad.append(addr)
     return bad
 
@@ -357,8 +349,9 @@ def membership_table(code: BorelCode, depth: int | None = None) -> tuple[int, li
     """(d, table) with table[int(p, 2)] = membership of [p] for all p in 2^d.
 
     Valid because membership depends only on the first support_depth bits."""
-    d = support_depth(code) if depth is None else depth
-    if d < support_depth(code):
+    least = support_depth(code)
+    d = least if depth is None else depth
+    if d < least:
         raise ValidationError("table depth below support depth")
     return d, list(StepFunction.from_char(denotation(code)).at_depth(d))
 

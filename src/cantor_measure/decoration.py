@@ -196,8 +196,7 @@ def _decorated(gen: DecorationGenerator, inserts: dict[tuple[int, bool], BorelCo
     items.sort(key=lambda sc: sc[0])
     slots = tuple(s for s, _ in items)
     kids = tuple(c for _, c in items)
-    cls = UnionNode if under_union else InterNode
-    return cls(children=kids, rank=node.rank, slots=slots)
+    return type(node)(children=kids, rank=node.rank, slots=slots)
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,6 @@ class PreservationReport:
     @property
     def ok(self) -> bool:
         return self.whole_space and not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_preservation(code: BorelCode, gen: DecorationGenerator, points: Sequence[Point],

@@ -1,14 +1,15 @@
 """Exact dyadic rationals num / 2**exp with arbitrary-precision integers.
 
-Canonical form: num odd, or exp == 0.  No floats anywhere; every operation
-is exact except the explicitly-rounding div_floor, which callers use only
-to compress sample averages.
+Canonical form: num odd, or exp == 0, so field equality is value equality.
+No floats anywhere; every operation is exact except the explicitly-rounding
+div_floor, which callers use only to compress sample averages.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import ValidationError
 
@@ -24,6 +25,7 @@ def _canonical(num: int, exp: int) -> tuple[int, int]:
     return num >> s, exp - s
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class Dyadic:
     num: int
@@ -56,23 +58,9 @@ class Dyadic:
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.exp)
 
-    def _cmp(self, other: "Dyadic") -> int:
-        e = max(self.exp, other.exp)
-        a = self.num << (e - self.exp)
-        b = other.num << (e - other.exp)
-        return (a > b) - (a < b)
-
     def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
+        e = max(self.exp, other.exp)
+        return self.num << (e - self.exp) < other.num << (e - other.exp)
 
     def div_floor(self, den: int, bits: int = 60) -> "Dyadic":
         """floor(self / den * 2**bits) / 2**bits; exact when representable."""

@@ -98,12 +98,10 @@ class Certificate:
     def __init__(self, code: BorelCode, d: MeasureDecomposition):
         require_complement_free(code, "Certificate")
         walk = nodes(code)
-        for addr, _ in walk:
-            if addr not in d:
-                raise KeyError(addr)
+        names = [d[addr] for addr, _ in walk]
         self.checks = []
-        for addr, node in walk:
-            name, law = d[addr], law_name(node, [d[addr + (s,)] for s, _ in child_items(node)])
+        for (addr, node), name in zip(walk, names):
+            law = law_name(node, [d[addr + (s,)] for s, _ in child_items(node)])
             self.checks.append((addr, node, name, law, None if name.tail is None or law.tail is None
                                 else name.exact_limit() == law.exact_limit()))
 
@@ -222,7 +220,7 @@ def char_to_regularity(name: L1Name, reference: ClopenSet | None = None) -> Regu
             got = mu_I(overlap)
             if got > bound:
                 raise CertificateError(
-                    f"overlap bound broken at level {n}: {got} > 3*2^-{n + 1}"
+                    f"overlap bound broken at level {n}: {got} > 3*2^{1 - n}"
                 )
     return approx
 
@@ -238,7 +236,6 @@ def regularity_to_char(approx: RegularityApprox,
     approx.tail t fixes f_n once n + 1 >= t, so the output is constant from
     max(t - 3, 0), and those levels must leak exactly 0, for the promise
     tightens with n."""
-    @cache
     def f(n: int) -> StepFunction:
         s = stage_oracle(n)
         a = approx.a_levels(n + 1).stage(s)

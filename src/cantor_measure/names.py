@@ -219,9 +219,6 @@ class NamesEqualResult:
     equal: bool
     mode: str
 
-    def __bool__(self) -> bool:
-        return self.equal
-
 
 def names_equal(n1: L1Name, n2: L1Name) -> NamesEqualResult:
     """When both names know their tails: equal iff the limits term(tail)

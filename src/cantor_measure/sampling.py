@@ -89,9 +89,7 @@ def mc_integral(target, trials: int, seed: int, precision: int = 20) -> Dyadic:
     return Dyadic(_sum_at(f, seed, trials), f.exp).div_floor(trials, AVERAGE_BITS)
 
 
-def conditional_average(f: StepFunction, i: int) -> StepFunction:
-    """Exact: value on each depth-i cell is the average of f over that cell."""
-    return f.cell_average(i)
+conditional_average = StepFunction.cell_average
 
 
 def sampled_average(f: StepFunction, i: int, trials: int, seed: int) -> StepFunction:

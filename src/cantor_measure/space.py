@@ -72,7 +72,7 @@ class ClopenSet:
 
     @classmethod
     def cylinder(cls, p: str) -> "ClopenSet":
-        return cls((validate_bits(p),))
+        return cls((p,))
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -239,9 +239,6 @@ class TailPoint(Point):
             return int(self.head[n])
         return self.base.bit(n - len(self.head))
 
-    def describe(self) -> str:
-        return f"{self.head}~{self.base.describe()}"
-
 
 @dataclass(frozen=True)
 class ColumnPoint(Point):
@@ -250,9 +247,6 @@ class ColumnPoint(Point):
 
     def bit(self, n: int) -> int:
         return self.base.bit(cantor_pair(self.index, n))
-
-    def describe(self) -> str:
-        return f"{self.base.describe()}[{self.index}]"
 
 
 def cantor_pair(k: int, n: int) -> int:
@@ -314,15 +308,20 @@ def locate(strings: Sequence[str], x: Point) -> int | None:
     which bit k splits at the first string whose character k is '1', found
     by bisection on that character alone.  A string equal to the bits read
     heads the run: it is remembered and skipped.  Once one string is left,
-    the rest of it is compared with one slice of x's bits, so the walk reads
-    each bit once and no further than the last string it could find."""
+    the rest of it is compared with slices of x's bits of 64, 128, ... bits
+    up to the first that differs, so the walk reads each bit once, no
+    further than the last string it could find, and past the first bit that
+    differs at most to the end of its slice."""
     lo, hi, k, found = 0, len(strings), 0, None
     while lo < hi:
         s = strings[lo]
         if len(s) == k:
             found, lo = lo, lo + 1
         elif hi - lo == 1:
-            return lo if x.bits(k, len(s)) == s[k:] else found
+            n = 64
+            while k < len(s) and x.bits(k, min(k + n, len(s))) == s[k:k + n]:
+                k, n = k + n, 2 * n
+            return lo if k >= len(s) else found
         else:
             mid = bisect_left(strings, "1", lo, hi, key=itemgetter(k))
             if x.bit(k):

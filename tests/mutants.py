@@ -1,8 +1,10 @@
 """Mutation catalog for the certificate path and the walks it rests on
 (De Morgan normalization, the clopen complement, the locate walk, the
 sampler kernel and a name estimate's average, the decoration audit,
-step-function arithmetic, the interleave of two names and the DSL scanner
-and parser), and its runner.
+step-function arithmetic, the interleave of two names, the DSL scanner
+and parser, evaluation maps, the dyadic order, and the refutations of
+diagonal limits, recovered names and regularity approximations), and its
+runner.
 
 Each mutant names a file of the repository, an exact text that occurs once
 in it, the text that replaces it, and the tests that must fail once it is
@@ -66,8 +68,8 @@ MUTANTS = (
            (_M + "test_verify_rejects_root_minus_depth_24_cell_at_default_bound",
             "tests/test_cli.py::test_failed_law_exits_4_before_staging", _ONE_PASS)),
     Mutant("pass-skips-leaf-law", "src/cantor_measure/measure.py",
-           "        for addr, node in walk:\n",
-           "        for addr, node in walk:\n            if isinstance(node, Leaf):\n"
+           "        for (addr, node), name in zip(walk, names):\n",
+           "        for (addr, node), name in zip(walk, names):\n            if isinstance(node, Leaf):\n"
            "                continue\n",
            (_M + "test_decomposition_laws_verify_and_detect_tampering", _ONE_PASS)),
     Mutant("agreement-height-one-low", "src/cantor_measure/names.py",
@@ -108,7 +110,8 @@ MUTANTS = (
            ("tests/test_names.py::test_interleave_tail_is_where_its_rule_stops_changing",
             _CLOSURES)),
     Mutant("locate-skips-a-bit", "src/cantor_measure/space.py",
-           "x.bits(k, len(s)) == s[k:]", "x.bits(k + 1, len(s)) == s[k + 1:]",
+           "x.bits(k, min(k + n, len(s))) == s[k:k + n]",
+           "x.bits(k + 1, min(k + n, len(s))) == s[k + 1:k + n]",
            ("tests/test_space.py::test_locate_matches_prefix_oracle",
             "tests/test_space.py::test_locate_finds_the_longest_prefix_in_any_sorted_list")),
     Mutant("sampler-stride-fixed", "src/cantor_measure/space.py",
@@ -159,6 +162,44 @@ MUTANTS = (
     Mutant("interleave-parity-swapped", "src/cantor_measure/names.py",
            "(n2 if j % 2 else n1)", "(n1 if j % 2 else n2)",
            ("tests/test_names.py::test_interleave_exposes_raw_sequence",)),
+    Mutant("clause-empty-union-is-1", "src/cantor_measure/codes.py",
+           "max(vals, default=0)", "max(vals, default=1)",
+           ("tests/test_codes.py::test_childless_nodes_evaluate_to_their_empty_clauses",)),
+    Mutant("eval-map-missing-address-unflagged", "src/cantor_measure/codes.py",
+           "if addr not in emap or None in vals", "if None in vals",
+           ("tests/test_codes.py::test_eval_map_violations_flags_missing_addresses",)),
+    Mutant("eval-map-missing-child-unflagged", "src/cantor_measure/codes.py",
+           "emap or None in vals or emap", "emap or emap",
+           ("tests/test_codes.py::test_eval_map_violations_flags_missing_addresses",)),
+    Mutant("dyadic-lt-or-equal", "src/cantor_measure/dyadic.py",
+           "< other.num <<", "<= other.num <<",
+           ("tests/test_dyadic.py::test_order_matches_fractions",)),
+    Mutant("law-childless-off", "src/cantor_measure/measure.py",
+           "    if not kids:\n", "    if False:\n",
+           (_M + "test_childless_nodes_verify_by_their_constant_laws",
+            "tests/test_cli.py::test_decompose_an_empty_bigunion")),
+    Mutant("recovery-law-unchecked", "src/cantor_measure/measure.py",
+           "    if not res:\n        raise CertificateError(\n            f\"recovered",
+           "    if False:\n        raise CertificateError(\n            f\"recovered",
+           (_M + "test_membership_recovery_refutes_names_that_break_a_law",)),
+    Mutant("overlap-unchecked", "src/cantor_measure/measure.py",
+           "            if got > bound:\n", "            if False:\n",
+           (_M + "test_regularity_refutes_a_name_that_is_not_a_characteristic_function",)),
+    Mutant("diag-adjacent-unchecked", "src/cantor_measure/names.py",
+           "        if got > allowed:\n", "        if False:\n",
+           ("tests/test_names.py::test_diagonal_name_refutes_adjacent_terms_of_an_uncertified_name",)),
+    Mutant("diag-limit-claim-unchecked", "src/cantor_measure/names.py",
+           "            if bad is not None:\n                raise CertificateError(\n"
+           "                    f\"diag: |f^{i} - lim g",
+           "            if False:\n                raise CertificateError(\n"
+           "                    f\"diag: |f^{i} - lim g",
+           ("tests/test_names.py::test_diagonal_name_refutes_a_false_limit_claim",)),
+    Mutant("limit-first-unknown-tail-uncorrected", "src/cantor_measure/names.py",
+           "lower = lower - Dyadic.pow2(-a + 1)", "lower = lower",
+           ("tests/test_names.py::test_limit_distance_refuted_allows_for_unknown_tails",)),
+    Mutant("limit-second-unknown-tail-uncorrected", "src/cantor_measure/names.py",
+           "lower = lower - Dyadic.pow2(-b + 1)", "lower = lower",
+           ("tests/test_names.py::test_limit_distance_refuted_allows_for_unknown_tails",)),
 )
 
 

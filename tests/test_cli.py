@@ -242,9 +242,13 @@ def test_json_file_matches_stdout(tmp_path, capsys):
 
 
 def test_json_write_failure_exit_3(tmp_path, capsys):
-    rc, _, err = run_main(capsys, "measure", "cyl(01)", "--json", str(tmp_path))
-    assert rc == 3
-    assert "error" in err
+    """The --json file is written before stdout, so a path that cannot be
+    written, a directory or a file in a missing directory, exits 3 with
+    nothing on stdout and one io error line."""
+    for path in (tmp_path, tmp_path / "missing" / "out.json"):
+        rc, out, err = run_main(capsys, "measure", "cyl(01)", "--json", str(path))
+        assert (rc, out) == (3, "")
+        assert err.startswith("io error: ") and err.count("\n") == 1
 
 
 def test_reports_byte_stable(capsys):
@@ -275,6 +279,16 @@ def test_decompose_rows(capsys):
     root = next(r for r in rows if r["address"] == "")
     assert root["integral"] == "3/2^2"
     assert {r["address"] for r in rows} == {"", "0", "1", "1.0", "1.1"}
+
+
+def test_decompose_an_empty_bigunion(capsys):
+    """A bigunion over an empty range is a union with no children, which
+    verifies by the constant 0 law."""
+    rc, out, _ = run_main(capsys, "decompose", "bigunion(i,1,0,cyl())")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["addresses"] == [{"address": "", "integral": "0/2^0"}]
+    assert doc["measure"] == "0/2^0"
 
 
 def test_tests_combine_budget_table(capsys):
@@ -323,6 +337,17 @@ def test_decorate_malformed_split_targets_exit_3(capsys, tmp_path, content):
     )
     assert rc == 3 and out == ""
     assert str(path) in err and "Traceback" not in err
+
+
+def test_decorate_deeply_nested_targets_exit_3(capsys, tmp_path):
+    """A targets file nested deeper than the JSON decoder recurses is
+    malformed targets, not a traceback."""
+    path = tmp_path / "targets.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run_main(capsys, "decorate", "cyl(0)", "--generator", f"split:{path}",
+                            "--budget", "1")
+    assert (rc, out) == (3, "")
+    assert err == f"validation error: {path}: targets must be a JSON list of lists of bit strings\n"
 
 
 def test_decorate_split_targets_file(capsys, tmp_path):

@@ -87,6 +87,29 @@ def test_eval_map_perturbation_is_caught():
         assert eval_map_violations(c, x, bad) != []
 
 
+def test_childless_nodes_evaluate_to_their_empty_clauses():
+    """An empty union is 0 at every point and an empty intersection 1."""
+    x = tail_point("")
+    for node, want in ((UnionNode(()), 0), (InterNode(()), 1)):
+        assert evaluate(node, x) == {(): want}
+        assert eval_map_violations(node, x, {(): want}) == []
+        assert eval_map_violations(node, x, {(): 1 - want}) == [()]
+
+
+def test_eval_map_violations_flags_missing_addresses():
+    """An address the map lacks is a violation, and so is its parent, whose
+    clause has a child value missing."""
+    c = InterNode((Leaf(ClopenSet.cylinder("0")), UnionNode((Leaf(ClopenSet.cylinder("00")),
+                                                              Leaf(ClopenSet.cylinder("1"))))))
+    x = tail_point("0")
+    emap = evaluate(c, x)
+    assert eval_map_violations(c, x, emap) == []
+    del emap[1, 1]
+    assert eval_map_violations(c, x, emap) == [(1,), (1, 1)]
+    del emap[()]
+    assert eval_map_violations(c, x, emap) == [(), (1,), (1, 1)]
+
+
 def test_membership_table_agrees_with_member():
     rng = random.Random(403)
     for _ in range(60):

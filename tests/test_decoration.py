@@ -226,7 +226,7 @@ def test_check_preservation_report():
         assert rep.checked == len(pts)
         assert rep.violations == ()
         assert rep.preserved == rep.checked - len(rep.captured)
-        assert rep.ok and bool(rep)
+        assert rep.ok
         before, after = denotation(code), denotation(decorate(code, gen))
         fp = gen.footprint()
         for i, x in enumerate(pts):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cantor_measure.dyadic import ONE, Dyadic
 from cantor_measure.errors import ValidationError
@@ -32,12 +32,16 @@ def test_arithmetic_matches_fractions(a, ea, b, eb):
 
 
 @given(nums, exps, nums, exps)
+@example(0, 0, 0, 5)
+@example(1, 1, 2, 2)
+@example(1, 2, 1, 1)
 def test_order_matches_fractions(a, ea, b, eb):
     x, y = Dyadic(a, ea), Dyadic(b, eb)
     assert (x < y) == (frac(x) < frac(y))
     assert (x == y) == (frac(x) == frac(y))
     assert (x <= y) == (frac(x) <= frac(y))
-
+    assert (x > y) == (frac(x) > frac(y))
+    assert (x >= y) == (frac(x) >= frac(y))
 
 @given(st.integers(min_value=-30, max_value=30))
 def test_pow2(k):

@@ -358,7 +358,7 @@ def _verdict_loop(code, d) -> VerifyResult:
         res = names_equal(d[addr], measure.law_name(
             node, [d[addr + (s,)] for s, _ in child_items(node)]))
         mode = "bounded" if res.mode == "bounded" else mode
-        if not res:
+        if not res.equal:
             law = ("leaf" if isinstance(node, Leaf)
                    else "union" if isinstance(node, UnionNode) else "intersection")
             return VerifyResult(False, addr, law, mode)
@@ -443,6 +443,38 @@ def test_membership_recovery_rejects_wrong_limit():
     wrong = char_name(ClopenSet.cylinder("1"))
     with pytest.raises(ValidationError):
         decomposition_from_membership(wrong, c, h)
+
+
+def test_membership_recovery_refutes_names_that_break_a_law():
+    """With its tail unknown, the stacked name's limit is not compared up
+    front; the law pass over the recovered names refutes a name of 0 at the
+    leaf [0]."""
+    c = UnionNode((Leaf(ClopenSet.cylinder("0")),))
+    zero = L1Name([], rule=lambda i: StepFunction.constant(Dyadic(0, 0)))
+    with pytest.raises(CertificateError,
+                       match=r"^recovered names fail the leaf law at address \(0,\)$"):
+        decomposition_from_membership(zero, c, [(), (0,)])
+
+
+def test_regularity_refutes_a_name_that_is_not_a_characteristic_function():
+    """A name of 1/2 everywhere puts the whole space in A_n and in C_n, so
+    the overlap of measure 1 breaks the bound 3 * 2^(1-n) first at level 3."""
+    half = constant_name(StepFunction.constant(Dyadic(1, 1)))
+    with pytest.raises(CertificateError,
+                       match=r"^overlap bound broken at level 3: 1/2\^0 > 3\*2\^-2$"):
+        char_to_regularity(half, reference=ClopenSet.full())
+
+
+def test_childless_nodes_verify_by_their_constant_laws():
+    """An empty union names 0 and an empty intersection 1, the constant laws
+    of a node with no children; the other constant fails them."""
+    for node, law, want in ((UnionNode(()), "union", Dyadic(0, 0)),
+                            (InterNode(()), "intersection", Dyadic(1, 0))):
+        d = build_decomposition(node)
+        assert verify_decomposition(node, d) == VerifyResult(True)
+        assert d[()].exact_limit() == StepFunction.constant(want)
+        d[()] = constant_name(StepFunction.constant(Dyadic(1, 0) - want))
+        assert verify_decomposition(node, d) == VerifyResult(False, (), law)
 
 
 def test_regularity_round_trip_char_names():

@@ -284,7 +284,6 @@ def test_names_equal_reflexive_and_separating():
     b = constant_name(StepFunction.constant(Dyadic(1, 0)))
     r = names_equal(a, b)
     assert not r.equal
-    assert not r
 
 
 def test_names_equal_tolerates_residual_within_bound():
@@ -445,6 +444,40 @@ def test_diagonal_name_refutes_distant_premise():
     ]
     with pytest.raises(CertificateError):
         diagonal_name(far)
+
+
+def test_diagonal_name_refutes_a_false_limit_claim():
+    """g claims a limit 5 away from every diagonal term: the claim is
+    refuted at f^0 with the exact distance."""
+    hs = [constant_name(StepFunction.constant(Dyadic(0, 0)), label=f"h{j}") for j in range(3)]
+    g = constant_name(StepFunction.constant(Dyadic(5, 0)), label="g")
+    with pytest.raises(CertificateError, match=r"^diag: \|f\^0 - lim g\|_1 >= 5/2\^0 > 2\^-0 \+ 2\^1$"):
+        diagonal_name(hs, g=g)
+
+
+def test_diagonal_name_refutes_adjacent_terms_of_an_uncertified_name():
+    """For certified names the bound on adjacent diagonal terms follows from
+    the limit check.  An interleave's pairs are not certified: read to its
+    term 2, it passes the limit check against 0, while its term 1, f^0, is
+    10 away from f^1."""
+    zero, ten = (constant_name(StepFunction.constant(Dyadic(v, 0))) for v in (0, 10))
+    mixed = names._Interleaved(zero, ten)  # terms 0, 10, 0, 10, ...
+    mixed.term(2)
+    with pytest.raises(CertificateError, match=r"^diag: \|f\^0 - f\^1\|_1 = 10/2\^0 > "):
+        diagonal_name([mixed, zero, zero])
+
+
+def test_limit_distance_refuted_allows_for_unknown_tails():
+    """A name of unknown tail is read at its deepest term i, within 2^-i+1
+    of its limit: a distance of 1/4 from term 2 refutes no bound of 1/8,
+    while one of 2 refutes it with 2 - 1/2, on either side."""
+    open_name = names.L1Name([], rule=lambda i: StepFunction.constant(Dyadic(0, 0)))
+    open_name.term(2)
+    near, far = (constant_name(StepFunction.constant(v)) for v in (Dyadic(1, 2), Dyadic(2, 0)))
+    for a, b in ((open_name, near), (near, open_name)):
+        assert names.limit_distance_refuted(a, b, Dyadic(1, 3)) is None
+    for a, b in ((open_name, far), (far, open_name)):
+        assert names.limit_distance_refuted(a, b, Dyadic(1, 3)) == Dyadic(3, 1)
 
 
 def test_bad_set_family_is_budgeted_test():

@@ -271,8 +271,8 @@ def test_locate_finds_the_longest_prefix_in_any_sorted_list(walk):
 
 
 def test_read_prefix_reads_one_slice_along_a_long_string():
-    """locate reads the prefix of x that the last candidate needs in one
-    Point.bits slice: through bit, only the bit that splits the list."""
+    """locate reads the prefix of x that the last candidate needs in
+    Point.bits slices: through bit, only the bit that splits the list."""
     n = 1_000_000
     reads = []
 
@@ -305,6 +305,29 @@ def test_locate_reads_each_bit_once_along_a_long_generator():
     assert locate(ClopenSet(("0" * n + "1", "1")).generators, Counted("", "0")) is None
     assert reads == list(range(n + 1))
     assert locate(ClopenSet(("0" * n, "1")).generators, Counted("", "0")) == 0
+
+
+def test_locate_stops_at_the_first_slice_that_differs():
+    """The last candidate is compared in slices of 64, 128, ... bits, so a
+    point that differs from it at bit 0 reads one 64-bit slice, not the
+    whole candidate, and one that differs at bit 1000 reads the slices up
+    to the one holding it."""
+    n = 100_000
+    reads = []
+
+    class Counted(EventuallyPeriodicPoint):
+        bits = Point.bits
+
+        def bit(self, i):
+            reads.append(i)
+            return super().bit(i)
+
+    long = ("0" * n + "1",)
+    assert locate(long, Counted("1", "0")) is None
+    assert reads == list(range(64))
+    reads.clear()
+    assert locate(long, Counted("0" * 1000 + "1", "0")) is None
+    assert reads == list(range(64 + 128 + 256 + 512 + 1024))
 
 
 def test_enumerate_eventually_periodic_counts():
